@@ -477,3 +477,7 @@ def run(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

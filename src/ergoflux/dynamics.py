@@ -10,6 +10,10 @@ Conventions used throughout the package:
 * the drive is resonant with a fixed phase, which keeps the dipole amplitude
   real for any state produced by `prepare_initial`.
 
+Under a constant drive the dipole has one closed form for every damping,
+s(t) = exp(-3 gamma t / 4) * (a C(t) + b S(t)) + c, whose basis C, S is
+entire in k = rabi^2 - gamma^2/16 (`SquarePulseSolution`).
+
 `Units` converts between nondimensional quantities and laboratory values at
 the I/O boundary.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import constants
@@ -459,27 +463,71 @@ def evolve_numeric(
 # --------------------------- constant-drive closed form ---------------------------
 
 
-class Regime(Enum):
-    OSCILLATORY = "oscillatory"  # gamma < 4 rabi
-    OVERDAMPED = "overdamped"    # gamma > 4 rabi
-    CRITICAL = "critical"        # gamma = 4 rabi
+def _one(x):
+    return 0.0 * x + 1.0
+
+
+def _identity(x):
+    return x
+
+
+def _atanh_inside(x):
+    return math.atanh(x) if abs(x) < 1.0 else math.nan
+
+
+class _Basis(NamedTuple):
+    q: float
+    decay: float
+    cf: Callable
+    sf: Callable
+    arc: Callable
+    period: float
+
+
+def _transient_basis(k: float, alpha: float, xp=np) -> _Basis:
+    """Basis of the constant-drive dipole transient; the only test of the sign of ``k``.
+
+    ``k = rabi^2 - gamma^2/16`` and ``alpha = 3 gamma / 4``.  C and S solve
+    C'' = -k C with C(0) = 1, C'(0) = 0 and S = int C: cos and sin / sqrt(k)
+    for k > 0, cosh and sinh / sqrt(-k) for k < 0, and 1 and t at k = 0.
+    Both are entire in k, so nothing divides by a vanishing frequency.  The
+    damped basis is exp(-alpha t) C(t) = exp(-decay t) cf(q t) and
+    exp(-alpha t) S(t) = exp(-decay t) sf(q t) / q; for k < 0, cf and sf are
+    cosh and sinh scaled by exp(-q t), so long drives neither overflow nor
+    cancel.  ``arc(q r) / q`` is the root of S(t) / C(t) = r on the branch
+    through t = 0 (NaN where there is none), and the roots repeat every
+    ``period`` (infinite unless k > 0).  ``xp`` is ``math`` for scalar
+    callers and ``numpy`` for arrays.
+    """
+    if k > 0.0:
+        q = math.sqrt(k)
+        return _Basis(q, alpha, xp.cos, xp.sin, math.atan, math.pi / q)
+    if k < 0.0:
+        q = math.sqrt(-k)
+
+        def cf(x):
+            return 0.5 * (1.0 + xp.exp(-2.0 * x))
+
+        def sf(x):
+            return -0.5 * xp.expm1(-2.0 * x)
+
+        return _Basis(q, alpha - q, cf, sf, _atanh_inside, _INF)
+    return _Basis(1.0, alpha, _one, _identity, _identity, _INF)
 
 
 @dataclass(frozen=True)
 class AnalyticCoefficients:
-    """Coefficients of the damped-oscillator solution for the dipole under constant drive.
+    """Coefficients of the dipole under a constant drive, in one form for every damping.
 
-    s(t) = exp(-3 gamma t / 4) * (a * f(d t) + b * g(d t)) + c with
-    (f, g) = (cos, sin) in the oscillatory regime and (cosh, sinh) in the
-    overdamped one.  At criticality d = 0 and ``b`` is the coefficient of the
-    secular term: s(t) = exp(-3 gamma t / 4) * (a + b t) + c.
+    s(t) = exp(-3 gamma t / 4) * (a * C(t) + b * S(t)) + c, with C and S the
+    basis of `_transient_basis` for ``k = rabi^2 - gamma^2/16``: ``c`` is the
+    settled dipole, ``a`` the initial transient and ``b`` its initial slope.
     """
 
     a: float
     b: float
     c: float
-    d: float
-    regime: Regime
+    k: float
 
 
 def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> AnalyticCoefficients:
@@ -492,18 +540,11 @@ def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> A
     w = 0.5 - prep.p
     sin_t = math.sin(prep.theta)
     cos_t = math.cos(prep.theta)
-    denom = 2.0 * rabi * rabi + gamma * gamma
-    c = -gamma * rabi / denom
+    c = -gamma * rabi / (2.0 * rabi * rabi + gamma * gamma)
     a = w * sin_t - c
-    # numerator shared by the sin/sinh coefficient and the critical slope term
-    x = w * (0.25 * gamma * sin_t - rabi * cos_t) + 3.0 * gamma * gamma * rabi / (4.0 * denom)
-
-    disc = gamma * gamma - 16.0 * rabi * rabi
-    if disc == 0.0:
-        return AnalyticCoefficients(a=a, b=x, c=c, d=0.0, regime=Regime.CRITICAL)
-    d = math.sqrt(abs(disc)) / 4.0
-    regime = Regime.OSCILLATORY if disc < 0.0 else Regime.OVERDAMPED
-    return AnalyticCoefficients(a=a, b=x / d, c=c, d=d, regime=regime)
+    # s'(0) from the equation of motion, plus the decay of the envelope
+    b = w * (0.25 * gamma * sin_t - rabi * cos_t) - 0.75 * gamma * c
+    return AnalyticCoefficients(a=a, b=b, c=c, k=rabi * rabi - gamma * gamma / 16.0)
 
 
 class SquarePulseSolution:
@@ -513,38 +554,26 @@ class SquarePulseSolution:
         self.prep = prep
         self.rabi = rabi
         self.gamma = gamma
-        self.coefficients = square_pulse_coefficients(prep, rabi, gamma)
-        self.alpha = 0.75 * gamma
+        self.coefficients = co = square_pulse_coefficients(prep, rabi, gamma)
+        self.alpha = al = 0.75 * gamma
+        self._basis = _transient_basis(co.k, al)
+        # the slope is exp(-alpha t) * (pc * C + ps * S)
+        self.pc = co.b - al * co.a
+        self.ps = -(al * co.b + co.k * co.a)
 
     def coherence(self, t):
         """Dipole amplitude s(t); accepts scalars or arrays."""
         t = np.asarray(t, dtype=float)
         co = self.coefficients
-        env = np.exp(-self.alpha * t)
-        if co.regime is Regime.OSCILLATORY:
-            out = env * (co.a * np.cos(co.d * t) + co.b * np.sin(co.d * t)) + co.c
-        elif co.regime is Regime.OVERDAMPED:
-            out = env * (co.a * np.cosh(co.d * t) + co.b * np.sinh(co.d * t)) + co.c
-        else:
-            out = env * (co.a + co.b * t) + co.c
+        q, decay, cf, sf, _, _ = self._basis
+        out = np.exp(-decay * t) * (co.a * cf(q * t) + co.b / q * sf(q * t)) + co.c
         return float(out) if out.ndim == 0 else out
 
     def coherence_rate(self, t):
         """Time derivative of the dipole amplitude."""
         t = np.asarray(t, dtype=float)
-        co = self.coefficients
-        al = self.alpha
-        env = np.exp(-al * t)
-        if co.regime is Regime.OSCILLATORY:
-            pc = -al * co.a + co.d * co.b
-            ps = -al * co.b - co.d * co.a
-            out = env * (pc * np.cos(co.d * t) + ps * np.sin(co.d * t))
-        elif co.regime is Regime.OVERDAMPED:
-            pc = -al * co.a + co.d * co.b
-            ps = -al * co.b + co.d * co.a
-            out = env * (pc * np.cosh(co.d * t) + ps * np.sinh(co.d * t))
-        else:
-            out = env * (co.b - al * (co.a + co.b * t))
+        q, decay, cf, sf, _, _ = self._basis
+        out = np.exp(-decay * t) * (self.pc * cf(q * t) + self.ps / q * sf(q * t))
         return float(out) if out.ndim == 0 else out
 
     def excited_population(self, t):

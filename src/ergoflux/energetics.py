@@ -10,7 +10,8 @@ All quantities are in units of (hbar * omega0) for energies and
   any physical state.
 
 Their sum matches the energy the qubit loses, which `accumulate` checks on
-every trace it integrates.
+every trace it integrates.  Under a constant drive the work needs no trace:
+`square_drive_work_fn` gets it exactly from the end states of the drive.
 """
 from __future__ import annotations
 
@@ -20,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    AnalyticCoefficients,
     IntegrationAccuracyError,
     Preparation,
     QubitState,
-    Regime,
+    SquarePulseSolution,
     Trajectory,
-    square_pulse_coefficients,
+    _transient_basis,
 )
 
 # grid-level residual allowed between the integrated fluxes and the energy drop
@@ -57,8 +57,12 @@ def work_rate(state: QubitState, rabi: float, gamma: float) -> float:
 
 
 def heat_rate(state: QubitState, gamma: float) -> float:
-    """Incoherent (heat-like) output power; >= 0 inside the Bloch ball."""
-    return gamma * (state.p_e - abs(state.s_bar) ** 2)
+    """Incoherent (heat-like) output power; >= 0 inside the Bloch ball.
+
+    A state within BLOCH_TOL outside the ball is rounding noise (see
+    `QubitState`), so its negative excess counts as zero heat.
+    """
+    return gamma * max(state.p_e - abs(state.s_bar) ** 2, 0.0)
 
 
 def ergotropy(prep: Preparation) -> float:
@@ -237,104 +241,48 @@ def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
 # --------------------------- constant-drive closed-form work ---------------------------
 
 
-def _i1(tau: float, a: float, d: float) -> float:
-    """Integral of exp(-a t) cos(d t) over [0, tau]."""
-    den = a * a + d * d
-    if den == 0.0:
-        return tau
-    return (a + math.exp(-a * tau) * (d * math.sin(d * tau) - a * math.cos(d * tau))) / den
-
-
-def _i2(tau: float, a: float, d: float) -> float:
-    """Integral of exp(-a t) sin(d t) over [0, tau]."""
-    den = a * a + d * d
-    if den == 0.0:
-        return 0.0
-    return (d - math.exp(-a * tau) * (d * math.cos(d * tau) + a * math.sin(d * tau))) / den
-
-
-def _e(tau: float, a: float) -> float:
-    """Integral of exp(-a t) over [0, tau]."""
-    if a == 0.0:
-        return tau
-    return -math.expm1(-a * tau) / a
-
-
-def _i1h(tau: float, a: float, d: float) -> float:
-    """Integral of exp(-a t) cosh(d t) over [0, tau]."""
-    return 0.5 * (_e(tau, a - d) + _e(tau, a + d))
-
-
-def _i2h(tau: float, a: float, d: float) -> float:
-    """Integral of exp(-a t) sinh(d t) over [0, tau]."""
-    return 0.5 * (_e(tau, a - d) - _e(tau, a + d))
-
-
-def _j1(tau: float, a: float) -> float:
-    """Integral of t exp(-a t) over [0, tau]."""
-    if a == 0.0:
-        return 0.5 * tau * tau
-    return (1.0 - math.exp(-a * tau) * (1.0 + a * tau)) / (a * a)
-
-
-def _j2(tau: float, a: float) -> float:
-    """Integral of t^2 exp(-a t) over [0, tau]."""
-    if a == 0.0:
-        return tau**3 / 3.0
-    at = a * tau
-    return (2.0 - math.exp(-a * tau) * (2.0 + at * (2.0 + at))) / a**3
-
-
 def square_drive_work_fn(prep: Preparation, rabi: float, gamma: float):
     """Closed-form cumulative work under a constant drive, as a function of its duration.
 
     Returns W(tau) = rabi * int_0^tau s dt + gamma * int_0^tau s^2 dt,
     exact in both integrals; no free-decay tail is included.
+
+    Both integrals follow from the end states alone (Van Loan 1978, IEEE TAC
+    23:395).  With y = (p_e, s) the Bloch equations read y' = A y + h, so
+    m = int y solves A m = y(tau) - y(0) - h tau, and the second moments
+    P = int y y^T solve the Lyapunov equation A P + P A^T = R with
+    R = [y y^T]_0^tau - h m^T - m h^T.  Its s-s entry is solved in closed form
+    below; it is finite for every damping, gamma = 0 included.
     """
-    co = square_pulse_coefficients(prep, rabi, gamma)
-    a, b, c, d = co.a, co.b, co.c, co.d
-    al = 0.75 * gamma
+    sol = SquarePulseSolution(prep, rabi, gamma)
+    co = sol.coefficients
+    q, decay, cf, sf, _, _ = _transient_basis(co.k, sol.alpha, math)
+    a, bq, c = co.a, co.b / q, co.c
+    pc, psq = sol.pc, sol.ps / q
+    det = rabi * rabi + 0.5 * gamma * gamma  # det A
+    r2 = 2.0 * rabi * rabi
+    den = 6.0 * det
 
-    if co.regime is Regime.OSCILLATORY:
+    def end_state(tau: float) -> tuple[float, float]:
+        x = q * tau
+        cx, sx = cf(x), sf(x)
+        env = math.exp(-decay * tau)
+        s = env * (a * cx + bq * sx) + c
+        return 0.5 + (env * (pc * cx + psq * sx) + 0.5 * gamma * s) / rabi, s
 
-        def work(tau: float) -> float:
-            s1 = a * _i1(tau, al, d) + b * _i2(tau, al, d) + c * tau
-            if gamma == 0.0:
-                return rabi * s1
-            s2 = (
-                0.5 * (a * a + b * b) * _e(tau, 2.0 * al)
-                + 0.5 * (a * a - b * b) * _i1(tau, 2.0 * al, 2.0 * d)
-                + a * b * _i2(tau, 2.0 * al, 2.0 * d)
-                + 2.0 * c * (a * _i1(tau, al, d) + b * _i2(tau, al, d))
-                + c * c * tau
-            )
-            return rabi * s1 + gamma * s2
+    p0, s0 = end_state(0.0)
 
-    elif co.regime is Regime.OVERDAMPED:
-
-        def work(tau: float) -> float:
-            s1 = a * _i1h(tau, al, d) + b * _i2h(tau, al, d) + c * tau
-            s2 = (
-                0.5 * (a * a + b * b) * _i1h(tau, 2.0 * al, 2.0 * d)
-                + 0.5 * (a * a - b * b) * _e(tau, 2.0 * al)
-                + a * b * _i2h(tau, 2.0 * al, 2.0 * d)
-                + 2.0 * c * (a * _i1h(tau, al, d) + b * _i2h(tau, al, d))
-                + c * c * tau
-            )
-            return rabi * s1 + gamma * s2
-
-    else:  # critical
-
-        def work(tau: float) -> float:
-            s1 = a * _e(tau, al) + b * _j1(tau, al) + c * tau
-            s2 = (
-                a * a * _e(tau, 2.0 * al)
-                + 2.0 * a * b * _j1(tau, 2.0 * al)
-                + b * b * _j2(tau, 2.0 * al)
-                + 2.0 * c * (a * _e(tau, al) + b * _j1(tau, al))
-                + c * c * tau
-            )
-            return rabi * s1 + gamma * s2
+    def work(tau: float) -> float:
+        p, s = end_state(tau)
+        d1 = p - p0
+        d2 = s - s0 + 0.5 * rabi * tau  # h = (0, -rabi/2)
+        m1 = (rabi * d2 - 0.5 * gamma * d1) / det
+        m2 = -(rabi * d1 + gamma * d2) / det
+        q11 = p * p - p0 * p0
+        q12 = p * s - p0 * s0 + 0.5 * rabi * m1
+        q22 = s * s - s0 * s0 + rabi * m2
+        gamma_s2 = -(r2 * q11 + 4.0 * gamma * rabi * q12 + (r2 + 3.0 * gamma * gamma) * q22) / den
+        return rabi * m2 + gamma_s2
 
     return work
 

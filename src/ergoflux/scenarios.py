@@ -24,11 +24,12 @@ from scipy import optimize as _sopt
 
 from .dynamics import (
     CouplingSchedule,
+    IntegrationAccuracyError,
     Preparation,
-    Regime,
     SquarePulse,
     SquarePulseSolution,
     Trajectory,
+    _transient_basis,
     free_decay_trajectory,
     prepare_initial,
 )
@@ -65,7 +66,7 @@ class ScenarioResult:
 
     def __post_init__(self):
         if self.work > ergotropy(self.prep) + _BOUND_TOL:
-            raise ValueError(
+            raise IntegrationAccuracyError(
                 f"work {self.work} exceeds the ergotropy "
                 f"{ergotropy(self.prep)} of the preparation"
             )
@@ -74,107 +75,77 @@ class ScenarioResult:
 # --------------------------- stopping-time search ---------------------------
 
 
-def _scalar_coherence(co, gamma: float):
+def _scalar_coherence(sol: SquarePulseSolution):
     """Closed-form dipole as a fast scalar function (for root refinement)."""
-    a, b, c, d = co.a, co.b, co.c, co.d
-    al = 0.75 * gamma
-    if co.regime is Regime.OSCILLATORY:
-        def f(t):
-            return math.exp(-al * t) * (a * math.cos(d * t) + b * math.sin(d * t)) + c
-    elif co.regime is Regime.OVERDAMPED:
-        def f(t):
-            return math.exp(-al * t) * (a * math.cosh(d * t) + b * math.sinh(d * t)) + c
-    else:
-        def f(t):
-            return math.exp(-al * t) * (a + b * t) + c
+    co = sol.coefficients
+    q, decay, cf, sf, _, _ = _transient_basis(co.k, sol.alpha, math)
+    a, bq, c = co.a, co.b / q, co.c
+
+    def f(t):
+        return math.exp(-decay * t) * (a * cf(q * t) + bq * sf(q * t)) + c
+
     return f
 
 
-def _dipole_extrema(co, gamma: float, t_max: float) -> list[float]:
-    """Interior times where the constant-drive dipole has zero slope."""
-    al = 0.75 * gamma
+def _dipole_extrema(sol: SquarePulseSolution, t_max: float) -> list[float]:
+    """Interior times where the constant-drive dipole has zero slope.
+
+    The slope is exp(-alpha t) * (pc * C + ps * S), so its zeros solve
+    S / C = -pc / ps on each branch of the basis.
+    """
+    q, _, _, _, arc, period = _transient_basis(sol.coefficients.k, sol.alpha, math)
+    pc, ps = sol.pc, sol.ps
+    if pc == 0.0 and ps == 0.0:
+        return []
+    r = -pc / ps if ps != 0.0 else math.copysign(math.inf, -pc)  # C = 0
+    t = arc(q * r) / q
+    if not t > 1e-15:
+        t += period
     out: list[float] = []
-    if co.regime is Regime.OSCILLATORY:
-        pc = -al * co.a + co.d * co.b
-        ps = -al * co.b - co.d * co.a
-        if pc == 0.0 and ps == 0.0:
-            return out
-        # zeros of pc*cos(dt) + ps*sin(dt)
-        phi = math.atan2(ps, pc)
-        base = (-phi + 0.5 * math.pi) / co.d
-        step = math.pi / co.d
-        m = math.ceil((1e-15 - base) / step)
-        t = base + m * step
-        while t < t_max:
-            if t > 1e-15:
-                out.append(t)
-            t += step
-    elif co.regime is Regime.OVERDAMPED:
-        pc = -al * co.a + co.d * co.b
-        ps = -al * co.b + co.d * co.a
-        # pc*cosh(dt) + ps*sinh(dt) = 0  =>  tanh(dt) = -pc/ps
-        if ps != 0.0 and abs(pc / ps) < 1.0:
-            t = math.atanh(-pc / ps) / co.d
-            if 1e-15 < t < t_max:
-                out.append(t)
-    else:  # critical: slope = exp(-al t) (b - al a - al b t)
-        if co.b != 0.0:
-            t = (co.b - al * co.a) / (al * co.b)
-            if 1e-15 < t < t_max:
-                out.append(t)
+    while t < t_max:
+        out.append(t)
+        t += period
     return out
 
 
-def _crossing_horizon(co, gamma: float, cap: float) -> float:
+def _crossing_horizon(sol: SquarePulseSolution, cap: float) -> float:
     """Upper bound on times where the dipole can still cross zero.
 
-    The transient is bounded by hypot(a, b) * exp(-gamma t / 2) in every
-    regime while the settled value c is strictly negative, so crossings die
-    once the envelope drops below |c|.
+    For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
+    w = max(sqrt|k|, gamma / 2) (sqrt|k| < gamma / 4 when k < 0), so the
+    transient stays below (|a| + |b| / w) * exp(-gamma t / 2).  The settled
+    value c is strictly negative, so crossings die once that envelope drops
+    below |c|.
     """
+    co, gamma = sol.coefficients, sol.gamma
     if gamma <= 0.0 or co.c == 0.0:
         return cap
-    if co.regime is Regime.OSCILLATORY:
-        amp = math.hypot(co.a, co.b)
-    elif co.regime is Regime.OVERDAMPED:
-        # exp(-3gt/4)(a cosh + b sinh) splits into two decaying exponentials,
-        # the slower one with rate 3g/4 - d > g/2 and weight <= max(|a|,|b|)
-        amp = max(abs(co.a), abs(co.b))
-    else:
-        # secular factor: t * exp(-g t/4) peaks at 4/(g e)
-        amp = abs(co.a) + abs(co.b) * 4.0 / (gamma * math.e)
+    amp = abs(co.a) + abs(co.b) / max(math.sqrt(abs(co.k)), 0.5 * gamma)
     if amp <= abs(co.c):
         return 0.0
-    t = 2.0 / gamma * math.log(amp / abs(co.c))
-    # pad by one oscillation period so a crossing right at the edge survives
-    pad = 2.0 * math.pi / co.d if co.regime is Regime.OSCILLATORY and co.d > 0.0 else 1.0 / gamma
-    return min(cap, t + pad)
+    # pad so the end knot lies strictly inside the settled region
+    return min(cap, 2.0 / gamma * math.log(amp / abs(co.c)) + 1.0 / gamma)
 
 
 def _zero_candidates(prep: Preparation, rabi: float, gamma: float, t_max: float) -> list[float]:
-    """Times where the driven dipole crosses zero, bracketed between its extrema.
+    """Times where the driven dipole crosses zero downwards, bracketed between its extrema.
 
-    These are the interior stationary points of the extracted work: the work
-    rate is s*(rabi + gamma*s), and along the physical branch the second
-    factor stays positive wherever s vanishes.
+    These are the interior maxima of the extracted work: the work rate is
+    s*(rabi + gamma*s), and the second factor stays positive because s
+    starts nonnegative and never falls below -rabi/gamma.  An upward
+    crossing is a local minimum of the work, so a downward one (or tau = 0)
+    before it always does better.
     """
     sol = SquarePulseSolution(prep, rabi, gamma)
-    co = sol.coefficients
-    f = _scalar_coherence(co, gamma)
-    horizon = _crossing_horizon(co, gamma, t_max)
+    f = _scalar_coherence(sol)
+    horizon = _crossing_horizon(sol, t_max)
     if horizon <= 0.0:
         return []
 
-    knots = [0.0] + _dipole_extrema(co, gamma, horizon) + [horizon]
+    knots = [0.0] + _dipole_extrema(sol, horizon) + [horizon]
     zeros: list[float] = []
     for lo, hi in zip(knots[:-1], knots[1:]):
-        if hi - lo < 1e-14:
-            continue
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0 and lo > 0.0:
-            zeros.append(lo)
-            continue
-        if flo * fhi < 0.0:
+        if f(lo) > 0.0 > f(hi):
             zeros.append(float(_sopt.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)))
     return zeros
 
@@ -184,8 +155,8 @@ def optimal_square_work(
 ) -> tuple[float, float]:
     """Best stopping time and work for a constant drive with coupling cut at stop.
 
-    Candidates are tau = 0 (extract nothing) and the zero crossings of the
-    dipole on (0, 20/gamma]; the dipole settles to a strictly negative value,
+    Candidates are tau = 0 (extract nothing) and the downward zero crossings
+    of the dipole on (0, 20/gamma]; the dipole settles to a strictly negative value,
     so the work decreases at late times and the window suffices.  ``polish``
     runs a bounded scalar refinement around the best candidate.
     """
@@ -367,6 +338,12 @@ class SweepAxis:
 
 # scenario parameters addressable by sweeps and fixed values
 _AXIS_NAMES = {"theta", "p", "ndot", "nbar", "tau"}
+# parameters without a default, per scenario
+_REQUIRED = {
+    "continuous": ("theta", "ndot"),
+    "spontaneous": ("theta",),
+    "pulsed": ("theta", "nbar", "tau"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,6 +374,10 @@ class SweepGrid:
         for key in self.fixed:
             if key not in _AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
+        given = {self.axis1.name, self.axis2.name, *self.fixed}
+        missing = [key for key in _REQUIRED[name] if key not in given]
+        if missing:
+            raise ValueError(f"the {name} sweep needs a value for {', '.join(missing)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +403,7 @@ def _run_cell(args) -> tuple[float, float, float, bool]:
             r = scenario_pulsed(prep, n_bar=params["nbar"], tau=params["tau"], gamma=gamma)
         tau = r.tau_opt if r.tau_opt is not None else math.nan
         return r.work, r.eta, tau, False
-    except Exception:
+    except (ValueError, IntegrationAccuracyError):
         return math.nan, math.nan, math.nan, True
 
 

@@ -1,6 +1,10 @@
 """Command-line front-end tests: exit codes, CSV/JSON schema, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +25,26 @@ def test_scenario_pinned_row(capsys):
     assert lines[0] == "# units: energies in hbar*omega0, times in 1/gamma"
     assert lines[1] == "theta,p,work,yield,tau_opt,flag"
     assert lines[2] == "1.5708,0,0.249999999997,0.499998163397,nan,0"
+
+
+def test_module_entry_point_runs_the_cli():
+    # a source checkout without the console script runs the CLI as a module
+    src = str(Path(ef.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ergoflux.cli", "scenario", "--case", "ii", "--theta", "1.5708"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "1.5708,0,0.249999999997,0.499998163397,nan,0"
+
+
+@pytest.mark.parametrize("ndot", ["0.015624999999999993", "0.015625000000000007"])
+def test_scenario_next_to_critical_damping(ndot, capsys):
+    # ndot = 1/64 puts the drive at gamma = 4 rabi; its neighbours must agree with it
+    assert run("scenario", "--case", "i", "--theta", "2", "--ndot", ndot) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert row[2] == "0.295042653595"
 
 
 def test_scenario_csv_roundtrip(tmp_path):
@@ -116,6 +140,9 @@ def test_sweep_axis_validation(tmp_path, capsys):
     )
     # sweeps are file-only
     assert run("sweep", "--case", "ii", "--theta", "0", "3", "4", "--p", "0", "0.5", "3") == 1
+    # the continuous case has no photon rate to run at
+    assert run("sweep", "--case", "i", "--theta", "0.5", "3", "3", "--p", "0", "0.2", "2", "--out", out) == 1
+    assert not os.path.exists(out)
     capsys.readouterr()
 
 

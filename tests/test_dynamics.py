@@ -232,13 +232,8 @@ def test_coefficients_reproduce_initial_conditions(prep, eps):
     assert co.a + co.c == pytest.approx(state0.s_bar.real, abs=1e-12)
     # slope at t=0 from the equation of motion
     slope = -0.5 * gamma * state0.s_bar.real + rabi * (state0.p_e - 0.5)
-    alpha = 0.75 * gamma
-    if co.regime is ef.Regime.OSCILLATORY:
-        got = -alpha * co.a + co.d * co.b
-    elif co.regime is ef.Regime.OVERDAMPED:
-        got = -alpha * co.a + co.d * co.b
-    else:  # critical: b carries the secular slope directly
-        got = -alpha * co.a + co.b
+    # C'(0) = 0 and S'(0) = 1 for every damping, so b is the transient's initial slope
+    got = -0.75 * gamma * co.a + co.b
     assert got == pytest.approx(slope, abs=1e-9 * max(1.0, rabi))
 
 
@@ -257,7 +252,7 @@ def test_solution_branches_meet_at_criticality(prep):
 def test_exactly_critical_parameters_use_secular_branch():
     prep = ef.Preparation(p=0.1, theta=2.0)
     co = ef.square_pulse_coefficients(prep, rabi=0.25, gamma=1.0)
-    assert co.regime is ef.Regime.CRITICAL
+    assert co.k == 0.0  # gamma = 4 rabi exactly: C = 1 and S = t
     # and the degenerate solution still matches the integrator
     sol = ef.SquarePulseSolution(prep, 0.25, 1.0)
     traj = ef.evolve_numeric(
@@ -268,6 +263,16 @@ def test_exactly_critical_parameters_use_secular_branch():
     )
     assert np.abs(sol.coherence(traj.times) - traj.s_bar.real).max() <= 1e-7
     assert np.abs(sol.excited_population(traj.times) - traj.p_e).max() <= 1e-7
+
+
+def test_long_overdamped_drive_settles_without_overflow():
+    # gamma > 4 rabi: cosh and sinh of sqrt(-k) t alone overflow past t ~ 2800
+    rabi = 0.01
+    sol = ef.SquarePulseSolution(ef.Preparation(p=0.0, theta=2.0), rabi, 1.0)
+    t = np.array([3000.0, 1e5])
+    denom = 2.0 * rabi * rabi + 1.0
+    assert np.abs(sol.coherence(t) + rabi / denom).max() <= 1e-15
+    assert np.abs(sol.excited_population(t) - rabi * rabi / denom).max() <= 1e-15
 
 
 def test_analytic_solution_starts_at_preparation():

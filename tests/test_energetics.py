@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from scipy.integrate import quad
 
@@ -45,6 +45,8 @@ def test_rates_hand_computed_point():
         (9.0, 7.0, 0.0, 0.5),
         (0.05, 1.0, 0.4, 3.0),
         (30.0, 10.0, 0.2, math.pi),
+        # a hair either side of critical damping, where 1/sqrt|gamma^2 - 16 rabi^2| blows up
+        *[(4.0 * (1.0 + sign * rel), 3.0, 0.0, 2.0) for rel in (1e-15, 1e-10, 1e-8) for sign in (1, -1)],
     ],
 )
 def test_square_drive_work_matches_quadrature(eps, tau, p, theta):
@@ -103,6 +105,8 @@ def test_yield_of_passive_state_is_nan():
 
 
 @given(ball_states)
+# on the surface, r = 1 rounds |s|^2 one ulp above a subnormal-scale p_e
+@example(state=ef.QubitState(p_e=3.953990319981108e-285, s_bar=complex(6.288076271787031e-143, 0.0)))
 def test_heat_rate_is_nonnegative_on_the_ball(state):
     assert ef.heat_rate(state, gamma=1.0) >= 0.0
 

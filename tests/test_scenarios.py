@@ -41,7 +41,13 @@ def test_continuous_pi_pulse_limit():
 def test_continuous_matches_brute_force_scan():
     from ergoflux.energetics import square_drive_work_fn
 
-    for ratio, p, theta in [(0.25, 0.0, 2.0), (4.0, 0.2, 1.2), (0.02, 0.0, math.pi / 2)]:
+    cases = [
+        (0.25, 0.0, 2.0),
+        (4.0, 0.2, 1.2),
+        (0.02, 0.0, math.pi / 2),
+        (0.5, 0.3, math.pi),  # the first interior maximum sits between two dipole extrema
+    ]
+    for ratio, p, theta in cases:
         prep = ef.Preparation(p=p, theta=theta)
         res = ef.scenario_continuous(prep, ratio)
         rabi = 2.0 * math.sqrt(ratio)
@@ -50,6 +56,23 @@ def test_continuous_matches_brute_force_scan():
         brute = max(fn(t) for t in taus[1:])
         brute = max(brute, 0.0)
         assert res.work == pytest.approx(brute, abs=1e-8)
+
+
+def test_continuous_is_continuous_across_critical_damping():
+    # ratio 1/64 puts the drive at gamma = 4 rabi, where the damping changes kind
+    rng = np.random.default_rng(64)
+    preps = [
+        ef.Preparation(p=float(rng.uniform(0.0, 0.5)), theta=float(rng.uniform(0.0, math.pi)))
+        for _ in range(25)
+    ]
+    deltas = [sign * 10.0**e for e in range(-16, -5) for sign in (1.0, -1.0)]
+    for prep in preps:
+        ref = ef.scenario_continuous(prep, 1.0 / 64.0)
+        for delta in deltas:
+            res = ef.scenario_continuous(prep, (1.0 + delta) / 64.0)
+            assert res.work <= ef.ergotropy(prep)
+            assert abs(res.work - ref.work) <= abs(delta) + 1e-12
+            assert abs(res.tau_opt - ref.tau_opt) <= abs(delta) + 1e-10
 
 
 @given(active_preparations, rate_ratios)
@@ -143,6 +166,13 @@ def test_pulsed_work_formula():
     assert res.tau_opt == tau
 
 
+def test_pulsed_long_weak_drive_stays_finite():
+    prep = ef.Preparation(p=0.0, theta=2.0)
+    res = ef.scenario_pulsed(prep, n_bar=1e-3, tau=5000.0)
+    assert math.isfinite(res.work)
+    assert 0.0 < res.work <= ef.ergotropy(prep)
+
+
 def test_pulsed_ground_state_absorbs_energy():
     res = ef.scenario_pulsed(ef.Preparation(p=0.0, theta=0.0), n_bar=10.0, tau=1.0)
     assert res.work < 0.0
@@ -172,7 +202,8 @@ def test_pulsed_work_bounded_by_ergotropy(n_bar, tau, prep):
 
 def test_scenario_result_rejects_bound_violation():
     prep = ef.Preparation(p=0.0, theta=math.pi / 2)
-    with pytest.raises(ValueError):
+    # a breach can only come from the numerics, so it is not a validation error
+    with pytest.raises(ef.IntegrationAccuracyError):
         ef.ScenarioResult(prep=prep, work=0.9, eta=1.8)
 
 
@@ -257,3 +288,14 @@ def test_sweep_grid_validation():
             axis1=ef.SweepAxis(name="theta", values=np.linspace(0, 1, 3)),
             axis2=ef.SweepAxis(name="theta", values=np.linspace(0, 1, 3)),
         )
+    # a required parameter left unset, on neither axis nor fixed
+    for scenario, names, fixed in [
+        ("continuous", ("theta", "p"), {}),  # no ndot
+        ("continuous", ("ndot", "p"), {}),  # no theta
+        ("spontaneous", ("p", "tau"), {}),  # no theta
+        ("pulsed", ("theta", "nbar"), {}),  # no tau
+        ("pulsed", ("theta", "p"), {"tau": 1.0}),  # no nbar
+    ]:
+        axes = [ef.SweepAxis(name=n, values=np.linspace(0.1, 0.4, 3)) for n in names]
+        with pytest.raises(ValueError):
+            ef.SweepGrid(scenario=scenario, axis1=axes[0], axis2=axes[1], fixed=fixed)
