@@ -128,6 +128,23 @@ def _clamped_state(p_e: float, s_re: float, s_im: float) -> tuple[float, float, 
     return p_e, s_re, s_im
 
 
+def _clamped_samples(p_e, s_re, s_im):
+    """`_clamped_state` for arrays of stored samples; a non-finite one is a failure."""
+    m2 = s_re * s_re + s_im * s_im
+    worst = float(np.max(np.maximum(np.maximum(-p_e, p_e - 1.0), m2 - p_e * (1.0 - p_e))))
+    if not worst <= BLOCH_TOL:
+        raise IntegrationAccuracyError(
+            f"Bloch-ball violation {worst:.3e} exceeds tolerance {BLOCH_TOL:.0e}"
+        )
+    if worst <= 0.0:
+        return p_e, s_re, s_im
+    p_e = np.clip(p_e, 0.0, 1.0)
+    cap = p_e * (1.0 - p_e)
+    out = m2 > cap  # implies m2 > 0
+    scale = np.where(out, np.sqrt(cap / np.where(out, m2, 1.0)), 1.0)
+    return p_e, s_re * scale, s_im * scale
+
+
 def prepare_initial(prep: Preparation) -> QubitState:
     """Map a preparation onto (p_e, s_bar); the dipole comes out real."""
     w = 0.5 - prep.p
@@ -348,6 +365,114 @@ class Trajectory:
         return QubitState(p_e=float(self.p_e[i]), s_bar=complex(self.s_bar[i]))
 
 
+# Steps composed per chunk and per block of the scan.  Both are fixed, so a
+# run's arithmetic, and with it every digit of its result, is the same on
+# every machine; a block bounds the scan's temporaries to a few MB.
+_CHUNK = 16
+_BLOCK = 1 << 13
+
+# Rows p and s of the homogeneous columns (e_p, e_s, 1) that `_rk4_maps`
+# steps, and half the homogeneous coordinate, which carries the drive offset.
+_COLUMNS = np.eye(3)[:2, :, None]
+_HALF = np.array([[0.0], [0.0], [0.5]])
+
+
+def _rhs(p, s, rabi, gamma, half=0.5):
+    """Bloch right-hand side (dp/dt, ds/dt) of the real channel, elementwise.
+
+    ``half`` is the offset in rabi * (p - 1/2): 0.5 for states, `_HALF` for
+    map columns, 0 for the linear part alone.
+    """
+    return -gamma * p - rabi * s, rabi * (p - half) - 0.5 * gamma * s
+
+
+def _rk4_maps(oa, ob, oc, ga, gb, gc, h):
+    """Affine maps x -> M x + v of RK4 steps, one per element of the samples.
+
+    The Bloch equations are affine in x = (p_e, s), so one RK4 step is too.
+    ``oa``/``ob``/``oc`` and ``ga``/``gb``/``gc`` are the drive and decay at
+    step start, middle and end.  Stepping the homogeneous columns e_p, e_s
+    and 1 gives the (2, 3, n) array whose row i holds (M_i0, M_i1, v_i).
+    """
+    p, s = _COLUMNS
+    k1p, k1s = _rhs(p, s, oa, ga, _HALF)
+    k2p, k2s = _rhs(p + 0.5 * h * k1p, s + 0.5 * h * k1s, ob, gb, _HALF)
+    k3p, k3s = _rhs(p + 0.5 * h * k2p, s + 0.5 * h * k2s, ob, gb, _HALF)
+    k4p, k4s = _rhs(p + h * k3p, s + h * k3s, oc, gc, _HALF)
+    return np.stack((
+        p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
+        s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s),
+    ))
+
+
+def _decay_factors(ga, gb, gc, h):
+    """RK4 factor of one step of ds/dt = -(gamma/2) s, the uncoupled imaginary dipole."""
+    k1 = -0.5 * ga
+    k2 = -0.5 * gb * (1.0 + 0.5 * h * k1)
+    k3 = -0.5 * gb * (1.0 + 0.5 * h * k2)
+    k4 = -0.5 * gc * (1.0 + h * k3)
+    return 1.0 + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _scan_block(maps, x0):
+    """States after each step of x_{k+1} = M_k x_k + v_k for one block of maps.
+
+    Prefix composition inside chunks of `_CHUNK` steps, vectorised over the
+    chunks; a scalar loop carries the state from chunk to chunk, and one
+    vectorised pass fills in the states inside every chunk.
+    """
+    nb = maps.shape[-1]
+    nc = -(-nb // _CHUNK)
+    a = np.zeros((2, 3, nc * _CHUNK))  # states past the last step are dropped
+    a[..., :nb] = maps
+    a = a.reshape(2, 3, nc, _CHUNK).transpose(3, 0, 1, 2).copy()  # (step in chunk, row, column, chunk)
+    for j in range(1, _CHUNK):
+        q, prev = a[j], a[j - 1]
+        step = q[:, :1] * prev[0] + q[:, 1:2] * prev[1]
+        step[:, 2] += q[:, 2]
+        a[j] = step
+    p, s = x0
+    ep, es = [], []
+    for m00, m01, v0, m10, m11, v1 in a[-1].reshape(6, nc).T.tolist():
+        ep.append(p)
+        es.append(s)
+        p, s = m00 * p + m01 * s + v0, m10 * p + m11 * s + v1
+    x = a[:, :, 0] * np.array(ep) + a[:, :, 1] * np.array(es) + a[:, :, 2]
+    return x.transpose(1, 2, 0).reshape(2, -1)[:, :nb]
+
+
+def _affine_scan(maps, n: int, x0, reverse: bool = False) -> np.ndarray:
+    """All states x_0..x_n of x_{k+1} = M_k x_k + v_k as a (2, n + 1) array.
+
+    ``maps(lo, hi)`` returns the (2, 3, hi - lo) maps of steps lo..hi-1
+    (see `_rk4_maps`); they are requested and scanned in blocks of `_BLOCK`
+    steps.  With ``reverse`` the transposed recurrence y_k = M_k^T y_{k+1} + v_k
+    runs from y_n = ``x0`` down to y_0: the adjoint of the forward scan.  A
+    non-finite state raises `IntegrationAccuracyError`.
+    """
+    out = np.empty((2, n + 1))
+    x = [float(x0[0]), float(x0[1])]
+    blocks = range(0, n, _BLOCK)
+    out[:, n if reverse else 0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in reversed(blocks) if reverse else blocks:
+            hi = min(lo + _BLOCK, n)
+            if reverse:
+                m = maps(lo, hi)[..., ::-1]
+                m = np.concatenate((m[:, :2].swapaxes(0, 1), m[:, 2:]), axis=1)  # M^T, same offsets
+                states = _scan_block(m, x)
+                out[:, lo:hi] = states[:, ::-1]
+            else:
+                states = _scan_block(maps(lo, hi), x)
+                out[:, lo + 1 : hi + 1] = states
+            x = states[:, -1].tolist()
+    if not np.isfinite(out).all():
+        raise IntegrationAccuracyError(
+            "integration produced a non-finite state; shrink the step or the drive"
+        )
+    return out
+
+
 def evolve_numeric(
     state0: QubitState,
     drive: DriveProfile,
@@ -359,9 +484,13 @@ def evolve_numeric(
     """Integrate the Bloch equations with a fixed-step RK4 scheme.
 
     The step must resolve the fastest scale: dt <= 0.01 * min(1/gamma,
-    1/max(rabi)).  Each stored state is clamped back into the Bloch ball;
-    drifting out by more than BLOCH_TOL raises `IntegrationAccuracyError`.
-    The fixed grid makes runs bit-reproducible.
+    1/max(rabi)).  The RK4 steps are affine maps of the state, composed by
+    `_affine_scan`; the uncoupled imaginary part of the dipole is the
+    initial one times the running product of its per-step RK4 factor.  The
+    stored states are clamped back into the Bloch ball after integration,
+    so the clamp never feeds back into the next step; any of them outside
+    by more than BLOCH_TOL raises `IntegrationAccuracyError`.  The fixed
+    grid and scan layout make runs bit-reproducible.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -379,8 +508,7 @@ def evolve_numeric(
     on_m = coupling.on_mask(mids)
     om_g = np.where(on_g, drive.rabi(times), 0.0)
     om_m = np.where(on_m, drive.rabi(mids), 0.0)
-    ga_g = np.where(on_g, gamma, 0.0)
-    ga_m = np.where(on_m, gamma, 0.0)
+    del mids
 
     om_max = float(max(om_g.max(initial=0.0), om_m.max(initial=0.0)))
     limit = 0.01 * min(
@@ -392,68 +520,24 @@ def evolve_numeric(
             f"dt={h:.3e} too coarse for the fastest scale; need dt <= {limit:.3e}"
         )
 
-    p_out = np.empty(n + 1)
-    sr_out = np.empty(n + 1)
-    si_out = np.empty(n + 1)
-    p = state0.p_e
-    sr = state0.s_bar.real
-    si = state0.s_bar.imag
-    p_out[0] = p
-    sr_out[0] = sr
-    si_out[0] = si
+    s_bar = np.empty(n + 1, dtype=complex)
+    sr, si = s_bar.real, s_bar.imag
+    si[0] = state0.s_bar.imag
 
-    og = om_g.tolist()
-    om = om_m.tolist()
-    gg = ga_g.tolist()
-    gm = ga_m.tolist()
-    half = 0.5 * h
-    sixth = h / 6.0
+    def maps(lo, hi):
+        ga, gb, gc = gamma * on_g[lo:hi], gamma * on_m[lo:hi], gamma * on_g[lo + 1 : hi + 1]
+        si[lo + 1 : hi + 1] = _decay_factors(ga, gb, gc, h)
+        return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], ga, gb, gc, h)
 
-    for k in range(n):
-        oa = og[k]
-        ob = om[k]
-        oc = og[k + 1]
-        ga = gg[k]
-        gb = gm[k]
-        gc = gg[k + 1]
-
-        k1p = -ga * p - oa * sr
-        k1r = oa * (p - 0.5) - 0.5 * ga * sr
-        k1i = -0.5 * ga * si
-
-        p1 = p + half * k1p
-        r1 = sr + half * k1r
-        i1 = si + half * k1i
-        k2p = -gb * p1 - ob * r1
-        k2r = ob * (p1 - 0.5) - 0.5 * gb * r1
-        k2i = -0.5 * gb * i1
-
-        p2 = p + half * k2p
-        r2 = sr + half * k2r
-        i2 = si + half * k2i
-        k3p = -gb * p2 - ob * r2
-        k3r = ob * (p2 - 0.5) - 0.5 * gb * r2
-        k3i = -0.5 * gb * i2
-
-        p3 = p + h * k3p
-        r3 = sr + h * k3r
-        i3 = si + h * k3i
-        k4p = -gc * p3 - oc * r3
-        k4r = oc * (p3 - 0.5) - 0.5 * gc * r3
-        k4i = -0.5 * gc * i3
-
-        p += sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-        sr += sixth * (k1r + 2.0 * (k2r + k3r) + k4r)
-        si += sixth * (k1i + 2.0 * (k2i + k3i) + k4i)
-        p, sr, si = _clamped_state(p, sr, si)
-        p_out[k + 1] = p
-        sr_out[k + 1] = sr
-        si_out[k + 1] = si
-
+    p, sr[:] = _affine_scan(maps, n, (state0.p_e, state0.s_bar.real))
+    np.cumprod(si, out=si)
+    for lo in range(0, n + 1, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        p[block], sr[block], si[block] = _clamped_samples(p[block], sr[block], si[block])
     return Trajectory(
         times=times,
-        p_e=p_out,
-        s_bar=sr_out + 1j * si_out,
+        p_e=p,
+        s_bar=s_bar,
         drive=drive,
         coupling=coupling,
         gamma=gamma,

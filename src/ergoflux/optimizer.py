@@ -10,12 +10,19 @@ Two layers:
   exact discrete adjoint of the RK4-discretized work functional, so it can
   be checked against finite differences of the same objective.
 
+The work functional runs the RK4 steps as affine maps through one forward
+`dynamics._affine_scan`; its adjoint is the same scan transposed and run
+backwards, and the sensitivity of each step to its three drive samples is
+evaluated elementwise from the adjoint after the step and the state before
+it.
+
 The solver reports the converged waveform together with the work recomputed
 through the strict integration pipeline, so numbers are comparable with the
 scenario runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +34,9 @@ from .dynamics import (
     IntegrationAccuracyError,
     Preparation,
     TabulatedPulse,
+    _affine_scan,
+    _rhs,
+    _rk4_maps,
     evolve_numeric,
     prepare_initial,
 )
@@ -144,6 +154,9 @@ class ControlProblem:
     gamma: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_bar", "horizon", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_bar <= 0.0:
             raise ValueError("n_bar must be positive")
         if self.gamma <= 0.0:
@@ -162,6 +175,8 @@ def control_times(horizon: float, n_nodes: int) -> np.ndarray:
 def _check_grid(controls: np.ndarray, times: np.ndarray) -> float:
     if controls.shape != times.shape or controls.ndim != 1 or len(controls) < 2:
         raise ValueError("controls and times must be 1-D arrays of equal length >= 2")
+    if not np.isfinite(controls).all():
+        raise ValueError("controls must be finite")
     steps = np.diff(times)
     delta = float(steps[0])
     if delta <= 0.0 or not np.allclose(steps, delta, rtol=1e-12, atol=0.0):
@@ -169,8 +184,12 @@ def _check_grid(controls: np.ndarray, times: np.ndarray) -> float:
     return delta
 
 
+@functools.lru_cache(maxsize=8)
 def _gather_tables(m: int, n_sub: int):
-    """Interpolation indices/weights of the fine RK4 grid into the control nodes."""
+    """Interpolation indices/weights of the fine RK4 grid into the control nodes.
+
+    Cached per (m, n_sub), so the arrays are read-only.
+    """
     n = (m - 1) * n_sub
     k = np.arange(n + 1)
     jn = np.minimum(k // n_sub, m - 2)
@@ -178,11 +197,52 @@ def _gather_tables(m: int, n_sub: int):
     km = np.arange(n)
     jm = np.minimum(km // n_sub, m - 2)
     um = (km + 0.5) / n_sub - jm
+    for a in (jn, un, jm, um):
+        a.setflags(write=False)
     return n, jn, un, jm, um
 
 
 def _default_n_sub(delta: float, gamma: float, scale: float) -> int:
     return max(2, math.ceil(delta * max(gamma, scale, 1e-12) / 0.01))
+
+
+def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
+    """One forward scan of the RK4/trapezoid work functional.
+
+    Returns the work, the fine-grid drive at nodes and midpoints, the step
+    maps as a (2, 3, n) array if ``keep_maps`` (else None), the node states
+    (2, n + 1), the fine step and the gather tables.  The maps are built
+    block by block; only the gradient keeps them, for its reverse scan,
+    because storing them costs more than rebuilding a block.
+    """
+    c = np.asarray(controls, dtype=float)
+    delta = _check_grid(c, np.asarray(times, dtype=float))
+    if n_sub is None:
+        n_sub = _default_n_sub(delta, gamma, float(np.abs(c).max()))
+    tables = n, jn, un, jm, um = _gather_tables(len(c), n_sub)
+    h = delta / n_sub
+    on = (1.0 - un) * c[jn] + un * c[jn + 1]
+    om = (1.0 - um) * c[jm] + um * c[jm + 1]
+
+    kept = np.empty((2, 3, n)) if keep_maps else None
+
+    def maps(lo, hi):
+        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, gamma, gamma, h)
+        if keep_maps:
+            kept[..., lo:hi] = m
+        return m
+
+    state0 = prepare_initial(prep)
+    x = _affine_scan(maps, n, (state0.p_e, state0.s_bar.real))
+    s = x[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge states are reported below
+        wv = on * s + gamma * s * s
+        work = float(h * (wv.sum() - 0.5 * (wv[0] + wv[-1])) + s[-1] ** 2)
+    if not math.isfinite(work):
+        raise IntegrationAccuracyError(
+            "forward pass produced a non-finite work; shrink the step or the controls"
+        )
+    return work, on, om, kept, x, h, tables
 
 
 def control_work(
@@ -193,55 +253,7 @@ def control_work(
     n_sub: int | None = None,
 ) -> float:
     """Work functional of a piecewise-linear waveform (RK4 + trapezoid + exact tail)."""
-    c = np.asarray(controls, dtype=float)
-    t = np.asarray(times, dtype=float)
-    delta = _check_grid(c, t)
-    m = len(c)
-    if n_sub is None:
-        n_sub = _default_n_sub(delta, gamma, float(np.abs(c).max()))
-    n, jn, un, jm, um = _gather_tables(m, n_sub)
-    h = delta / n_sub
-
-    on = ((1.0 - un) * c[jn] + un * c[jn + 1]).tolist()
-    om = ((1.0 - um) * c[jm] + um * c[jm + 1]).tolist()
-
-    state0 = prepare_initial(prep)
-    p = state0.p_e
-    s = state0.s_bar.real
-    half = 0.5 * h
-    sixth = h / 6.0
-    g = gamma
-    hg = 0.5 * g
-
-    acc = 0.5 * (on[0] * s + g * s * s)
-    for k in range(n):
-        oa = on[k]
-        ob = om[k]
-        oc = on[k + 1]
-        k1p = -g * p - oa * s
-        k1s = oa * (p - 0.5) - hg * s
-        pa = p + half * k1p
-        sa = s + half * k1s
-        k2p = -g * pa - ob * sa
-        k2s = ob * (pa - 0.5) - hg * sa
-        pb = p + half * k2p
-        sb = s + half * k2s
-        k3p = -g * pb - ob * sb
-        k3s = ob * (pb - 0.5) - hg * sb
-        pc = p + h * k3p
-        sc = s + h * k3s
-        k4p = -g * pc - oc * sc
-        k4s = oc * (pc - 0.5) - hg * sc
-        p += sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-        s += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-        w = on[k + 1] * s + g * s * s
-        acc += w if k + 1 < n else 0.5 * w
-    out = h * acc + s * s
-    if not math.isfinite(out):
-        raise IntegrationAccuracyError(
-            "forward pass produced a non-finite state; shrink the step or the controls"
-        )
-    return out
+    return _forward(controls, times, prep, gamma, n_sub)[0]
 
 
 def control_work_and_gradient(
@@ -259,151 +271,52 @@ def control_work_and_gradient(
     differences, because the default substep count depends on the control
     amplitude.
     """
-    c = np.asarray(controls, dtype=float)
-    t = np.asarray(times, dtype=float)
-    delta = _check_grid(c, t)
-    m = len(c)
-    if n_sub is None:
-        n_sub = _default_n_sub(delta, gamma, float(np.abs(c).max()))
-    n, jn, un, jm, um = _gather_tables(m, n_sub)
-    h = delta / n_sub
-
-    on_arr = (1.0 - un) * c[jn] + un * c[jn + 1]
-    om_arr = (1.0 - um) * c[jm] + um * c[jm + 1]
-    on = on_arr.tolist()
-    om = om_arr.tolist()
-
-    state0 = prepare_initial(prep)
-    half = 0.5 * h
-    sixth = h / 6.0
+    work, on, om, maps, x, h, (n, jn, un, jm, um) = _forward(
+        controls, times, prep, gamma, n_sub, keep_maps=True
+    )
     g = gamma
-    hg = 0.5 * g
+    p, s = x
+    wq = np.full(n + 1, h)
+    wq[0] = wq[-1] = 0.5 * h
 
-    # forward sweep, storing the node states for the reverse pass
-    ps = [0.0] * (n + 1)
-    ss = [0.0] * (n + 1)
-    p = state0.p_e
-    s = state0.s_bar.real
-    ps[0] = p
-    ss[0] = s
-    for k in range(n):
-        oa = on[k]
-        ob = om[k]
-        oc = on[k + 1]
-        k1p = -g * p - oa * s
-        k1s = oa * (p - 0.5) - hg * s
-        pa = p + half * k1p
-        sa = s + half * k1s
-        k2p = -g * pa - ob * sa
-        k2s = ob * (pa - 0.5) - hg * sa
-        pb = p + half * k2p
-        sb = s + half * k2s
-        k3p = -g * pb - ob * sb
-        k3s = ob * (pb - 0.5) - hg * sb
-        pc = p + h * k3p
-        sc = s + h * k3s
-        k4p = -g * pc - oc * sc
-        k4s = oc * (pc - 0.5) - hg * sc
-        p += sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-        s += sixth * (k1s + 2.0 * (k2s + k3s) + k4s)
-        ps[k + 1] = p
-        ss[k + 1] = s
+    # adjoint lam_k = dJ/dx_k = M_k^T lam_{k+1} + (0, d_k): the transposed scan
+    d = wq * (on + 2.0 * g * s)
+    d[-1] += 2.0 * s[-1]
+    maps[0, 2] = 0.0
+    maps[1, 2] = d[:-1]
+    lp, ls = _affine_scan(lambda lo, hi: maps[..., lo:hi], n, (0.0, d[-1]), reverse=True)[:, 1:]
 
-    sv = np.array(ss)
-    wv = on_arr * sv + g * sv * sv
-    work = h * (wv.sum() - 0.5 * (wv[0] + wv[-1])) + sv[-1] ** 2
-    if not math.isfinite(work):
-        raise IntegrationAccuracyError(
-            "forward pass produced a non-finite state; shrink the step or the controls"
-        )
+    # stage states of every step k from x_k ...
+    p0, s0 = p[:-1], s[:-1]
+    oa, oc = on[:-1], on[1:]
+    k1p, k1s = _rhs(p0, s0, oa, g)
+    p1, s1 = p0 + 0.5 * h * k1p, s0 + 0.5 * h * k1s
+    k2p, k2s = _rhs(p1, s1, om, g)
+    p2, s2 = p0 + 0.5 * h * k2p, s0 + 0.5 * h * k2s
+    k3p, k3s = _rhs(p2, s2, om, g)
+    p3, s3 = p0 + h * k3p, s0 + h * k3s
+    # ... and the cotangents of its stage slopes from lam_{k+1}; A(rabi)^T = A(-rabi)
+    u4p, u4s = h / 6.0 * lp, h / 6.0 * ls
+    ap, as_ = _rhs(u4p, u4s, -oc, g, 0.0)
+    u3p, u3s = h / 3.0 * lp + h * ap, h / 3.0 * ls + h * as_
+    ap, as_ = _rhs(u3p, u3s, -om, g, 0.0)
+    u2p, u2s = h / 3.0 * lp + 0.5 * h * ap, h / 3.0 * ls + 0.5 * h * as_
+    ap, as_ = _rhs(u2p, u2s, -om, g, 0.0)
+    u1p, u1s = h / 6.0 * lp + 0.5 * h * ap, h / 6.0 * ls + 0.5 * h * as_
 
-    # reverse sweep: lp/ls carry dJ/d(state at node k+1); gn/gm collect the
-    # sensitivity to the drive samples at fine nodes and midpoints
-    gn = [0.0] * (n + 1)
-    gm = [0.0] * n
-    lp = 0.0
-    ls = 0.5 * h * (on[n] + 2.0 * g * ss[n]) + 2.0 * ss[n]
-    gn[n] = 0.5 * h * ss[n]
+    # a stage's slope moves with its drive sample by (-s, p - 1/2)
+    gn = wq * s
+    gn[:-1] += u1s * (p0 - 0.5) - u1p * s0
+    gn[1:] += u4s * (p3 - 0.5) - u4p * s3
+    gm = u2s * (p1 - 0.5) - u2p * s1 + u3s * (p2 - 0.5) - u3p * s2
 
-    for k in range(n - 1, -1, -1):
-        oa = on[k]
-        ob = om[k]
-        oc = on[k + 1]
-        p0 = ps[k]
-        s0 = ss[k]
-        # recompute the stage states of step k
-        k1p = -g * p0 - oa * s0
-        k1s = oa * (p0 - 0.5) - hg * s0
-        pa = p0 + half * k1p
-        sa = s0 + half * k1s
-        k2p = -g * pa - ob * sa
-        k2s = ob * (pa - 0.5) - hg * sa
-        pb = p0 + half * k2p
-        sb = s0 + half * k2s
-        k3p = -g * pb - ob * sb
-        k3s = ob * (pb - 0.5) - hg * sb
-        pc = p0 + h * k3p
-        sc = s0 + h * k3s
-
-        lk1p = sixth * lp
-        lk1s = sixth * ls
-        lk2p = 2.0 * sixth * lp
-        lk2s = 2.0 * sixth * ls
-        lk3p = 2.0 * sixth * lp
-        lk3s = 2.0 * sixth * ls
-        lk4p = sixth * lp
-        lk4s = sixth * ls
-        nlp = lp
-        nls = ls
-
-        # stage 4 at (xc, oc)
-        gn[k + 1] += -sc * lk4p + (pc - 0.5) * lk4s
-        ap = -g * lk4p + oc * lk4s
-        as_ = -oc * lk4p - hg * lk4s
-        nlp += ap
-        nls += as_
-        lk3p += h * ap
-        lk3s += h * as_
-
-        # stage 3 at (xb, ob)
-        gm[k] += -sb * lk3p + (pb - 0.5) * lk3s
-        ap = -g * lk3p + ob * lk3s
-        as_ = -ob * lk3p - hg * lk3s
-        nlp += ap
-        nls += as_
-        lk2p += half * ap
-        lk2s += half * as_
-
-        # stage 2 at (xa, ob)
-        gm[k] += -sa * lk2p + (pa - 0.5) * lk2s
-        ap = -g * lk2p + ob * lk2s
-        as_ = -ob * lk2p - hg * lk2s
-        nlp += ap
-        nls += as_
-        lk1p += half * ap
-        lk1s += half * as_
-
-        # stage 1 at (x0, oa)
-        gn[k] += -s0 * lk1p + (p0 - 0.5) * lk1s
-        nlp += -g * lk1p + oa * lk1s
-        nls += -oa * lk1p - hg * lk1s
-
-        # node-k quadrature term (weight h/2 at k=0, h otherwise)
-        wq = 0.5 * h if k == 0 else h
-        nls += wq * (oa + 2.0 * g * s0)
-        gn[k] += wq * s0
-
-        lp = nlp
-        ls = nls
-
-    grad = np.zeros(m)
-    gn = np.asarray(gn)
-    gm = np.asarray(gm)
-    np.add.at(grad, jn, (1.0 - un) * gn)
-    np.add.at(grad, jn + 1, un * gn)
-    np.add.at(grad, jm, (1.0 - um) * gm)
-    np.add.at(grad, jm + 1, um * gm)
-    return work, grad
+    m = len(controls)
+    return work, (
+        np.bincount(jn, (1.0 - un) * gn, m)
+        + np.bincount(jn + 1, un * gn, m)
+        + np.bincount(jm, (1.0 - um) * gm, m)
+        + np.bincount(jm + 1, um * gm, m)
+    )
 
 
 # --------------------------- budget geometry ---------------------------
@@ -530,6 +443,8 @@ def solve_optimal_control(
     returned ``work`` is recomputed through the strict trajectory pipeline;
     ``objective`` is the internal discrete value the ascent maximized.
     """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     times = control_times(problem.horizon, problem.n_nodes)
     delta = float(times[1] - times[0])
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
@@ -544,7 +459,7 @@ def solve_optimal_control(
 
     rng = np.random.default_rng(seed)
     starts = [init]
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(n_starts - 1):
         starts.append(init * (1.0 + 0.25 * rng.standard_normal(len(init))))
 
     peak = max(float(np.abs(project_to_budget(s, times, n_bar, gamma)).max()) for s in starts)

@@ -167,6 +167,17 @@ def test_optimize_summary_and_waveform(tmp_path, capsys):
     assert (d["rabi"] >= 0.0).all()
 
 
+def test_optimize_csv_is_byte_reproducible(tmp_path, capsys):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run(
+            "optimize", "--theta", "2.0", "--nbar", "0.3", "--horizon", "5",
+            "--nodes", "48", "--starts", "2", "--out", str(out),
+        ) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+
+
 def test_optimize_numerical_failure_exit_code(monkeypatch, capsys):
     def boom(*a, **k):
         raise ef.IntegrationAccuracyError("unstable")
@@ -174,6 +185,23 @@ def test_optimize_numerical_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_optimal_control", boom)
     assert run("optimize", "--theta", "2.0", "--nbar", "1.0") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--starts", "0"], "n_starts"),
+        (["--starts", "-3"], "n_starts"),
+        (["--nbar", "nan"], "n_bar"),
+        (["--nbar", "inf"], "n_bar"),
+        (["--horizon", "inf"], "horizon"),
+    ],
+)
+def test_optimize_bad_input_names_the_parameter(flags, name, capsys):
+    argv = {"--theta": "2.0", "--nbar": "1.0"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    assert run("optimize", *[v for kv in argv.items() for v in kv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
 
 
 def test_husimi_grid_matches_library(capsys):

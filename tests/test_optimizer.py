@@ -62,29 +62,36 @@ def test_control_work_matches_strict_pipeline():
 
 
 def test_gradient_matches_finite_differences():
-    # tiny grid, fixed substeps, so FD probes exactly the same discrete map
-    m, n_sub = 16, 64
-    times = ef.control_times(5.0, m)
-    rng = np.random.default_rng(7)
-    controls = ef.project_to_budget(rng.uniform(0.5, 3.0, m), times, n_bar=1.0)
-    prep = ef.Preparation(p=0.1, theta=2.0)
+    # tiny grids, fixed substeps, so FD probes exactly the same discrete map;
+    # the second has 17 * 7 = 119 fine steps, not a multiple of the scan's
+    # chunk length, and a node clamped at zero by the projection
+    for m, n_sub, zero in ((16, 64, None), (18, 7, 5)):
+        times = ef.control_times(5.0, m)
+        rng = np.random.default_rng(7)
+        raw = rng.uniform(0.5, 3.0, m)
+        if zero is not None:
+            raw[zero] = -1.0
+        controls = ef.project_to_budget(raw, times, n_bar=1.0)
+        prep = ef.Preparation(p=0.1, theta=2.0)
 
-    work, grad = ef.control_work_and_gradient(controls, times, prep, n_sub=n_sub)
-    assert work == pytest.approx(ef.control_work(controls, times, prep, n_sub=n_sub), abs=1e-14)
+        work, grad = ef.control_work_and_gradient(controls, times, prep, n_sub=n_sub)
+        assert work == pytest.approx(ef.control_work(controls, times, prep, n_sub=n_sub), abs=1e-14)
 
-    eps = 1e-6
-    fd = np.zeros(m)
-    for j in range(m):
-        cp = controls.copy()
-        cp[j] += eps
-        cm = controls.copy()
-        cm[j] -= eps
-        fd[j] = (
-            ef.control_work(cp, times, prep, n_sub=n_sub)
-            - ef.control_work(cm, times, prep, n_sub=n_sub)
-        ) / (2.0 * eps)
-    scale = max(1.0, float(np.abs(grad).max()))
-    assert float(np.abs(grad - fd).max()) / scale < 1e-6
+        eps = 1e-6
+        fd = np.zeros(m)
+        for j in range(m):
+            cp = controls.copy()
+            cp[j] += eps
+            cm = controls.copy()
+            cm[j] -= eps
+            fd[j] = (
+                ef.control_work(cp, times, prep, n_sub=n_sub)
+                - ef.control_work(cm, times, prep, n_sub=n_sub)
+            ) / (2.0 * eps)
+        scale = max(1.0, float(np.abs(grad).max()))
+        assert float(np.abs(grad - fd).max()) / scale < 1e-6
+        if zero is not None:
+            assert controls[zero] == 0.0 and grad[zero] != 0.0
 
 
 def test_unstable_forward_pass_raises():
@@ -100,6 +107,13 @@ def test_grid_validation():
         ef.control_work(np.ones(4), np.array([0.0, 1.0, 2.5, 3.0]), prep)
     with pytest.raises(ValueError):
         ef.control_work(np.ones(3), np.linspace(0, 1, 4), prep)
+    for bad in (math.nan, math.inf):
+        controls = np.ones(8)
+        controls[3] = bad
+        with pytest.raises(ValueError, match="controls must be finite"):
+            ef.control_work(controls, ef.control_times(5.0, 8), prep, n_sub=2)
+        with pytest.raises(ValueError, match="controls must be finite"):
+            ef.control_work_and_gradient(controls, ef.control_times(5.0, 8), prep, n_sub=2)
     t = ef.control_times(7.0, 50)
     assert t[0] == 0.0 and t[-1] == 7.0
     assert np.allclose(np.diff(t), t[1] - t[0])
@@ -147,6 +161,20 @@ def test_control_problem_validation():
         ef.ControlProblem(prep=prep, n_bar=1.0, n_nodes=8)
     with pytest.raises(ValueError):
         ef.ControlProblem(prep=prep, n_bar=1.0, gamma=0.0)
+    for name in ("n_bar", "horizon", "gamma"):
+        for bad in (math.nan, math.inf):
+            kwargs = dict(prep=prep, n_bar=1.0, horizon=10.0, gamma=1.0)
+            kwargs[name] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ef.ControlProblem(**kwargs)
+
+
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_solver_rejects_start_count_below_one(n_starts):
+    prep = ef.Preparation(p=0.0, theta=2.0)
+    problem = ef.ControlProblem(prep=prep, n_bar=1.0, horizon=6.0, n_nodes=64)
+    with pytest.raises(ValueError, match="n_starts"):
+        ef.solve_optimal_control(problem, n_starts=n_starts)
 
 
 def test_solver_beats_exponential_ansatz():
