@@ -34,19 +34,29 @@ def _save(path, header, columns):
     print(f"wrote {path} ({arr.shape[0]} rows)")
 
 
+def _sweep_map(scenario, axis1, axis2, **fixed):
+    """Sweep a scenario over two named axes; returns both axes per row and the result."""
+    grid = ef.SweepGrid(
+        scenario=scenario,
+        axis1=ef.SweepAxis(name=axis1[0], values=axis1[1]),
+        axis2=ef.SweepAxis(name=axis2[0], values=axis2[1]),
+        fixed=fixed,
+    )
+    res = ef.sweep(grid)
+    if res.flag.any():
+        raise RuntimeError(f"{scenario} map: {int(res.flag.sum())} cells failed")
+    v1, v2 = np.meshgrid(axis1[1], axis2[1], indexing="ij")
+    return v1.ravel(), v2.ravel(), res
+
+
 def continuous_map(outdir, n_rate=61, n_theta=61):
     rates = np.logspace(-2, 4, n_rate)
     thetas = np.linspace(0.0, math.pi, n_theta)
-    rows = []
-    for r in rates:
-        for th in thetas:
-            res = ef.scenario_continuous(ef.Preparation(p=0.0, theta=float(th)), float(r))
-            rows.append((r, th, res.work, res.eta, res.tau_opt))
-    arr = np.array(rows)
+    r, th, res = _sweep_map("continuous", ("ndot", rates), ("theta", thetas))
     _save(
         os.path.join(outdir, "continuous_map.csv"),
         "ndot,theta,work,yield,tau_opt",
-        [arr[:, i] for i in range(5)],
+        [r, th, res.work.ravel(), res.eta.ravel(), res.tau_opt.ravel()],
     )
 
 
@@ -101,16 +111,11 @@ def husimi_panels(outdir, n=101):
 def pulsed_map(outdir, n_charge=61, n_theta=61, tau=1.0):
     charges = np.logspace(-3, 3, n_charge)
     thetas = np.linspace(0.0, math.pi, n_theta)
-    rows = []
-    for nb in charges:
-        for th in thetas:
-            res = ef.scenario_pulsed(ef.Preparation(p=0.0, theta=float(th)), float(nb), tau)
-            rows.append((nb, th, res.work, res.eta))
-    arr = np.array(rows)
+    nb, th, res = _sweep_map("pulsed", ("nbar", charges), ("theta", thetas), tau=tau)
     _save(
         os.path.join(outdir, "pulsed_map.csv"),
         "nbar,theta,work,yield",
-        [arr[:, i] for i in range(4)],
+        [nb, th, res.work.ravel(), res.eta.ravel()],
     )
 
 

@@ -6,8 +6,8 @@ Output conventions (shared by every subcommand):
   ``#`` comment line of each CSV,
 * CSV is UTF-8 with LF line endings, ``%.12g`` numeric formatting, and the
   literal ``nan`` for undefined values (e.g. the yield of a passive state),
-* identical flags/config and seed produce byte-identical output regardless
-  of worker count; ``ERGOFLUX_THREADS`` caps parallelism.
+* identical flags/config and seed produce byte-identical output; sweeps
+  and the bound scan run as batched numpy array code in one process.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 verification failure.
@@ -130,21 +130,9 @@ def _cmd_scenario(args) -> int:
     else:
         raise _CliError(f"unknown case {par['case']!r}; pick i, ii, or iii")
 
-    lines = [
-        _UNITS_COMMENT,
-        f"theta,{second[0]},work,yield,tau_opt,flag",
-        ",".join(
-            [
-                _fmt(prep.theta),
-                _fmt(second[1]),
-                _fmt(result.work),
-                _fmt(result.eta),
-                _fmt(result.tau_opt if result.tau_opt is not None else math.nan),
-                "0",
-            ]
-        ),
-    ]
-    _write_lines(par["out"], lines)
+    row = (prep.theta, second[1], result.work, result.eta, result.tau_opt, False)
+    header = f"theta,{second[0]},work,yield,tau_opt,flag"
+    _write_lines(par["out"], [_UNITS_COMMENT, header, ",".join(map(_fmt, row))])
     return 0
 
 
@@ -160,7 +148,6 @@ _SWEEP_DEFAULTS = {
     "nbar_log": None,
     "tau": None,
     "out": None,
-    "serial": None,
 }
 
 # axis1 in the CSV is the earliest swept name in this order
@@ -181,7 +168,8 @@ def _axis_or_fixed(name: str, spec, log: bool):
     lo, hi, num = float(vals[0]), float(vals[1]), int(vals[2])
     if num < 2:
         raise _CliError(f"--{name} axis needs at least 2 points")
-    grid = np.logspace(lo, hi, num) if log else np.linspace(lo, hi, num)
+    with np.errstate(over="ignore"):  # values past the float range become inf; sweep flags them
+        grid = np.logspace(lo, hi, num) if log else np.linspace(lo, hi, num)
     return SweepAxis(name=name, values=grid), None
 
 
@@ -208,24 +196,13 @@ def _cmd_sweep(args) -> int:
         raise _CliError(f"sweep needs exactly 2 axes (3-number specs), got {len(axes)}")
     names = [n for n in _AXIS_PRIORITY if n in axes]
     grid = SweepGrid(scenario=case, axis1=axes[names[0]], axis2=axes[names[1]], fixed=fixed)
-    parallel = None if par["serial"] is None else not par["serial"]
-    result = sweep(grid, parallel=parallel)
+    result = sweep(grid)
 
     lines = [_UNITS_COMMENT, f"{names[0]},{names[1]},work,yield,tau_opt,flag"]
     for i, v1 in enumerate(grid.axis1.values):
         for j, v2 in enumerate(grid.axis2.values):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(v1),
-                        _fmt(v2),
-                        _fmt(result.work[i, j]),
-                        _fmt(result.eta[i, j]),
-                        _fmt(result.tau_opt[i, j]),
-                        _fmt(result.flag[i, j]),
-                    ]
-                )
-            )
+            row = (v1, v2, result.work[i, j], result.eta[i, j], result.tau_opt[i, j], result.flag[i, j])
+            lines.append(",".join(map(_fmt, row)))
     _write_lines(par["out"], lines)
     return 0
 
@@ -395,7 +372,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ergoflux",
         description="Work extraction from a driven qubit into a waveguide battery.",
-        epilog="ERGOFLUX_THREADS caps the worker count for sweeps and scans.",
+        epilog="Sweeps and scans run as batched numpy array code in one process.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,7 +394,6 @@ def _build_parser() -> _Parser:
     sw.add_argument("--ndot-log", type=float, nargs=3, metavar=("E0", "E1", "NUM"))
     sw.add_argument("--nbar-log", type=float, nargs=3, metavar=("E0", "E1", "NUM"))
     sw.add_argument("--out")
-    sw.add_argument("--serial", action="store_const", const=True, default=None)
     sw.add_argument("--config")
     sw.set_defaults(fn=_cmd_sweep)
 

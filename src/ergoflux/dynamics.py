@@ -556,19 +556,30 @@ def _identity(x):
 
 
 def _atanh_inside(x):
-    return math.atanh(x) if abs(x) < 1.0 else math.nan
+    return np.arctanh(np.where(np.abs(x) < 1.0, x, np.nan))
 
 
 class _Basis(NamedTuple):
-    q: float
-    decay: float
+    q: object
+    decay: object
     cf: Callable
     sf: Callable
     arc: Callable
-    period: float
+    period: object
+    exp: Callable
+
+    def at(self, t):
+        """The damped basis exp(-alpha t) C(t) and exp(-alpha t) S(t)."""
+        qt = self.q * t
+        env = self.exp(-self.decay * t)
+        return env * self.cf(qt), env * self.sf(qt) / self.q
+
+    def take(self, cells):
+        """The basis of the cells ``cells`` of an array basis."""
+        return self._replace(q=self.q[cells], decay=self.decay[cells], period=self.period[cells])
 
 
-def _transient_basis(k: float, alpha: float, xp=np) -> _Basis:
+def _transient_basis(k, alpha, xp=np) -> _Basis:
     """Basis of the constant-drive dipole transient; the only test of the sign of ``k``.
 
     ``k = rabi^2 - gamma^2/16`` and ``alpha = 3 gamma / 4``.  C and S solve
@@ -580,14 +591,17 @@ def _transient_basis(k: float, alpha: float, xp=np) -> _Basis:
     cosh and sinh scaled by exp(-q t), so long drives neither overflow nor
     cancel.  ``arc(q r) / q`` is the root of S(t) / C(t) = r on the branch
     through t = 0 (NaN where there is none), and the roots repeat every
-    ``period`` (infinite unless k > 0).  ``xp`` is ``math`` for scalar
-    callers and ``numpy`` for arrays.
+    ``period`` (infinite unless k > 0).  ``xp`` is ``math`` for a scalar
+    ``k`` and ``numpy`` for an array of one sign; `_basis_groups` splits
+    arrays of cells into such groups.
     """
-    if k > 0.0:
-        q = math.sqrt(k)
-        return _Basis(q, alpha, xp.cos, xp.sin, math.atan, math.pi / q)
-    if k < 0.0:
-        q = math.sqrt(-k)
+    one = _one(k)
+    sign = np.ravel(k)[0]
+    if sign > 0.0:
+        q = xp.sqrt(k)
+        return _Basis(q, alpha * one, xp.cos, xp.sin, np.arctan, math.pi / q, xp.exp)
+    if sign < 0.0:
+        q = xp.sqrt(-k)
 
         def cf(x):
             return 0.5 * (1.0 + xp.exp(-2.0 * x))
@@ -595,8 +609,8 @@ def _transient_basis(k: float, alpha: float, xp=np) -> _Basis:
         def sf(x):
             return -0.5 * xp.expm1(-2.0 * x)
 
-        return _Basis(q, alpha - q, cf, sf, _atanh_inside, _INF)
-    return _Basis(1.0, alpha, _one, _identity, _identity, _INF)
+        return _Basis(q, alpha - q, cf, sf, _atanh_inside, _INF * one, xp.exp)
+    return _Basis(one, alpha * one, _one, _identity, _identity, _INF * one, xp.exp)
 
 
 @dataclass(frozen=True)
@@ -606,29 +620,54 @@ class AnalyticCoefficients:
     s(t) = exp(-3 gamma t / 4) * (a * C(t) + b * S(t)) + c, with C and S the
     basis of `_transient_basis` for ``k = rabi^2 - gamma^2/16``: ``c`` is the
     settled dipole, ``a`` the initial transient and ``b`` its initial slope.
+    The slope is s'(t) = exp(-3 gamma t / 4) * (pc * C(t) + ps * S(t)).
+    Fields are floats, or arrays with one entry per cell.
     """
 
     a: float
     b: float
     c: float
     k: float
+    pc: float
+    ps: float
+
+    def take(self, cells) -> AnalyticCoefficients:
+        """The coefficients of the cells ``cells`` of array coefficients."""
+        return AnalyticCoefficients(
+            *(v[cells] for v in (self.a, self.b, self.c, self.k, self.pc, self.ps))
+        )
+
+
+def _coefficients(p, theta, rabi, gamma, xp=np) -> AnalyticCoefficients:
+    """`square_pulse_coefficients` without the checks; arrays take ``xp=numpy``."""
+    w = 0.5 - p
+    sin_t = xp.sin(theta)
+    cos_t = xp.cos(theta)
+    alpha = 0.75 * gamma
+    c = -gamma * rabi / (2.0 * rabi * rabi + gamma * gamma)
+    a = w * sin_t - c
+    # s'(0) from the equation of motion, plus the decay of the envelope
+    b = w * (0.25 * gamma * sin_t - rabi * cos_t) - alpha * c
+    k = rabi * rabi - gamma * gamma / 16.0
+    return AnalyticCoefficients(a=a, b=b, c=c, k=k, pc=b - alpha * a, ps=-(alpha * b + k * a))
+
+
+def _basis_groups(co: AnalyticCoefficients, alpha: float):
+    """Split array coefficients by the sign of k: yields (cells, their coefficients, their basis)."""
+    sign = np.sign(co.k)
+    for s in np.unique(sign):
+        cells = np.flatnonzero(sign == s)
+        part = co.take(cells)
+        yield cells, part, _transient_basis(part.k, alpha)
 
 
 def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> AnalyticCoefficients:
     """Solve for the constant-drive dipole coefficients from the initial state."""
-    if rabi <= 0.0:
-        raise ValueError("rabi must be positive")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
-
-    w = 0.5 - prep.p
-    sin_t = math.sin(prep.theta)
-    cos_t = math.cos(prep.theta)
-    c = -gamma * rabi / (2.0 * rabi * rabi + gamma * gamma)
-    a = w * sin_t - c
-    # s'(0) from the equation of motion, plus the decay of the envelope
-    b = w * (0.25 * gamma * sin_t - rabi * cos_t) - 0.75 * gamma * c
-    return AnalyticCoefficients(a=a, b=b, c=c, k=rabi * rabi - gamma * gamma / 16.0)
+    if not 0.0 <= gamma < _INF:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    if not 0.0 < rabi < _INF:
+        raise ValueError(f"rabi must be positive and finite, got {rabi}")
+    return _coefficients(prep.p, prep.theta, rabi, gamma, math)
 
 
 class SquarePulseSolution:
@@ -639,25 +678,21 @@ class SquarePulseSolution:
         self.rabi = rabi
         self.gamma = gamma
         self.coefficients = co = square_pulse_coefficients(prep, rabi, gamma)
-        self.alpha = al = 0.75 * gamma
-        self._basis = _transient_basis(co.k, al)
-        # the slope is exp(-alpha t) * (pc * C + ps * S)
-        self.pc = co.b - al * co.a
-        self.ps = -(al * co.b + co.k * co.a)
+        self.alpha = 0.75 * gamma
+        self._basis = _transient_basis(co.k, self.alpha)
 
     def coherence(self, t):
         """Dipole amplitude s(t); accepts scalars or arrays."""
-        t = np.asarray(t, dtype=float)
         co = self.coefficients
-        q, decay, cf, sf, _, _ = self._basis
-        out = np.exp(-decay * t) * (co.a * cf(q * t) + co.b / q * sf(q * t)) + co.c
+        ec, es = self._basis.at(np.asarray(t, dtype=float))
+        out = co.a * ec + co.b * es + co.c
         return float(out) if out.ndim == 0 else out
 
     def coherence_rate(self, t):
         """Time derivative of the dipole amplitude."""
-        t = np.asarray(t, dtype=float)
-        q, decay, cf, sf, _, _ = self._basis
-        out = np.exp(-decay * t) * (self.pc * cf(q * t) + self.ps / q * sf(q * t))
+        co = self.coefficients
+        ec, es = self._basis.at(np.asarray(t, dtype=float))
+        out = co.pc * ec + co.ps * es
         return float(out) if out.ndim == 0 else out
 
     def excited_population(self, t):

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    AnalyticCoefficients,
     IntegrationAccuracyError,
     Preparation,
     QubitState,
-    SquarePulseSolution,
     Trajectory,
     _transient_basis,
+    square_pulse_coefficients,
 )
 
 # grid-level residual allowed between the integrated fluxes and the energy drop
@@ -67,7 +68,11 @@ def heat_rate(state: QubitState, gamma: float) -> float:
 
 def ergotropy(prep: Preparation) -> float:
     """Maximum unitarily extractable energy of the prepared state."""
-    return (1.0 - 2.0 * prep.p) * math.sin(0.5 * prep.theta) ** 2
+    return _ergotropy(prep.p, prep.theta, math)
+
+
+def _ergotropy(p, theta, xp=np):
+    return (1.0 - 2.0 * p) * xp.sin(0.5 * theta) ** 2
 
 
 def extraction_yield(work: float, prep: Preparation) -> float:
@@ -241,6 +246,31 @@ def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
 # --------------------------- constant-drive closed-form work ---------------------------
 
 
+def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis):
+    """Closed-form work W(tau) of a constant drive and the dipole s(tau) it ends on.
+
+    ``co`` and ``basis`` come from `dynamics._coefficients` and
+    `dynamics._transient_basis`; ``tau``, ``rabi`` and the coefficients are
+    floats, or arrays with one entry per cell.  See `square_drive_work_fn`.
+    """
+    ec, es = basis.at(tau)
+    s = co.a * ec + co.b * es + co.c
+    p = 0.5 + (co.pc * ec + co.ps * es + 0.5 * gamma * s) / rabi
+    s0 = co.a + co.c
+    p0 = 0.5 + (co.pc + 0.5 * gamma * s0) / rabi
+    det = rabi * rabi + 0.5 * gamma * gamma  # det A
+    r2 = 2.0 * rabi * rabi
+    d1 = p - p0
+    d2 = s - s0 + 0.5 * rabi * tau  # h = (0, -rabi/2)
+    m1 = (rabi * d2 - 0.5 * gamma * d1) / det
+    m2 = -(rabi * d1 + gamma * d2) / det
+    q11 = p * p - p0 * p0
+    q12 = p * s - p0 * s0 + 0.5 * rabi * m1
+    q22 = s * s - s0 * s0 + rabi * m2
+    gamma_s2 = -(r2 * q11 + 4.0 * gamma * rabi * q12 + (r2 + 3.0 * gamma * gamma) * q22) / (6.0 * det)
+    return rabi * m2 + gamma_s2, s
+
+
 def square_drive_work_fn(prep: Preparation, rabi: float, gamma: float):
     """Closed-form cumulative work under a constant drive, as a function of its duration.
 
@@ -252,37 +282,13 @@ def square_drive_work_fn(prep: Preparation, rabi: float, gamma: float):
     m = int y solves A m = y(tau) - y(0) - h tau, and the second moments
     P = int y y^T solve the Lyapunov equation A P + P A^T = R with
     R = [y y^T]_0^tau - h m^T - m h^T.  Its s-s entry is solved in closed form
-    below; it is finite for every damping, gamma = 0 included.
+    in `_drive_work`; it is finite for every damping, gamma = 0 included.
     """
-    sol = SquarePulseSolution(prep, rabi, gamma)
-    co = sol.coefficients
-    q, decay, cf, sf, _, _ = _transient_basis(co.k, sol.alpha, math)
-    a, bq, c = co.a, co.b / q, co.c
-    pc, psq = sol.pc, sol.ps / q
-    det = rabi * rabi + 0.5 * gamma * gamma  # det A
-    r2 = 2.0 * rabi * rabi
-    den = 6.0 * det
-
-    def end_state(tau: float) -> tuple[float, float]:
-        x = q * tau
-        cx, sx = cf(x), sf(x)
-        env = math.exp(-decay * tau)
-        s = env * (a * cx + bq * sx) + c
-        return 0.5 + (env * (pc * cx + psq * sx) + 0.5 * gamma * s) / rabi, s
-
-    p0, s0 = end_state(0.0)
+    co = square_pulse_coefficients(prep, rabi, gamma)
+    basis = _transient_basis(co.k, 0.75 * gamma, math)
 
     def work(tau: float) -> float:
-        p, s = end_state(tau)
-        d1 = p - p0
-        d2 = s - s0 + 0.5 * rabi * tau  # h = (0, -rabi/2)
-        m1 = (rabi * d2 - 0.5 * gamma * d1) / det
-        m2 = -(rabi * d1 + gamma * d2) / det
-        q11 = p * p - p0 * p0
-        q12 = p * s - p0 * s0 + 0.5 * rabi * m1
-        q22 = s * s - s0 * s0 + rabi * m2
-        gamma_s2 = -(r2 * q11 + 4.0 * gamma * rabi * q12 + (r2 + 3.0 * gamma * gamma) * q22) / den
-        return rabi * m2 + gamma_s2
+        return _drive_work(tau, rabi, gamma, co, basis)[0]
 
     return work
 

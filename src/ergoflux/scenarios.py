@@ -10,13 +10,11 @@ Three drive schedules are covered:
   and duration, followed by free decay with the coupling left on.
 
 Each returns a `ScenarioResult`; `sweep` maps any of them over a parameter
-grid with optional process-level parallelism.
+grid as batched numpy array code in one process.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +24,17 @@ from .dynamics import (
     CouplingSchedule,
     IntegrationAccuracyError,
     Preparation,
-    SquarePulse,
-    SquarePulseSolution,
-    Trajectory,
-    _transient_basis,
+    _basis_groups,
+    _coefficients,
+    analytic_square_trajectory,
+    evolve_square_analytic,
     free_decay_trajectory,
     prepare_initial,
 )
 from .energetics import (
     EnergeticsTrace,
+    _drive_work,
+    _ergotropy,
     accumulate,
     ergotropy,
     extraction_yield,
@@ -65,89 +65,132 @@ class ScenarioResult:
     trace: EnergeticsTrace | None = None
 
     def __post_init__(self):
-        if self.work > ergotropy(self.prep) + _BOUND_TOL:
+        if not self.work <= ergotropy(self.prep) + _BOUND_TOL:
             raise IntegrationAccuracyError(
-                f"work {self.work} exceeds the ergotropy "
+                f"work {self.work} is not within the ergotropy "
                 f"{ergotropy(self.prep)} of the preparation"
             )
 
 
 # --------------------------- stopping-time search ---------------------------
 
-
-def _scalar_coherence(sol: SquarePulseSolution):
-    """Closed-form dipole as a fast scalar function (for root refinement)."""
-    co = sol.coefficients
-    q, decay, cf, sf, _, _ = _transient_basis(co.k, sol.alpha, math)
-    a, bq, c = co.a, co.b / q, co.c
-
-    def f(t):
-        return math.exp(-decay * t) * (a * cf(q * t) + bq * sf(q * t)) + c
-
-    return f
+# cells are searched in blocks of about _BLOCK_KNOTS knots (an upper estimate),
+# so temporaries stay bounded; a cell that may need more than _MAX_KNOTS knots
+# (rabi above about 3.3e5 gamma, a few hundred MB of temporaries) is not searched
+_BLOCK_KNOTS = 1 << 16
+_MAX_KNOTS = 1 << 21
+# Illinois steps per bracket; a bracket still open after them fails its cell
+_MAX_STEPS = 64
+# a bracket narrower than _XTOL + _RTOL * t holds its root (brentq's defaults)
+_XTOL, _RTOL = 1e-14, 8.9e-16
 
 
-def _dipole_extrema(sol: SquarePulseSolution, t_max: float) -> list[float]:
-    """Interior times where the constant-drive dipole has zero slope.
+def _illinois(dipole, lo, hi, flo, fhi, cell):
+    """Refine brackets with f(lo) > 0 > f(hi) by the Illinois method (Dowell & Jarratt 1971).
 
-    The slope is exp(-alpha t) * (pc * C + ps * S), so its zeros solve
-    S / C = -pc / ps on each branch of the basis.
+    Converged brackets leave the active set after every step.  Returns the
+    roots and the cells of the brackets still open after `_MAX_STEPS` steps.
     """
-    q, _, _, _, arc, period = _transient_basis(sol.coefficients.k, sol.alpha, math)
-    pc, ps = sol.pc, sol.ps
-    if pc == 0.0 and ps == 0.0:
-        return []
-    r = -pc / ps if ps != 0.0 else math.copysign(math.inf, -pc)  # C = 0
-    t = arc(q * r) / q
-    if not t > 1e-15:
-        t += period
-    out: list[float] = []
-    while t < t_max:
-        out.append(t)
-        t += period
-    return out
+    root = np.full(lo.size, np.nan)
+    idx = np.arange(lo.size)
+    side = np.zeros(lo.size)
+    for _ in range(_MAX_STEPS):
+        if not idx.size:
+            break
+        # a step of at least half the tolerance ends a bracket whose root sits at an end
+        tol = _XTOL + _RTOL * hi
+        x = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo + 0.5 * tol, hi - 0.5 * tol)
+        fx = dipole(x, cell)
+        up, down = fx > 0.0, fx < 0.0
+        # an end replaced twice in a row halves the value kept at the other end
+        fhi = np.where(up & (side > 0.0), 0.5 * fhi, fhi)
+        flo = np.where(down & (side < 0.0), 0.5 * flo, flo)
+        lo, flo = np.where(up, x, lo), np.where(up, fx, flo)
+        hi, fhi = np.where(down, x, hi), np.where(down, fx, fhi)
+        side = up - down.astype(float)
+        done = ~(up | down) | (hi - lo <= tol)
+        root[idx[done]] = np.where(up | down, 0.5 * (lo + hi), x)[done]
+        idx, lo, hi, flo, fhi, side, cell = (v[~done] for v in (idx, lo, hi, flo, fhi, side, cell))
+    return root, cell
 
 
-def _crossing_horizon(sol: SquarePulseSolution, cap: float) -> float:
-    """Upper bound on times where the dipole can still cross zero.
+def _search_group(rabi, gamma, t_max, co, basis):
+    """`_stop_search` on cells that share the sign of k."""
+    m = rabi.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
+        # w = max(sqrt|k|, gamma / 2) (sqrt|k| < gamma / 4 when k < 0), so the
+        # transient stays below (|a| + |b| / w) * exp(-gamma t / 2).  The settled
+        # value c is strictly negative, so crossings die once that envelope
+        # drops below |c|; the 1 / gamma pad puts the end knot inside that region.
+        horizon = t_max
+        if gamma > 0.0:
+            amp = np.abs(co.a) + np.abs(co.b) / np.maximum(np.sqrt(np.abs(co.k)), 0.5 * gamma)
+            settle = 2.0 / gamma * np.log(amp / np.abs(co.c)) + 1.0 / gamma
+            horizon = np.where(amp <= np.abs(co.c), 0.0, np.minimum(t_max, settle))
+        # the slope exp(-alpha t) * (pc C + ps S) vanishes where S / C = -pc / ps
+        r = np.where(co.ps != 0.0, -co.pc / co.ps, np.copysign(np.inf, -co.pc))
+        first = basis.arc(basis.q * r) / basis.q
+        first = np.where(first > 1e-15, first, first + basis.period)
+        count = np.where(first < horizon, np.maximum(np.ceil((horizon - first) / basis.period), 1.0), 0.0)
 
-    For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
-    w = max(sqrt|k|, gamma / 2) (sqrt|k| < gamma / 4 when k < 0), so the
-    transient stays below (|a| + |b| / w) * exp(-gamma t / 2).  The settled
-    value c is strictly negative, so crossings die once that envelope drops
-    below |c|.
+    # knots: 0, the extrema first + j * period, then the horizon
+    size = np.where(horizon > 0.0, count + 2.0, 0.0).astype(np.intp)
+    cell = np.repeat(np.arange(m), size)
+    j = np.arange(cell.size) - (np.cumsum(size) - size)[cell]
+    t = first[cell] + (j - 1) * np.where(np.isfinite(basis.period), basis.period, 0.0)[cell]
+    t = np.where(j == 0, 0.0, np.where(j == size[cell] - 1, horizon[cell], t))
+
+    def dipole(t, cell):
+        ec, es = basis.take(cell).at(t)
+        return co.a[cell] * ec + co.b[cell] * es + co.c[cell]
+
+    # W' = s (rabi + gamma s) and rabi + gamma s > 0, so only downward
+    # crossings of the dipole are interior maxima of the work
+    f = dipole(t, cell)
+    b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
+    roots, stuck = _illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], cell[b])
+    cell = cell[b]
+    w = _drive_work(roots, rabi[cell], gamma, co.take(cell), basis.take(cell))[0]
+    ok = np.ones(m, dtype=bool)
+    ok[stuck] = ok[cell[~np.isfinite(w)]] = False
+
+    # the first strict maximum over tau = 0 (W = 0) and the crossings in time order
+    best = np.zeros(m)
+    np.fmax.at(best, cell, w)
+    hit = np.flatnonzero((w > 0.0) & (w == best[cell]))
+    winners, first_hit = np.unique(cell[hit], return_index=True)
+    tau, work = np.zeros(m), np.zeros(m)
+    tau[winners], work[winners] = roots[hit[first_hit]], w[hit[first_hit]]
+    return tau, work, ok
+
+
+def _stop_search(p, theta, rabi, gamma: float):
+    """Best stopping time and work of a constant drive, cut at stop, for arrays of cells.
+
+    ``p``, ``theta`` and ``rabi`` hold one valid cell per entry; ``gamma``
+    is shared.  Candidates are tau = 0 and the downward zero crossings of the
+    dipole on (0, 20/gamma], bracketed by its closed-form extrema and refined
+    by `_illinois`; the dipole settles to a strictly negative value, so the
+    work decreases at late times.  Returns (tau, work, ok); a cell is not ok,
+    and holds NaN, when a bracket did not converge or the cell may need more
+    than `_MAX_KNOTS` knots.
     """
-    co, gamma = sol.coefficients, sol.gamma
-    if gamma <= 0.0 or co.c == 0.0:
-        return cap
-    amp = abs(co.a) + abs(co.b) / max(math.sqrt(abs(co.k)), 0.5 * gamma)
-    if amp <= abs(co.c):
-        return 0.0
-    # pad so the end knot lies strictly inside the settled region
-    return min(cap, 2.0 / gamma * math.log(amp / abs(co.c)) + 1.0 / gamma)
-
-
-def _zero_candidates(prep: Preparation, rabi: float, gamma: float, t_max: float) -> list[float]:
-    """Times where the driven dipole crosses zero downwards, bracketed between its extrema.
-
-    These are the interior maxima of the extracted work: the work rate is
-    s*(rabi + gamma*s), and the second factor stays positive because s
-    starts nonnegative and never falls below -rabi/gamma.  An upward
-    crossing is a local minimum of the work, so a downward one (or tau = 0)
-    before it always does better.
-    """
-    sol = SquarePulseSolution(prep, rabi, gamma)
-    f = _scalar_coherence(sol)
-    horizon = _crossing_horizon(sol, t_max)
-    if horizon <= 0.0:
-        return []
-
-    knots = [0.0] + _dipole_extrema(sol, horizon) + [horizon]
-    zeros: list[float] = []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        if f(lo) > 0.0 > f(hi):
-            zeros.append(float(_sopt.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)))
-    return zeros
+    n = rabi.size
+    tau, work, ok = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    t_max = np.full(n, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi
+    # the extrema lie pi / sqrt(k) >= pi / rabi apart, plus three knots at most
+    knots = 3.0 + rabi * t_max / math.pi
+    run = np.flatnonzero(knots <= _MAX_KNOTS)
+    ends = np.cumsum(knots[run])
+    total = ends[-1] if run.size else 0.0
+    for block in np.split(run, np.searchsorted(ends, np.arange(_BLOCK_KNOTS, total, _BLOCK_KNOTS))):
+        co = _coefficients(p[block], theta[block], rabi[block], gamma)
+        for cells, part, basis in _basis_groups(co, 0.75 * gamma):
+            g = block[cells]
+            tau[g], work[g], ok[g] = _search_group(rabi[g], gamma, t_max[g], part, basis)
+    tau[~ok] = work[~ok] = np.nan
+    return tau, work, ok
 
 
 def optimal_square_work(
@@ -155,21 +198,17 @@ def optimal_square_work(
 ) -> tuple[float, float]:
     """Best stopping time and work for a constant drive with coupling cut at stop.
 
-    Candidates are tau = 0 (extract nothing) and the downward zero crossings
-    of the dipole on (0, 20/gamma]; the dipole settles to a strictly negative value,
-    so the work decreases at late times and the window suffices.  ``polish``
-    runs a bounded scalar refinement around the best candidate.
+    The search is `_stop_search` on a single cell.  ``polish`` runs a bounded
+    scalar refinement around the best candidate.
     """
     work_fn = square_drive_work_fn(prep, rabi, gamma)
-    t_max = 20.0 / gamma if gamma > 0.0 else 8.0 * math.pi / rabi
-
-    best_tau = 0.0
-    best_w = 0.0
-    for tau in _zero_candidates(prep, rabi, gamma, t_max):
-        w = work_fn(tau)
-        if w > best_w:
-            best_w = w
-            best_tau = tau
+    tau, work, ok = _stop_search(np.array([prep.p]), np.array([prep.theta]), np.array([rabi]), gamma)
+    if not ok[0]:
+        raise IntegrationAccuracyError(
+            f"stopping-time search failed for {prep} at rabi {rabi}, gamma {gamma}: "
+            "a bracket did not converge or the drive is too strong to search"
+        )
+    best_tau, best_w = float(tau[0]), float(work[0])
 
     if polish and best_tau > 0.0:
         span = min(0.25 * best_tau, 2.0 / (0.75 * gamma + rabi))
@@ -191,23 +230,26 @@ def optimal_square_work(
 # --------------------------- the three protocols ---------------------------
 
 
+def _pulsed_work(p, theta, n_bar, tau, gamma: float):
+    """Case (iii) work for 1-D arrays of valid cells: the drive's work plus the
+    exact tail s(tau)^2 of the free decay; ``n_bar = 0`` is the spontaneous case."""
+    s0 = (0.5 - p) * np.sin(theta)
+    work = s0 * s0
+    on = np.flatnonzero(n_bar > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a drive past the float range gives NaN
+        rabi = 2.0 * np.sqrt(gamma * n_bar[on] / tau[on])
+        co = _coefficients(p[on], theta[on], rabi, gamma)
+        for cells, part, basis in _basis_groups(co, 0.75 * gamma):
+            w, s = _drive_work(tau[on[cells]], rabi[cells], gamma, part, basis)
+            work[on[cells]] = w + s * s
+    return work
+
+
 def _square_trace(
     prep: Preparation, rabi: float, gamma: float, tau: float, coupling: CouplingSchedule
 ) -> EnergeticsTrace:
-    sol = SquarePulseSolution(prep, rabi, gamma)
-    h = suggested_grid_step(rabi, gamma, tau)
-    num = max(2, int(math.ceil(tau / h)) + 1)
-    times = np.linspace(0.0, tau, num)
-    s = np.atleast_1d(sol.coherence(times))
-    p = np.atleast_1d(sol.excited_population(times))
-    traj = Trajectory(
-        times=times,
-        p_e=p,
-        s_bar=s.astype(complex),
-        drive=SquarePulse(amplitude=rabi, duration=tau),
-        coupling=coupling,
-        gamma=gamma,
-    )
+    num = max(2, int(math.ceil(tau / suggested_grid_step(rabi, gamma, tau))) + 1)
+    traj = analytic_square_trajectory(prep, rabi, gamma, tau, num, coupling)
     return accumulate(traj, include_tail=False)
 
 
@@ -225,8 +267,8 @@ def scenario_continuous(
     no decay tail reaches the channel.  ``n_interacted`` counts the photons
     that arrived during the interaction.
     """
-    if photon_rate_ratio <= 0.0:
-        raise ValueError("photon_rate_ratio must be positive")
+    if not 0.0 < photon_rate_ratio < math.inf:
+        raise ValueError(f"photon_rate_ratio must be positive and finite, got {photon_rate_ratio}")
     rabi = 2.0 * gamma * math.sqrt(photon_rate_ratio)
     tau, work = optimal_square_work(prep, rabi, gamma, polish=polish)
     trace = None
@@ -276,23 +318,23 @@ def scenario_pulsed(
     The coupling stays on throughout, so the free-decay tail after the pulse
     also counts.  ``n_bar = 0`` reduces exactly to the spontaneous protocol.
     """
-    if n_bar < 0.0:
-        raise ValueError("n_bar must be nonnegative")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be nonnegative and finite, got {n_bar}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if n_bar == 0.0:
         return scenario_spontaneous(prep, gamma=gamma, with_trace=with_trace)
 
     rabi = 2.0 * math.sqrt(gamma * n_bar / tau)
-    work_fn = square_drive_work_fn(prep, rabi, gamma)
-    sol = SquarePulseSolution(prep, rabi, gamma)
-    s_end = float(sol.coherence(tau))
-    work = work_fn(tau) + s_end * s_end  # exact tail of the free decay
+    cell = [np.array([v]) for v in (prep.p, prep.theta, n_bar, tau)]
+    work = float(_pulsed_work(*cell, gamma)[0])
 
     trace = None
     if with_trace:
         pulse_part = _square_trace(prep, rabi, gamma, tau, CouplingSchedule())
-        state_end = sol.state(tau)
+        state_end = evolve_square_analytic(prep, rabi, gamma, tau)
         decay = free_decay_trajectory(state_end, gamma, t_end=40.0 / gamma, num=16001)
         decay_trace = accumulate(decay, include_tail=True)
         # splice the two traces on a common clock
@@ -374,6 +416,8 @@ class SweepGrid:
         for key in self.fixed:
             if key not in _AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         given = {self.axis1.name, self.axis2.name, *self.fixed}
         missing = [key for key in _REQUIRED[name] if key not in given]
         if missing:
@@ -391,62 +435,45 @@ class SweepResult:
     flag: np.ndarray
 
 
-def _run_cell(args) -> tuple[float, float, float, bool]:
-    scenario, params, gamma = args
-    try:
-        prep = Preparation(p=params.pop("p", 0.0), theta=params.pop("theta"))
-        if scenario == "continuous":
-            r = scenario_continuous(prep, params["ndot"], gamma=gamma, polish=False)
-        elif scenario == "spontaneous":
-            r = scenario_spontaneous(prep, gamma=gamma)
-        else:
-            r = scenario_pulsed(prep, n_bar=params["nbar"], tau=params["tau"], gamma=gamma)
-        tau = r.tau_opt if r.tau_opt is not None else math.nan
-        return r.work, r.eta, tau, False
-    except (ValueError, IntegrationAccuracyError):
-        return math.nan, math.nan, math.nan, True
+def sweep(grid: SweepGrid) -> SweepResult:
+    """Evaluate a scenario over the grid as arrays; failed cells are flagged, not fatal.
 
-
-def _worker_count() -> int:
-    env = os.environ.get("ERGOFLUX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(os.cpu_count() or 1, 8)
-
-
-def sweep(grid: SweepGrid, parallel: bool | None = None) -> SweepResult:
-    """Evaluate a scenario over the grid; cells that error are flagged, not fatal.
-
-    Results are assembled in index order regardless of worker scheduling, so
-    repeated runs are identical.  ``parallel=None`` enables processes when the
-    grid is large enough to amortize the pool.
+    A cell is flagged, with NaN results, when a parameter is out of range or
+    not finite, its stopping-time search fails, or its work is not finite or
+    exceeds the ergotropy.  Repeated runs are identical.
     """
-    n1, n2 = len(grid.axis1.values), len(grid.axis2.values)
-    jobs = []
-    for v1 in grid.axis1.values:
-        for v2 in grid.axis2.values:
-            params = dict(grid.fixed)
-            params[grid.axis1.name] = float(v1)
-            params[grid.axis2.name] = float(v2)
-            jobs.append((grid.scenario, params, grid.gamma))
-
-    if parallel is None:
-        parallel = len(jobs) >= 512
-    workers = _worker_count()
-    if parallel and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (8 * workers))))
+    shape = (len(grid.axis1.values), len(grid.axis2.values))
+    given = {"p": 0.0, **grid.fixed, grid.axis1.name: grid.axis1.values[:, None]}
+    given[grid.axis2.name] = grid.axis2.values
+    p, theta, ndot, nbar, tau = (
+        np.broadcast_to(np.asarray(given.get(name, np.nan), dtype=float), shape).ravel()
+        for name in ("p", "theta", "ndot", "nbar", "tau")
+    )
+    gamma = grid.gamma
+    ok = (0.0 <= p) & (p <= 0.5) & (0.0 <= theta) & (theta <= math.pi)  # as `Preparation`
+    work, tau_opt = np.full(p.size, np.nan), np.full(p.size, np.nan)
+    if grid.scenario == "continuous":
+        ok &= np.isfinite(ndot) & (ndot > 0.0)
+        c = np.flatnonzero(ok)
+        tau_opt[c], work[c], ok[c] = _stop_search(p[c], theta[c], 2.0 * gamma * np.sqrt(ndot[c]), gamma)
     else:
-        rows = [_run_cell(j) for j in jobs]
+        if grid.scenario == "spontaneous":
+            nbar = np.zeros(p.size)
+        else:
+            ok &= np.isfinite(nbar) & (nbar >= 0.0) & np.isfinite(tau) & (tau > 0.0)
+            tau_opt = np.where(nbar > 0.0, tau, np.nan)
+        c = np.flatnonzero(ok)
+        work[c] = _pulsed_work(p[c], theta[c], nbar[c], tau[c], gamma)
 
-    out = np.array(rows, dtype=float).reshape(n1, n2, 4)
+    w_max = _ergotropy(p, theta)
+    ok &= np.isfinite(work) & (work <= w_max + _BOUND_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(w_max == 0.0, np.nan, work / w_max)
+    work[~ok] = eta[~ok] = tau_opt[~ok] = np.nan
     return SweepResult(
         grid=grid,
-        work=out[:, :, 0],
-        eta=out[:, :, 1],
-        tau_opt=out[:, :, 2],
-        flag=out[:, :, 3].astype(bool),
+        work=work.reshape(shape),
+        eta=eta.reshape(shape),
+        tau_opt=tau_opt.reshape(shape),
+        flag=~ok.reshape(shape),
     )

@@ -17,14 +17,13 @@ Each returns a small report object with the worst deviations found.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
     ExponentialPulse,
+    IntegrationAccuracyError,
     OffDrive,
     Preparation,
     SquarePulse,
@@ -32,8 +31,8 @@ from .dynamics import (
     evolve_numeric,
     prepare_initial,
 )
-from .energetics import accumulate, ergotropy, suggested_grid_step
-from .scenarios import _worker_count, optimal_square_work, scenario_continuous
+from .energetics import _ergotropy, accumulate, suggested_grid_step
+from .scenarios import _stop_search, scenario_continuous
 
 
 # --------------------------- conservation audit ---------------------------
@@ -202,30 +201,17 @@ class BoundScanReport:
         return self.n_violations == 0
 
 
-def _bound_plane(args) -> np.ndarray:
-    eps, p_values, theta_values = args
-    rabi = 1.0 / eps
-    out = np.empty((len(p_values), len(theta_values)))
-    for j, p in enumerate(p_values):
-        for k, th in enumerate(theta_values):
-            prep = Preparation(p=float(p), theta=float(th))
-            _, work = optimal_square_work(prep, rabi, gamma=1.0, polish=False)
-            out[j, k] = ergotropy(prep) - work
-    return out
-
-
 def ergotropy_bound_scan(
     resolution: int = 50,
     epsilon_range: tuple[float, float] = (0.05, 50.0),
     tolerance: float = 1e-6,
-    parallel: bool = True,
 ) -> BoundScanReport:
     """Scan preparations and drive strengths for ergotropy-bound violations.
 
     ``epsilon`` is the ratio gamma/rabi, scanned logarithmically across both
     damping regimes; p and theta cover their full ranges linearly, all three
     axes at ``resolution`` points.  Work comes from the closed-form
-    stopping-time optimization at gamma = 1.
+    stopping-time search at gamma = 1, run on all cells as one batch.
     """
     if resolution < 20:
         raise ValueError("resolution must be at least 20 per axis")
@@ -233,19 +219,16 @@ def ergotropy_bound_scan(
     theta_values = np.linspace(0.0, math.pi, resolution)
     epsilon_values = np.geomspace(epsilon_range[0], epsilon_range[1], resolution)
 
-    jobs = [(float(e), p_values, theta_values) for e in epsilon_values]
-    workers = _worker_count()
-    if parallel and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            planes = list(pool.map(_bound_plane, jobs))
-    else:
-        planes = [_bound_plane(j) for j in jobs]
+    eps, p, theta = np.meshgrid(epsilon_values, p_values, theta_values, indexing="ij")
+    _, work, ok = _stop_search(p.ravel(), theta.ravel(), 1.0 / eps.ravel(), 1.0)
+    if not ok.all():
+        raise IntegrationAccuracyError(f"stopping-time search failed on {np.count_nonzero(~ok)} cells")
 
     return BoundScanReport(
         epsilon_values=epsilon_values,
         p_values=p_values,
         theta_values=theta_values,
-        gap=np.stack(planes),
+        gap=_ergotropy(p, theta) - work.reshape(p.shape),
         tolerance=tolerance,
     )
 

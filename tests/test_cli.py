@@ -67,6 +67,36 @@ def test_scenario_validation_failures(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--case", "i", "--ndot", "nan"], "photon_rate_ratio"),
+        (["--case", "i", "--ndot", "inf"], "photon_rate_ratio"),
+        (["--case", "iii", "--nbar", "nan", "--tau", "1"], "n_bar"),
+        (["--case", "iii", "--nbar", "1", "--tau", "nan"], "tau"),
+        (["--case", "iii", "--nbar", "inf", "--tau", "1"], "n_bar"),
+    ],
+)
+def test_scenario_rejects_non_finite_parameters(flags, name, capsys):
+    assert run("scenario", "--theta", "2", *flags) == 1
+    assert f"error: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["--case", "iii", "--nbar-log", "-1", "1", "2", "--tau", "nan"],
+        ["--case", "i", "--ndot-log", "300", "400", "2"],  # 1e300 and an overflow to inf
+    ],
+)
+def test_sweep_flags_non_finite_cells(spec, tmp_path):
+    out = tmp_path / "x.csv"
+    assert run("sweep", "--theta", "0.5", "3", "2", *spec, "--out", str(out)) == 0
+    d = np.genfromtxt(out, delimiter=",", names=True, comments="#", skip_header=1)
+    assert len(d) == 4
+    assert (d["flag"] == 1).all() and np.isnan(d["work"]).all()
+
+
 def test_config_file_fills_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"case": "ii", "p": 0.25, "theta": math.pi / 2.0}))
@@ -98,7 +128,7 @@ def test_sweep_deterministic_and_well_formed(tmp_path):
         "--out",
     )
     assert run(*args, str(a)) == 0
-    assert run(*args, str(b), "--serial") == 0
+    assert run(*args, str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
 
     d = np.genfromtxt(a, delimiter=",", names=True, comments="#", skip_header=1)

@@ -1,5 +1,6 @@
 """Extraction-protocol tests: continuous drive, spontaneous decay, wave packet."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ergoflux as ef
-from ergoflux.scenarios import SCENARIO_ALIASES
+from ergoflux import scenarios
+from ergoflux.scenarios import SCENARIO_ALIASES, _stop_search
 
 preparations = st.builds(
     ef.Preparation,
@@ -56,6 +58,52 @@ def test_continuous_matches_brute_force_scan():
         brute = max(fn(t) for t in taus[1:])
         brute = max(brute, 0.0)
         assert res.work == pytest.approx(brute, abs=1e-8)
+
+
+# (ratio, p, theta, W, tau_opt) from optimal_square_work(..., polish=False) at
+# commit 80a7bac, whose search ran brentq cell by cell; ratio 1/64 has k = 0
+ORACLE = [
+    (0.015625, 0.0, 1.5707963267948966, 0.3119979923526618, 2.502910842985105),
+    (0.015625, 0.25, 3.141592653589793, 0.001439412744127133, 0.8084817258660966),
+    (0.015625, 0.0, 0.001, 2.4999997906669804e-07, 0.00399600532468155),
+    (0.001, 0.0, 1.5707963267948966, 0.26932274716965426, 4.535660311940808),
+    (0.001, 0.25, 3.141592653589793, 9.256233146727253e-05, 0.8107727510698407),
+    (0.005, 0.0, 0.001, 2.499999789912662e-07, 0.007058597194671709),
+    (0.01, 0.5, 1.5707963267948966, 0.0, 0.0),
+    (0.1, 0.0, 3.141592653589793, 0.04614132633228813, 1.3196662976345837),
+    (0.5, 0.25, 1.5707963267948966, 0.15727283257765717, 0.6806595479977369),
+    (1.0, 0.0, 0.001, 2.4999997917474673e-07, 0.0004999375104042972),
+    (4.0, 0.25, 3.141592653589793, 0.1724503690595019, 0.5213308725329503),
+    (10.0, 0.0, 1.5707963267948966, 0.47434770927562775, 0.23100876692977365),
+    (100.0, 0.5, 3.141592653589793, 0.0, 0.0),
+    (1000.0, 0.0, 3.141592653589793, 0.963123269428939, 0.049164139776532716),
+    (10000.0, 0.0, 3.141592653589793, 0.9882559931064281, 0.015657682215954486),
+    (10000.0, 0.25, 1.5707963267948966, 0.2486073553972737, 0.007810565534130072),
+    (3.0, 0.0, 0.0, 0.0, 0.0),
+]
+
+
+def test_stop_search_matches_the_scalar_oracle():
+    ratio, p, theta, work, tau = (np.array(col) for col in zip(*ORACLE))
+    assert {np.sign(4.0 * r - 1.0 / 16.0) for r in ratio} == {-1.0, 0.0, 1.0}
+    rabi = 2.0 * np.sqrt(ratio)
+    t_b, w_b, ok = _stop_search(p, theta, rabi, 1.0)
+    assert ok.all()
+    np.testing.assert_allclose(w_b, work, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(t_b, tau, rtol=0.0, atol=1e-9)
+    for r, pi, th, w, t in ORACLE:
+        prep = ef.Preparation(p=pi, theta=th)
+        t_1, w_1 = ef.optimal_square_work(prep, 2.0 * math.sqrt(r), 1.0, polish=False)
+        assert abs(w_1 - w) <= 1e-12 and abs(t_1 - t) <= 1e-9
+        grid = ef.SweepGrid(
+            scenario="continuous",
+            axis1=ef.SweepAxis(name="ndot", values=np.array([r, 2.0 * r])),
+            axis2=ef.SweepAxis(name="theta", values=np.array([th, 0.5 * th])),
+            fixed={"p": pi},
+        )
+        out = ef.sweep(grid)
+        assert not out.flag[0, 0]
+        assert abs(out.work[0, 0] - w) <= 1e-12 and abs(out.tau_opt[0, 0] - t) <= 1e-9
 
 
 def test_continuous_is_continuous_across_critical_damping():
@@ -205,6 +253,8 @@ def test_scenario_result_rejects_bound_violation():
     # a breach can only come from the numerics, so it is not a validation error
     with pytest.raises(ef.IntegrationAccuracyError):
         ef.ScenarioResult(prep=prep, work=0.9, eta=1.8)
+    with pytest.raises(ef.IntegrationAccuracyError):  # n_bar / tau overflows the drive
+        ef.scenario_pulsed(prep, n_bar=1e300, tau=1e-300)
 
 
 # -------------------------------------------------------------------- sweeps
@@ -225,7 +275,7 @@ def _small_grid():
 
 def test_sweep_shapes_and_values():
     grid = _small_grid()
-    out = ef.sweep(grid, parallel=False)
+    out = ef.sweep(grid)
     assert out.work.shape == (5, 4)
     assert not out.flag.any()
     # spot-check one cell against the scalar API
@@ -241,7 +291,7 @@ def test_sweep_accepts_roman_alias_and_fixed_p():
         axis1=ef.SweepAxis(name="theta", values=np.linspace(0.1, 3.0, 4)),
         axis2=ef.SweepAxis(name="p", values=np.array([0.0, 0.25])),
     )
-    out = ef.sweep(grid, parallel=False)
+    out = ef.sweep(grid)
     expect = (0.5 - 0.25) ** 2 * math.sin(grid.axis1.values[1]) ** 2
     assert out.work[1, 1] == pytest.approx(expect, abs=1e-12)
 
@@ -253,18 +303,73 @@ def test_sweep_flags_failing_cells():
         axis2=ef.SweepAxis(name="nbar", values=np.array([0.5, 1.0])),
         fixed={"theta": 2.0},
     )
-    out = ef.sweep(grid, parallel=False)
+    out = ef.sweep(grid)
     assert out.flag[0, :].all()  # tau = 0 cannot carry a finite charge
     assert np.isnan(out.work[0, :]).all()
     assert not out.flag[1, :].any()
 
 
-def test_sweep_parallel_path_matches_serial():
-    grid = _small_grid()
-    serial = ef.sweep(grid, parallel=False)
-    parallel = ef.sweep(grid, parallel=True)
-    assert np.array_equal(serial.work, parallel.work, equal_nan=True)
-    assert np.array_equal(serial.tau_opt, parallel.tau_opt, equal_nan=True)
+def test_non_finite_parameters_are_rejected():
+    prep = ef.Preparation(p=0.0, theta=2.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="photon_rate_ratio"):
+            ef.scenario_continuous(prep, value)
+        with pytest.raises(ValueError, match="gamma"):
+            ef.scenario_continuous(prep, 1.0, gamma=value)
+        with pytest.raises(ValueError, match="n_bar"):
+            ef.scenario_pulsed(prep, n_bar=value, tau=1.0)
+        with pytest.raises(ValueError, match="tau"):
+            ef.scenario_pulsed(prep, n_bar=1.0, tau=value)
+        with pytest.raises(ValueError, match="gamma"):
+            ef.scenario_pulsed(prep, n_bar=1.0, tau=1.0, gamma=value)
+
+
+def test_sweep_flags_non_finite_and_unsearchable_cells():
+    theta = ef.SweepAxis(name="theta", values=np.array([0.5, 3.0]))
+    for case, axis, fixed in [
+        ("pulsed", ef.SweepAxis(name="nbar", values=np.array([0.1, math.inf])), {"tau": math.nan}),
+        ("pulsed", ef.SweepAxis(name="tau", values=np.array([math.nan, math.inf])), {"nbar": 1.0}),
+        ("continuous", ef.SweepAxis(name="ndot", values=np.array([math.nan, math.inf])), {}),
+        # drives too strong to search or to represent are flagged
+        ("continuous", ef.SweepAxis(name="ndot", values=np.array([1e12, 1e300])), {}),
+        ("pulsed", ef.SweepAxis(name="nbar", values=np.array([1e300, 1e308])), {"tau": 1e-300}),
+    ]:
+        out = ef.sweep(ef.SweepGrid(scenario=case, axis1=theta, axis2=axis, fixed=fixed))
+        assert out.flag.all(), (case, fixed)
+        assert np.isnan(out.work).all() and np.isnan(out.eta).all() and np.isnan(out.tau_opt).all()
+
+
+def test_search_cap_flags_cells_and_raises(monkeypatch):
+    monkeypatch.setattr(scenarios, "_MAX_STEPS", 1)
+    grid = ef.SweepGrid(
+        scenario="continuous",
+        axis1=ef.SweepAxis(name="p", values=np.array([0.5, 0.0])),
+        axis2=ef.SweepAxis(name="ndot", values=np.array([0.5, 4.0])),
+        fixed={"theta": 2.0},
+    )
+    out = ef.sweep(grid)
+    assert not out.flag[0].any() and (out.work[0] == 0.0).all()  # passive: no crossing to refine
+    assert out.flag[1].all() and np.isnan(out.work[1]).all()
+    with pytest.raises(ef.IntegrationAccuracyError):
+        ef.optimal_square_work(ef.Preparation(p=0.0, theta=2.0), 2.0, polish=False)
+    with pytest.raises(ef.IntegrationAccuracyError):
+        ef.ergotropy_bound_scan(resolution=20)
+
+
+def test_batched_searches_keep_memory_bounded():
+    grid = ef.SweepGrid(
+        scenario="continuous",
+        axis1=ef.SweepAxis(name="theta", values=np.linspace(0.0, math.pi, 61)),
+        axis2=ef.SweepAxis(name="ndot", values=np.logspace(-2, 4, 61)),
+    )
+    for run in (lambda: ef.sweep(grid), lambda: ef.ergotropy_bound_scan(50)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, peak
 
 
 def test_sweep_grid_validation():

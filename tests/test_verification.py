@@ -80,7 +80,7 @@ def test_suite_over_random_drives():
 
 
 def test_bound_scan_small_grid():
-    rep = ef.ergotropy_bound_scan(resolution=20, parallel=False)
+    rep = ef.ergotropy_bound_scan(resolution=20)
     assert rep.passed
     assert rep.n_violations == 0
     assert rep.gap.shape == (20, 20, 20)
