@@ -130,9 +130,21 @@ def _cmd_scenario(args) -> int:
     else:
         raise _CliError(f"unknown case {par['case']!r}; pick i, ii, or iii")
 
-    row = (prep.theta, second[1], result.work, result.eta, result.tau_opt, False)
-    header = f"theta,{second[0]},work,yield,tau_opt,flag"
-    _write_lines(par["out"], [_UNITS_COMMENT, header, ",".join(map(_fmt, row))])
+    lines = [
+        _UNITS_COMMENT,
+        f"theta,{second[0]},work,yield,tau_opt,flag",
+        ",".join(
+            [
+                _fmt(prep.theta),
+                _fmt(second[1]),
+                _fmt(result.work),
+                _fmt(result.eta),
+                _fmt(result.tau_opt if result.tau_opt is not None else math.nan),
+                "0",
+            ]
+        ),
+    ]
+    _write_lines(par["out"], lines)
     return 0
 
 
@@ -201,8 +213,18 @@ def _cmd_sweep(args) -> int:
     lines = [_UNITS_COMMENT, f"{names[0]},{names[1]},work,yield,tau_opt,flag"]
     for i, v1 in enumerate(grid.axis1.values):
         for j, v2 in enumerate(grid.axis2.values):
-            row = (v1, v2, result.work[i, j], result.eta[i, j], result.tau_opt[i, j], result.flag[i, j])
-            lines.append(",".join(map(_fmt, row)))
+            lines.append(
+                ",".join(
+                    [
+                        _fmt(v1),
+                        _fmt(v2),
+                        _fmt(result.work[i, j]),
+                        _fmt(result.eta[i, j]),
+                        _fmt(result.tau_opt[i, j]),
+                        _fmt(result.flag[i, j]),
+                    ]
+                )
+            )
     _write_lines(par["out"], lines)
     return 0
 

@@ -246,18 +246,25 @@ def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
 # --------------------------- constant-drive closed-form work ---------------------------
 
 
-def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis):
+def _drive_start(rabi, gamma: float, co: AnalyticCoefficients):
+    """The state (p_e, s) at the start of a constant drive."""
+    s0 = co.a + co.c
+    return 0.5 + (co.pc + 0.5 * gamma * s0) / rabi, s0
+
+
+def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=None):
     """Closed-form work W(tau) of a constant drive and the dipole s(tau) it ends on.
 
     ``co`` and ``basis`` come from `dynamics._coefficients` and
     `dynamics._transient_basis`; ``tau``, ``rabi`` and the coefficients are
-    floats, or arrays with one entry per cell.  See `square_drive_work_fn`.
+    floats, or arrays with one entry per cell.  ``start`` is `_drive_start`,
+    which a caller that evaluates one drive many times passes in.  See
+    `square_drive_work_fn`.
     """
+    p0, s0 = _drive_start(rabi, gamma, co) if start is None else start
     ec, es = basis.at(tau)
     s = co.a * ec + co.b * es + co.c
     p = 0.5 + (co.pc * ec + co.ps * es + 0.5 * gamma * s) / rabi
-    s0 = co.a + co.c
-    p0 = 0.5 + (co.pc + 0.5 * gamma * s0) / rabi
     det = rabi * rabi + 0.5 * gamma * gamma  # det A
     r2 = 2.0 * rabi * rabi
     d1 = p - p0
@@ -286,9 +293,10 @@ def square_drive_work_fn(prep: Preparation, rabi: float, gamma: float):
     """
     co = square_pulse_coefficients(prep, rabi, gamma)
     basis = _transient_basis(co.k, 0.75 * gamma, math)
+    start = _drive_start(rabi, gamma, co)
 
     def work(tau: float) -> float:
-        return _drive_work(tau, rabi, gamma, co, basis)[0]
+        return _drive_work(tau, rabi, gamma, co, basis, start)[0]
 
     return work
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .dynamics import (
     CouplingSchedule,
@@ -38,7 +37,6 @@ from .energetics import (
     accumulate,
     ergotropy,
     extraction_yield,
-    square_drive_work_fn,
     suggested_grid_step,
 )
 
@@ -74,11 +72,10 @@ class ScenarioResult:
 
 # --------------------------- stopping-time search ---------------------------
 
-# cells are searched in blocks of about _BLOCK_KNOTS knots (an upper estimate),
-# so temporaries stay bounded; a cell that may need more than _MAX_KNOTS knots
-# (rabi above about 3.3e5 gamma, a few hundred MB of temporaries) is not searched
+# cells are searched in blocks of _BLOCK_CELLS, and their knots in windows of
+# _BLOCK_KNOTS, so temporaries stay bounded however many extrema a cell has
+_BLOCK_CELLS = 1 << 13
 _BLOCK_KNOTS = 1 << 16
-_MAX_KNOTS = 1 << 21
 # Illinois steps per bracket; a bracket still open after them fails its cell
 _MAX_STEPS = 64
 # a bracket narrower than _XTOL + _RTOL * t holds its root (brentq's defaults)
@@ -115,7 +112,10 @@ def _illinois(dipole, lo, hi, flo, fhi, cell):
 
 
 def _search_group(rabi, gamma, t_max, co, basis):
-    """`_stop_search` on cells that share the sign of k."""
+    """The search of `optimal_square_work` on cells that share the sign of k.
+
+    Returns (tau, work, ok) per cell.
+    """
     m = rabi.size
     with np.errstate(divide="ignore", invalid="ignore"):
         # For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
@@ -133,98 +133,78 @@ def _search_group(rabi, gamma, t_max, co, basis):
         first = basis.arc(basis.q * r) / basis.q
         first = np.where(first > 1e-15, first, first + basis.period)
         count = np.where(first < horizon, np.maximum(np.ceil((horizon - first) / basis.period), 1.0), 0.0)
-
-    # knots: 0, the extrema first + j * period, then the horizon
-    size = np.where(horizon > 0.0, count + 2.0, 0.0).astype(np.intp)
-    cell = np.repeat(np.arange(m), size)
-    j = np.arange(cell.size) - (np.cumsum(size) - size)[cell]
-    t = first[cell] + (j - 1) * np.where(np.isfinite(basis.period), basis.period, 0.0)[cell]
-    t = np.where(j == 0, 0.0, np.where(j == size[cell] - 1, horizon[cell], t))
+    # more than 2^52 extrema before the horizon lie within a few ulps of each
+    # other, so such a cell cannot be searched in double precision
+    ok = count <= 2.0**52
+    period = np.where(np.isfinite(basis.period), basis.period, 0.0)
 
     def dipole(t, cell):
         ec, es = basis.take(cell).at(t)
         return co.a[cell] * ec + co.b[cell] * es + co.c[cell]
 
-    # W' = s (rabi + gamma s) and rabi + gamma s > 0, so only downward
-    # crossings of the dipole are interior maxima of the work
-    f = dipole(t, cell)
-    b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
-    roots, stuck = _illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], cell[b])
-    cell = cell[b]
-    w = _drive_work(roots, rabi[cell], gamma, co.take(cell), basis.take(cell))[0]
-    ok = np.ones(m, dtype=bool)
-    ok[stuck] = ok[cell[~np.isfinite(w)]] = False
-
-    # the first strict maximum over tau = 0 (W = 0) and the crossings in time order
-    best = np.zeros(m)
-    np.fmax.at(best, cell, w)
-    hit = np.flatnonzero((w > 0.0) & (w == best[cell]))
-    winners, first_hit = np.unique(cell[hit], return_index=True)
+    # knots of a cell: 0, the extrema first + j * period, then the horizon
+    size = np.where(ok & (horizon > 0.0), count + 2.0, 0.0).astype(np.intp)
+    ends = np.cumsum(size)
+    starts = ends - size
     tau, work = np.zeros(m), np.zeros(m)
-    tau[winners], work[winners] = roots[hit[first_hit]], w[hit[first_hit]]
+    # each window also takes the first knot of the next, so no bracket is cut
+    for lo in range(0, int(ends[-1]) - 1 if m else 0, _BLOCK_KNOTS):
+        g = np.arange(lo, min(lo + _BLOCK_KNOTS + 1, ends[-1]))
+        cell = np.searchsorted(ends, g, side="right")
+        j = g - starts[cell]
+        t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
+        t[j == 0] = 0.0
+
+        # W' = s (rabi + gamma s) and rabi + gamma s > 0, so only downward
+        # crossings of the dipole are interior maxima of the work
+        f = dipole(t, cell)
+        b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
+        roots, stuck = _illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], cell[b])
+        cell = cell[b]
+        w = _drive_work(roots, rabi[cell], gamma, co.take(cell), basis.take(cell))[0]
+        ok[stuck] = ok[cell[~np.isfinite(w)]] = False
+
+        # the first strict maximum over tau = 0 (W = 0) and the crossings in
+        # time order, carried from window to window
+        best = work.copy()
+        np.fmax.at(best, cell, w)
+        hit = np.flatnonzero((w > work[cell]) & (w == best[cell]))
+        winners, first_hit = np.unique(cell[hit], return_index=True)
+        tau[winners], work[winners] = roots[hit[first_hit]], w[hit[first_hit]]
     return tau, work, ok
 
 
-def _stop_search(p, theta, rabi, gamma: float):
-    """Best stopping time and work of a constant drive, cut at stop, for arrays of cells.
+def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
+    """Best stopping time and work of a constant drive with coupling cut at stop.
 
-    ``p``, ``theta`` and ``rabi`` hold one valid cell per entry; ``gamma``
-    is shared.  Candidates are tau = 0 and the downward zero crossings of the
-    dipole on (0, 20/gamma], bracketed by its closed-form extrema and refined
-    by `_illinois`; the dipole settles to a strictly negative value, so the
-    work decreases at late times.  Returns (tau, work, ok); a cell is not ok,
-    and holds NaN, when a bracket did not converge or the cell may need more
-    than `_MAX_KNOTS` knots.
+    ``p``, ``theta`` (as in `Preparation`) and the Rabi frequency ``rabi``
+    broadcast against each other, one cell per entry; ``gamma`` is shared.
+    Candidates are tau = 0 and the downward zero crossings of the dipole on
+    (0, 20/gamma], bracketed by its closed-form extrema and refined by
+    `_illinois`; the dipole settles to a strictly negative value, so the
+    work decreases at late times.  Returns arrays (tau, work) of the
+    broadcast shape.  A cell holds NaN when p or theta is out of range,
+    rabi is not positive with a finite square, a bracket did not converge,
+    or the cell has more than 2^52 extrema to search.
     """
-    n = rabi.size
-    tau, work, ok = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    t_max = np.full(n, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi
-    # the extrema lie pi / sqrt(k) >= pi / rabi apart, plus three knots at most
-    knots = 3.0 + rabi * t_max / math.pi
-    run = np.flatnonzero(knots <= _MAX_KNOTS)
-    ends = np.cumsum(knots[run])
-    total = ends[-1] if run.size else 0.0
-    for block in np.split(run, np.searchsorted(ends, np.arange(_BLOCK_KNOTS, total, _BLOCK_KNOTS))):
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    p, theta, rabi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, theta, rabi)))
+    shape = p.shape
+    p, theta, rabi = p.ravel(), theta.ravel(), rabi.ravel()
+    tau, work = np.full(p.size, np.nan), np.full(p.size, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = (0.0 <= p) & (p <= 0.5) & (0.0 <= theta) & (theta <= math.pi) & (rabi > 0.0)
+        run = np.flatnonzero(valid & np.isfinite(rabi * rabi))
+    for i in range(0, run.size, _BLOCK_CELLS):
+        block = run[i:i + _BLOCK_CELLS]
         co = _coefficients(p[block], theta[block], rabi[block], gamma)
         for cells, part, basis in _basis_groups(co, 0.75 * gamma):
             g = block[cells]
-            tau[g], work[g], ok[g] = _search_group(rabi[g], gamma, t_max[g], part, basis)
-    tau[~ok] = work[~ok] = np.nan
-    return tau, work, ok
-
-
-def optimal_square_work(
-    prep: Preparation, rabi: float, gamma: float = 1.0, polish: bool = True
-) -> tuple[float, float]:
-    """Best stopping time and work for a constant drive with coupling cut at stop.
-
-    The search is `_stop_search` on a single cell.  ``polish`` runs a bounded
-    scalar refinement around the best candidate.
-    """
-    work_fn = square_drive_work_fn(prep, rabi, gamma)
-    tau, work, ok = _stop_search(np.array([prep.p]), np.array([prep.theta]), np.array([rabi]), gamma)
-    if not ok[0]:
-        raise IntegrationAccuracyError(
-            f"stopping-time search failed for {prep} at rabi {rabi}, gamma {gamma}: "
-            "a bracket did not converge or the drive is too strong to search"
-        )
-    best_tau, best_w = float(tau[0]), float(work[0])
-
-    if polish and best_tau > 0.0:
-        span = min(0.25 * best_tau, 2.0 / (0.75 * gamma + rabi))
-        lo = max(best_tau - span, 0.0)
-        hi = best_tau + span
-        res = _sopt.minimize_scalar(
-            lambda t: -work_fn(t), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        # The crossings are exact stationary points, so only adopt the refined
-        # stopping time on a real improvement; near the flat optimum the
-        # scalar search wanders by ~sqrt(eps) and would spoil reproducibility.
-        if -res.fun > best_w + 1e-12 * max(1.0, abs(best_w)):
-            best_w = float(-res.fun)
-            best_tau = float(res.x)
-    return best_tau, best_w
+            t_max = np.full(g.size, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi[g]
+            t, w, ok = _search_group(rabi[g], gamma, t_max, part, basis)
+            tau[g], work[g] = np.where(ok, t, np.nan), np.where(ok, w, np.nan)
+    return tau.reshape(shape), work.reshape(shape)
 
 
 # --------------------------- the three protocols ---------------------------
@@ -257,20 +237,27 @@ def scenario_continuous(
     prep: Preparation,
     photon_rate_ratio: float,
     gamma: float = 1.0,
-    polish: bool = True,
     with_trace: bool = False,
 ) -> ScenarioResult:
     """Case (i): constant drive at photon rate ``photon_rate_ratio * gamma``.
 
     The Rabi frequency is 2*sqrt(gamma * photon_rate); the drive runs until
     the work-maximizing stopping time, where the coupling is switched off so
-    no decay tail reaches the channel.  ``n_interacted`` counts the photons
-    that arrived during the interaction.
+    no decay tail reaches the channel.  The stopping time comes from
+    `optimal_square_work`.  ``n_interacted`` counts the photons that arrived
+    during the interaction.
     """
     if not 0.0 < photon_rate_ratio < math.inf:
         raise ValueError(f"photon_rate_ratio must be positive and finite, got {photon_rate_ratio}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     rabi = 2.0 * gamma * math.sqrt(photon_rate_ratio)
-    tau, work = optimal_square_work(prep, rabi, gamma, polish=polish)
+    tau, work = (float(v) for v in optimal_square_work(prep.p, prep.theta, rabi, gamma))
+    if math.isnan(work):
+        raise IntegrationAccuracyError(
+            f"stopping-time search failed for {prep} at photon_rate_ratio {photon_rate_ratio}, "
+            f"gamma {gamma}: a bracket did not converge or the drive is too strong to search"
+        )
     trace = None
     if with_trace and tau > 0.0:
         trace = _square_trace(
@@ -453,9 +440,8 @@ def sweep(grid: SweepGrid) -> SweepResult:
     ok = (0.0 <= p) & (p <= 0.5) & (0.0 <= theta) & (theta <= math.pi)  # as `Preparation`
     work, tau_opt = np.full(p.size, np.nan), np.full(p.size, np.nan)
     if grid.scenario == "continuous":
-        ok &= np.isfinite(ndot) & (ndot > 0.0)
-        c = np.flatnonzero(ok)
-        tau_opt[c], work[c], ok[c] = _stop_search(p[c], theta[c], 2.0 * gamma * np.sqrt(ndot[c]), gamma)
+        with np.errstate(invalid="ignore"):  # a negative rate gives a NaN drive, left unsearched
+            tau_opt, work = optimal_square_work(p, theta, 2.0 * gamma * np.sqrt(ndot), gamma)
     else:
         if grid.scenario == "spontaneous":
             nbar = np.zeros(p.size)

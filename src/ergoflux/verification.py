@@ -32,7 +32,7 @@ from .dynamics import (
     prepare_initial,
 )
 from .energetics import _ergotropy, accumulate, suggested_grid_step
-from .scenarios import _stop_search, scenario_continuous
+from .scenarios import optimal_square_work, scenario_continuous
 
 
 # --------------------------- conservation audit ---------------------------
@@ -220,15 +220,15 @@ def ergotropy_bound_scan(
     epsilon_values = np.geomspace(epsilon_range[0], epsilon_range[1], resolution)
 
     eps, p, theta = np.meshgrid(epsilon_values, p_values, theta_values, indexing="ij")
-    _, work, ok = _stop_search(p.ravel(), theta.ravel(), 1.0 / eps.ravel(), 1.0)
-    if not ok.all():
-        raise IntegrationAccuracyError(f"stopping-time search failed on {np.count_nonzero(~ok)} cells")
+    _, work = optimal_square_work(p, theta, 1.0 / eps, 1.0)
+    if np.isnan(work).any():
+        raise IntegrationAccuracyError(f"stopping-time search failed on {np.isnan(work).sum()} cells")
 
     return BoundScanReport(
         epsilon_values=epsilon_values,
         p_values=p_values,
         theta_values=theta_values,
-        gap=_ergotropy(p, theta) - work.reshape(p.shape),
+        gap=_ergotropy(p, theta) - work,
         tolerance=tolerance,
     )
 

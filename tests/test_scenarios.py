@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 import ergoflux as ef
 from ergoflux import scenarios
-from ergoflux.scenarios import SCENARIO_ALIASES, _stop_search
+from ergoflux.scenarios import SCENARIO_ALIASES
 
 preparations = st.builds(
     ef.Preparation,
@@ -87,13 +87,12 @@ def test_stop_search_matches_the_scalar_oracle():
     ratio, p, theta, work, tau = (np.array(col) for col in zip(*ORACLE))
     assert {np.sign(4.0 * r - 1.0 / 16.0) for r in ratio} == {-1.0, 0.0, 1.0}
     rabi = 2.0 * np.sqrt(ratio)
-    t_b, w_b, ok = _stop_search(p, theta, rabi, 1.0)
-    assert ok.all()
+    t_b, w_b = ef.optimal_square_work(p, theta, rabi, 1.0)
     np.testing.assert_allclose(w_b, work, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(t_b, tau, rtol=0.0, atol=1e-9)
     for r, pi, th, w, t in ORACLE:
-        prep = ef.Preparation(p=pi, theta=th)
-        t_1, w_1 = ef.optimal_square_work(prep, 2.0 * math.sqrt(r), 1.0, polish=False)
+        t_1, w_1 = ef.optimal_square_work(pi, th, 2.0 * math.sqrt(r), 1.0)
+        assert t_1.shape == w_1.shape == ()
         assert abs(w_1 - w) <= 1e-12 and abs(t_1 - t) <= 1e-9
         grid = ef.SweepGrid(
             scenario="continuous",
@@ -104,6 +103,38 @@ def test_stop_search_matches_the_scalar_oracle():
         out = ef.sweep(grid)
         assert not out.flag[0, 0]
         assert abs(out.work[0, 0] - w) <= 1e-12 and abs(out.tau_opt[0, 0] - t) <= 1e-9
+
+
+def test_stop_search_windows_do_not_cut_brackets(monkeypatch):
+    # knots are laid out in windows; tiny windows must give the same answers
+    ratio, p, theta = (np.array(col) for col in list(zip(*ORACLE))[:3])
+    rabi = 2.0 * np.sqrt(np.concatenate([ratio, [300.0, 0.3]]))
+    p, theta = np.append(p, [0.1, 0.2]), np.append(theta, [2.5, 1.0])
+    whole = ef.optimal_square_work(p, theta, rabi, 1.0)
+    for knots, cells in [(1, 1), (2, 3), (7, 1 << 13), (64, 5)]:
+        monkeypatch.setattr(scenarios, "_BLOCK_KNOTS", knots)
+        monkeypatch.setattr(scenarios, "_BLOCK_CELLS", cells)
+        windowed = ef.optimal_square_work(p, theta, rabi, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(windowed, whole)), (knots, cells)
+
+
+def test_stop_search_reaches_very_strong_drives():
+    # about 2.2e6 extrema before the horizon, searched window by window; the
+    # optimum is the pi-pulse with its first-order damping correction
+    rabi = 2.0 * math.sqrt(3e10)
+    tau, work = ef.optimal_square_work(0.0, math.pi, rabi, 1.0)
+    assert tau * rabi == pytest.approx(math.pi, rel=1e-5)
+    assert work == pytest.approx(1.0 - 0.75 * math.pi / rabi, abs=1e-9)
+
+
+def test_stop_search_marks_cells_it_cannot_search():
+    p = np.array([0.0, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    theta = np.array([4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    rabi = np.array([1.0, 1.0, 0.0, -1.0, math.nan, math.inf, 1e200, 1e16])
+    tau, work = ef.optimal_square_work(p, theta, rabi, 1.0)
+    assert np.isnan(tau).all() and np.isnan(work).all()
+    with pytest.raises(ValueError, match="gamma"):
+        ef.optimal_square_work(0.0, 1.0, 1.0, math.nan)
 
 
 def test_continuous_is_continuous_across_critical_damping():
@@ -330,8 +361,8 @@ def test_sweep_flags_non_finite_and_unsearchable_cells():
         ("pulsed", ef.SweepAxis(name="nbar", values=np.array([0.1, math.inf])), {"tau": math.nan}),
         ("pulsed", ef.SweepAxis(name="tau", values=np.array([math.nan, math.inf])), {"nbar": 1.0}),
         ("continuous", ef.SweepAxis(name="ndot", values=np.array([math.nan, math.inf])), {}),
-        # drives too strong to search or to represent are flagged
-        ("continuous", ef.SweepAxis(name="ndot", values=np.array([1e12, 1e300])), {}),
+        # drives with more extrema than double precision resolves, or past the float range
+        ("continuous", ef.SweepAxis(name="ndot", values=np.array([1e30, 1e300])), {}),
         ("pulsed", ef.SweepAxis(name="nbar", values=np.array([1e300, 1e308])), {"tau": 1e-300}),
     ]:
         out = ef.sweep(ef.SweepGrid(scenario=case, axis1=theta, axis2=axis, fixed=fixed))
@@ -350,8 +381,9 @@ def test_search_cap_flags_cells_and_raises(monkeypatch):
     out = ef.sweep(grid)
     assert not out.flag[0].any() and (out.work[0] == 0.0).all()  # passive: no crossing to refine
     assert out.flag[1].all() and np.isnan(out.work[1]).all()
+    assert np.isnan(ef.optimal_square_work(0.0, 2.0, 2.0)[1])
     with pytest.raises(ef.IntegrationAccuracyError):
-        ef.optimal_square_work(ef.Preparation(p=0.0, theta=2.0), 2.0, polish=False)
+        ef.scenario_continuous(ef.Preparation(p=0.0, theta=2.0), 1.0)
     with pytest.raises(ef.IntegrationAccuracyError):
         ef.ergotropy_bound_scan(resolution=20)
 
