@@ -268,6 +268,7 @@ def _cmd_optimize(args) -> int:
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "gradient_norm": float(result.gradient_norm),
+        "message": result.message,
         "charge": float(result.pulse.charge()),
         "start_objectives": [float(v) for v in result.start_objectives],
     }

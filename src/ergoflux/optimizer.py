@@ -6,9 +6,11 @@ Two layers:
   and finds the time constant that maximizes the extracted work (pulse plus
   free-decay tail, coupling always on),
 * `solve_optimal_control` optimizes a free piecewise-linear waveform under
-  the same photon budget with projected gradient ascent; the gradient is the
-  exact discrete adjoint of the RK4-discretized work functional, so it can
-  be checked against finite differences of the same objective.
+  the same photon budget by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) over a
+  free vector v >= 0 whose rescaling onto the budget is the waveform, so
+  the budget holds by construction; the gradient is the exact discrete
+  adjoint of the RK4-discretized work functional, so it can be checked
+  against finite differences of the same objective.
 
 The work functional runs the RK4 steps as affine maps through one forward
 `dynamics._affine_scan`; its adjoint is the same scan transposed and run
@@ -104,11 +106,16 @@ def optimize_exponential_tau(
     ``tau_range`` is in units of 1/gamma.  ``at_boundary`` flags a maximum
     pinned to the scan edge, in which case the range should be widened.
     """
-    if n_bar <= 0.0:
-        raise ValueError("n_bar must be positive")
+    if not (math.isfinite(n_bar) and n_bar > 0.0):
+        raise ValueError(f"n_bar must be positive and finite, got {n_bar}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    lo, hi = tau_range
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"tau_range must satisfy 0 < lo < hi < inf, got {tau_range}")
     if n_grid < 5:
         raise ValueError("n_grid must be at least 5")
-    taus = np.geomspace(tau_range[0] / gamma, tau_range[1] / gamma, n_grid)
+    taus = np.geomspace(lo / gamma, hi / gamma, n_grid)
     works = np.array([_exponential_work(prep, n_bar, t, gamma, strict=False) for t in taus])
 
     best = int(np.argmax(works))
@@ -349,15 +356,6 @@ def project_to_budget(controls, times, n_bar: float, gamma: float = 1.0) -> np.n
     return c * math.sqrt(target / q)
 
 
-def _tangent_direction(g: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
-    """Ascent direction tangent to the budget surface, respecting active bounds."""
-    nq = _budget_gradient(c, delta)
-    denom = float(nq @ nq)
-    gt = g - (float(g @ nq) / denom) * nq if denom > 0.0 else g.copy()
-    gt[(c <= 0.0) & (gt < 0.0)] = 0.0
-    return gt
-
-
 # --------------------------- the solver ---------------------------
 
 
@@ -366,8 +364,10 @@ class OptimalPulse:
     """Converged waveform with its internally and strictly evaluated work.
 
     ``work`` comes from the strict trajectory pipeline; ``objective`` is the
-    internal discrete value the ascent maximized; ``gradient_norm`` is the
-    projected-gradient norm at exit.
+    internal discrete value the solver maximized.  ``converged``,
+    ``iterations``, ``gradient_norm`` and ``message`` are L-BFGS-B's
+    ``success``, ``nit``, projected-gradient infinity norm (in the free
+    coordinates) and stop message for the best start.
     """
 
     problem: ControlProblem
@@ -380,51 +380,37 @@ class OptimalPulse:
     converged: bool
     iterations: int
     gradient_norm: float
+    message: str
     start_objectives: tuple
 
 
-def _ascend(c0, times, prep, gamma, n_bar, n_sub, max_iter, tol):
-    """Projected gradient ascent from one start.
+def _shape(c0, times, prep, gamma, n_bar, n_sub, max_iter):
+    """L-BFGS-B from one start over v >= 0, with the waveform c(v) = a*v on the budget.
 
-    Returns (controls, objective, iterations, converged, gradient_norm).
+    a = sqrt(4*gamma*n_bar / q(v)) with q the exact integral of the squared
+    waveform, so every evaluation meets the photon budget and the work is
+    invariant along v; its v-gradient is a*g - a*(g.v)/(2q)*grad q.
+    Returns (controls, objective, scipy result).
     """
     delta = float(times[1] - times[0])
-    c = project_to_budget(c0, times, n_bar, gamma)
-    work, grad = control_work_and_gradient(c, times, prep, gamma, n_sub)
-    history = [work]
-    eta = 0.1 * float(np.linalg.norm(c)) / max(float(np.linalg.norm(grad)), 1e-12)
-    converged = False
-    it = 0
-    gnorm = float(np.linalg.norm(_tangent_direction(grad, c, delta)))
-    for it in range(1, max_iter + 1):
-        gt = _tangent_direction(grad, c, delta)
-        gnorm = float(np.linalg.norm(gt))
-        if gnorm == 0.0:
-            converged = True
-            break
-        step = eta
-        accepted = False
-        for _ in range(40):
-            c_new = project_to_budget(c + step * gt, times, n_bar, gamma)
-            w_new = control_work(c_new, times, prep, gamma, n_sub)
-            if w_new >= work + 1e-4 * max(0.0, float(grad @ (c_new - c))):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # cannot make progress along the projected gradient
-            recent = history[-min(len(history), 6):]
-            converged = (max(recent) - min(recent)) <= 10.0 * tol * max(1.0, abs(work))
-            break
-        c = c_new
-        work, grad = control_work_and_gradient(c, times, prep, gamma, n_sub)
-        history.append(work)
-        eta = 2.0 * step
-        if len(history) > 10 and history[-1] - history[-11] < tol * max(1.0, abs(work)):
-            gnorm = float(np.linalg.norm(_tangent_direction(grad, c, delta)))
-            converged = True
-            break
-    return c, work, it, converged, gnorm
+    target = 4.0 * gamma * n_bar
+
+    def negative_work(v):
+        q = _budget_quadratic(v, delta)
+        a = math.sqrt(target / q)
+        work, g = control_work_and_gradient(v * a, times, prep, gamma, n_sub)
+        grad = a * g - (a * float(g @ v) / (2.0 * q)) * _budget_gradient(v, delta)
+        return -work, -grad
+
+    res = _sopt.minimize(
+        negative_work,
+        project_to_budget(c0, times, n_bar, gamma),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=_sopt.Bounds(0.0, np.inf),
+        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-9},
+    )
+    return project_to_budget(res.x, times, n_bar, gamma), -float(res.fun), res
 
 
 def solve_optimal_control(
@@ -432,19 +418,21 @@ def solve_optimal_control(
     n_starts: int = 4,
     seed: int = 0,
     max_iter: int = 5000,
-    tol: float = 1e-8,
     n_sub: int | None = None,
     init: np.ndarray | None = None,
 ) -> OptimalPulse:
     """Maximize the extracted work over nonnegative waveforms at fixed photon number.
 
     Start 0 is the best exponential ansatz sampled on the control grid; the
-    remaining starts are seeded multiplicative perturbations of it.  The
+    remaining starts are seeded multiplicative perturbations of it.  Each
+    start is one L-BFGS-B run of at most ``max_iter`` iterations.  The
     returned ``work`` is recomputed through the strict trajectory pipeline;
-    ``objective`` is the internal discrete value the ascent maximized.
+    ``objective`` is the internal discrete value the solver maximized.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     times = control_times(problem.horizon, problem.n_nodes)
     delta = float(times[1] - times[0])
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
@@ -466,12 +454,10 @@ def solve_optimal_control(
     if n_sub is None:
         n_sub = _default_n_sub(delta, gamma, 1.5 * peak)
 
-    results = [
-        _ascend(s, times, prep, gamma, n_bar, n_sub, max_iter, tol) for s in starts
-    ]
+    results = [_shape(s, times, prep, gamma, n_bar, n_sub, max_iter) for s in starts]
     objs = tuple(r[1] for r in results)
-    best = max(range(len(results)), key=lambda i: results[i][1])
-    c_best, j_best, iters, converged, gnorm = results[best]
+    c_best, j_best, res = max(results, key=lambda r: r[1])
+    pgrad = res.x - np.clip(res.x - res.jac, 0.0, None)
 
     pulse = TabulatedPulse(times=times, values=c_best)
     dt = suggested_grid_step(float(c_best.max()), gamma, problem.horizon)
@@ -486,9 +472,10 @@ def solve_optimal_control(
         work=work,
         eta=extraction_yield(work, prep),
         objective=j_best,
-        converged=converged,
-        iterations=iters,
-        gradient_norm=gnorm,
+        converged=bool(res.success),
+        iterations=int(res.nit),
+        gradient_norm=float(np.abs(pgrad).max()),
+        message=str(res.message),
         start_objectives=objs,
     )
 

@@ -178,6 +178,7 @@ def test_criterion_05_pulse_shaping():
     assert tau_b_ok and not res_b.at_boundary
     assert l2_ok
     assert w_ok
+    assert sol_a.converged and sol_d.converged, (sol_a.message, sol_d.message)
 
 
 def test_criterion_06_ergotropy_bound_scan():

@@ -188,6 +188,7 @@ def test_optimize_summary_and_waveform(tmp_path, capsys):
     assert summary["charge"] == pytest.approx(0.3, rel=1e-9)
     assert 0.0 < summary["work"] <= ef.ergotropy(ef.Preparation(p=0.0, theta=2.0)) + 1e-9
     assert isinstance(summary["converged"], bool)
+    assert isinstance(summary["message"], str) and summary["message"]
     assert len(summary["start_objectives"]) == 1
 
     d = np.genfromtxt(out, delimiter=",", names=True, comments="#", skip_header=1)

@@ -1,4 +1,4 @@
-"""Pulse-shaping tests: budget geometry, adjoint gradient, ascent, ansatz scan."""
+"""Pulse-shaping tests: budget geometry, adjoint gradient, solver, ansatz scan."""
 import math
 
 import numpy as np
@@ -148,6 +148,27 @@ def test_exponential_tau_validation():
         ef.optimize_exponential_tau(prep, n_bar=1.0, n_grid=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(n_bar=math.nan), "n_bar"),
+        (dict(n_bar=math.inf), "n_bar"),
+        (dict(gamma=0.0), "gamma"),
+        (dict(gamma=-1.0), "gamma"),
+        (dict(gamma=math.nan), "gamma"),
+        (dict(tau_range=(-1e-3, 10.0)), "tau_range"),
+        (dict(tau_range=(0.0, 10.0)), "tau_range"),
+        (dict(tau_range=(1e-3, math.inf)), "tau_range"),
+        (dict(tau_range=(10.0, 1e-3)), "tau_range"),
+        (dict(tau_range=(math.nan, 10.0)), "tau_range"),
+    ],
+)
+def test_exponential_tau_rejects_bad_input_by_name(kwargs, name):
+    args = dict(prep=ef.Preparation(p=0.0, theta=1.0), n_bar=1.0) | kwargs
+    with pytest.raises(ValueError, match=f"^{name} "):
+        ef.optimize_exponential_tau(**args)
+
+
 # ------------------------------------------------------------- full solver
 
 
@@ -177,6 +198,14 @@ def test_solver_rejects_start_count_below_one(n_starts):
         ef.solve_optimal_control(problem, n_starts=n_starts)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_solver_rejects_iteration_cap_below_one(max_iter):
+    prep = ef.Preparation(p=0.0, theta=2.0)
+    problem = ef.ControlProblem(prep=prep, n_bar=1.0, horizon=6.0, n_nodes=64)
+    with pytest.raises(ValueError, match="max_iter"):
+        ef.solve_optimal_control(problem, max_iter=max_iter)
+
+
 def test_solver_beats_exponential_ansatz():
     prep = ef.Preparation(p=0.0, theta=0.75 * math.pi)
     problem = ef.ControlProblem(prep=prep, n_bar=0.5, horizon=6.0, n_nodes=64)
@@ -185,14 +214,16 @@ def test_solver_beats_exponential_ansatz():
 
     assert sol.work >= ansatz.work - 1e-4
     assert sol.work <= ef.ergotropy(prep) + 1e-9
-    # budget is conserved through the ascent, to roundoff
+    # budget is conserved through the solve, to roundoff
     assert _charge(sol.controls, sol.times) == pytest.approx(0.5, rel=1e-10)
     assert sol.pulse.charge() == pytest.approx(0.5, rel=1e-10)
     assert (sol.controls >= 0.0).all()
     # strict re-evaluation sits close to the internal objective
     assert sol.work == pytest.approx(sol.objective, abs=5e-4)
     assert sol.objective == pytest.approx(max(sol.start_objectives), abs=1e-15)
-    assert sol.iterations >= 1
+    # both starts reach the same optimum
+    assert max(sol.start_objectives) - min(sol.start_objectives) <= 1e-9
+    assert sol.converged and sol.iterations >= 1 and sol.message
 
 
 def test_solver_rejects_mismatched_init():

@@ -41,7 +41,8 @@ def test_continuous_pi_pulse_limit():
 
 
 def test_continuous_matches_brute_force_scan():
-    from ergoflux.energetics import square_drive_work_fn
+    from ergoflux.dynamics import _transient_basis
+    from ergoflux.energetics import _drive_work
 
     cases = [
         (0.25, 0.0, 2.0),
@@ -53,9 +54,11 @@ def test_continuous_matches_brute_force_scan():
         prep = ef.Preparation(p=p, theta=theta)
         res = ef.scenario_continuous(prep, ratio)
         rabi = 2.0 * math.sqrt(ratio)
-        fn = square_drive_work_fn(prep, rabi, 1.0)
+        # the closed form W(tau) on the whole grid at once
+        co = ef.square_pulse_coefficients(prep, rabi, 1.0)
+        basis = _transient_basis(co.k, 0.75, np)
         taus = np.linspace(0.0, 20.0, 400001)
-        brute = max(fn(t) for t in taus[1:])
+        brute = float(_drive_work(taus[1:], rabi, 1.0, co, basis)[0].max())
         brute = max(brute, 0.0)
         assert res.work == pytest.approx(brute, abs=1e-8)
 
