@@ -68,8 +68,32 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
             fh.write(text)
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Fold config-file values under explicit flags; flags win, defaults last."""
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# JSON type a config value must have, as its flag takes it
+_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda x: _is_number(x) and isinstance(x, int),
+    "a string": lambda x: isinstance(x, str),
+    "a list of numbers": lambda x: isinstance(x, list) and all(map(_is_number, x)),
+    "a number or a list of numbers": lambda x: _is_number(x) or _KINDS["a list of numbers"](x),
+}
+# config keys that do not take a number
+_CONFIG_KINDS = {
+    **dict.fromkeys(("case", "suite", "out"), "a string"),
+    **dict.fromkeys(("nodes", "starts", "seed", "resolution", "cases"), "an integer"),
+    **dict.fromkeys(("re", "im", "ndot_log", "nbar_log"), "a list of numbers"),
+}
+
+
+def _merge(args: argparse.Namespace, defaults: dict, axes=()) -> dict:
+    """Fold config-file values under explicit flags; flags win, defaults last.
+
+    Each config value must have the JSON type its flag takes; the keys in
+    ``axes`` are sweep axes, which take a number or a list of numbers.
+    """
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -79,6 +103,10 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise _CliError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in cfg.items():
+            kind = "a number or a list of numbers" if key in axes else _CONFIG_KINDS.get(key, "a number")
+            if not _KINDS[kind](value):
+                raise _CliError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
     out = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
@@ -186,7 +214,7 @@ def _axis_or_fixed(name: str, spec, log: bool):
 
 
 def _cmd_sweep(args) -> int:
-    par = _merge(args, _SWEEP_DEFAULTS)
+    par = _merge(args, _SWEEP_DEFAULTS, axes=_AXIS_PRIORITY)
     _require(par, ["case", "out"], "sweep")
     case = SCENARIO_ALIASES.get(par["case"], par["case"])
 

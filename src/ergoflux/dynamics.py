@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import constants
+
+# Reduced Planck constant in J*s; exact in the SI since 2019.
+HBAR = 6.62607015e-34 / (2 * math.pi)
 
 # Largest Bloch-ball violation that is silently clamped; anything bigger is a
 # genuine integration failure.
@@ -58,10 +60,10 @@ class Units:
         return r * self.gamma
 
     def energy_joules(self, e: float) -> float:
-        return e * constants.hbar * self.omega0
+        return e * HBAR * self.omega0
 
     def power_watts(self, p: float) -> float:
-        return p * constants.hbar * self.omega0 * self.gamma
+        return p * HBAR * self.omega0 * self.gamma
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ it.
 The solver reports the converged waveform together with the work recomputed
 through the strict integration pipeline, so numbers are comparable with the
 scenario runs.
+
+scipy is imported inside the two functions that call it, the refine step of
+`optimize_exponential_tau` and `_shape`, so importing the package loads numpy
+alone.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .dynamics import (
     ExponentialPulse,
@@ -122,7 +125,9 @@ def optimize_exponential_tau(
     at_boundary = best in (0, n_grid - 1)
     tau_star = float(taus[best])
     if not at_boundary:
-        res = _sopt.minimize_scalar(
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(
             lambda lt: -_exponential_work(prep, n_bar, math.exp(lt), gamma, strict=False),
             bounds=(math.log(taus[best - 1]), math.log(taus[best + 1])),
             method="bounded",
@@ -392,6 +397,8 @@ def _shape(c0, times, prep, gamma, n_bar, n_sub, max_iter):
     invariant along v; its v-gradient is a*g - a*(g.v)/(2q)*grad q.
     Returns (controls, objective, scipy result).
     """
+    from scipy.optimize import Bounds, minimize
+
     delta = float(times[1] - times[0])
     target = 4.0 * gamma * n_bar
 
@@ -402,12 +409,12 @@ def _shape(c0, times, prep, gamma, n_bar, n_sub, max_iter):
         grad = a * g - (a * float(g @ v) / (2.0 * q)) * _budget_gradient(v, delta)
         return -work, -grad
 
-    res = _sopt.minimize(
+    res = minimize(
         negative_work,
         project_to_budget(c0, times, n_bar, gamma),
         jac=True,
         method="L-BFGS-B",
-        bounds=_sopt.Bounds(0.0, np.inf),
+        bounds=Bounds(0.0, np.inf),
         options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-9},
     )
     return project_to_budget(res.x, times, n_bar, gamma), -float(res.fun), res

@@ -27,16 +27,57 @@ def test_scenario_pinned_row(capsys):
     assert lines[2] == "1.5708,0,0.249999999997,0.499998163397,nan,0"
 
 
-def test_module_entry_point_runs_the_cli():
-    # a source checkout without the console script runs the CLI as a module
+def _fresh_python(*args):
+    """Run a new interpreter that imports ergoflux from this source tree."""
     src = str(Path(ef.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ergoflux.cli", "scenario", "--case", "ii", "--theta", "1.5708"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli():
+    # a source checkout without the console script runs the CLI as a module
+    proc = _fresh_python("-m", "ergoflux.cli", "scenario", "--case", "ii", "--theta", "1.5708")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "1.5708,0,0.249999999997,0.499998163397,nan,0"
+
+
+_IMPORT_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {}
+import ergoflux
+loaded["import ergoflux"] = scipy_modules()
+import ergoflux.cli as cli
+loaded["import ergoflux.cli"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    assert cli.run(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_pulse_shaper_imports_scipy(tmp_path):
+    # a fresh interpreter: other tests import scipy into this one
+    out = str(tmp_path / "out.csv")
+    commands = [
+        ["scenario", "--case", "i", "--theta", "2", "--ndot", "4", "--out", out],
+        ["sweep", "--case", "i", "--theta", "0.5", "2.5", "3", "--ndot-log", "-1", "1", "3", "--out", out],
+        ["husimi", "--theta", "1", "--re", "-1", "1", "3", "--im", "-1", "1", "3", "--out", out],
+        ["verify", "--suite", "scale-invariance", "--out", str(tmp_path / "v.json")],
+        ["optimize", "--theta", "1.5708", "--nbar", "0.1", "--nodes", "32", "--horizon", "5",
+         "--starts", "1", "--out", out],
+    ]
+    proc = _fresh_python("-c", _IMPORT_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    optimize = loaded.pop("optimize")
+    assert loaded == dict.fromkeys(
+        ["import ergoflux", "import ergoflux.cli", "scenario", "sweep", "husimi", "verify"], []
+    )
+    assert "scipy.optimize" in optimize
 
 
 @pytest.mark.parametrize("ndot", ["0.015624999999999993", "0.015625000000000007"])
@@ -116,6 +157,37 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert run("scenario", "--config", str(cfg)) == 1
     assert run("scenario", "--case", "ii", "--theta", "1", "--config", str(tmp_path / "no.json")) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("scenario", {"case": "ii", "theta": [1, 2]}, "'theta' must be a number, got [1, 2]"),
+        ("scenario", {"case": ["ii"], "theta": 1.0}, "'case' must be a string, got [\"ii\"]"),
+        ("husimi", {"theta": 1.0, "re": 5}, "'re' must be a list of numbers, got 5"),
+        ("husimi", {"theta": True}, "'theta' must be a number, got true"),
+        ("sweep", {"case": "i", "theta": [0.5, "2.5", 3], "ndot": 1.0, "out": "-"},
+         "'theta' must be a number or a list of numbers, got [0.5, \"2.5\", 3]"),
+        ("optimize", {"theta": 1.0, "nbar": 0.1, "nodes": 32.0}, "'nodes' must be an integer, got 32.0"),
+        ("verify", {"suite": "scale-invariance", "out": None}, "'out' must be a string, got null"),
+    ],
+)
+def test_config_value_of_wrong_type_names_the_key(command, config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: config key {message}\n"
+
+
+def test_sweep_config_takes_axes_and_fixed_values(tmp_path):
+    by_flags, by_config = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run("sweep", "--case", "iii", "--theta", "0.5", "2.5", "3", "--nbar-log", "-1", "0", "3",
+               "--tau", "1", "--out", str(by_flags)) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "iii", "theta": [0.5, 2.5, 3], "nbar_log": [-1, 0, 3],
+                               "tau": 1, "out": str(by_config)}))
+    assert run("sweep", "--config", str(cfg)) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
 
 
 def test_sweep_deterministic_and_well_formed(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ergoflux as ef
-from ergoflux.dynamics import BLOCH_TOL
+from ergoflux.dynamics import BLOCH_TOL, HBAR
 
 # ---------------------------------------------------------------- strategies
 
@@ -93,8 +93,15 @@ def test_units_roundtrip():
     u = ef.Units(gamma=2.0e6, omega0=2 * math.pi * 5e9)
     assert u.time_dimensionless(u.time_seconds(3.5)) == pytest.approx(3.5)
     assert u.energy_joules(1.0) == pytest.approx(1.0545718176461565e-34 * 2 * math.pi * 5e9, rel=1e-9)
+    assert u.power_watts(1.0) == pytest.approx(1.0545718176461565e-34 * 2 * math.pi * 5e9 * 2.0e6, rel=1e-9)
     with pytest.raises(ValueError):
         ef.Units(gamma=0.0, omega0=1.0)
+
+
+def test_hbar_is_the_si_value():
+    from scipy import constants
+
+    assert HBAR == constants.hbar
 
 
 # ------------------------------------------------------------------- drives

@@ -1,0 +1,30 @@
+"""Smoke test of scripts/make_figure_data.py on its closed-form panel families."""
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
+
+
+@pytest.mark.parametrize(
+    "family, written",
+    [
+        ("continuous", {"continuous_map.csv": "256 rows", "continuous_cuts.csv": "31 rows"}),
+        ("spontaneous", {"spontaneous_theta.csv": "51 rows"}),
+        ("husimi", {f"husimi_theta_{tag}.csv": "26x26" for tag in ("quarter", "half", "pi")}),
+        ("pulsed", {"pulsed_map.csv": "256 rows", "pulsed_cuts.csv": "51 rows"}),
+    ],
+)
+def test_fast_family_writes_its_files(family, written, tmp_path, monkeypatch, capsys):
+    argv = [str(SCRIPT), "--fast", "--only", family, "--outdir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"wrote {tmp_path / name} ({size})" for name, size in written.items()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+    for name, size in written.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        n_rows = int(size.split()[0]) if size.endswith("rows") else int(size.split("x")[0])
+        assert len(lines) == n_rows + 1  # header or Re(alpha) row
