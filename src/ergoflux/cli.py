@@ -59,6 +59,12 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _rows(table: np.ndarray) -> list[str]:
+    """The rows of a 2-D float table as CSV lines, each value formatted as `_fmt` does."""
+    row = ",".join(["%.12g"] * table.shape[1])
+    return [row % tuple(values) for values in table.tolist()]
+
+
 def _write_lines(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
@@ -69,7 +75,10 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that converts to a float; an integer past the float range does not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
 # JSON type a config value must have, as its flag takes it
@@ -117,6 +126,28 @@ def _merge(args: argparse.Namespace, defaults: dict, axes=()) -> dict:
         else:
             out[key] = default
     return out
+
+
+def _named(args: argparse.Namespace, key: str) -> str:
+    """A parameter as an error names it: its flag if one was given, else its config key."""
+    if getattr(args, key, None) is not None:
+        return "--" + key.replace("_", "-")
+    return f"config key {key!r}"
+
+
+# the most float64 values one array can hold
+_MAX_POINTS = sys.maxsize // 8
+
+
+def _point_count(num, name: str, least: int) -> int:
+    """The point count NUM of a (min max num) spec: a whole number from ``least`` on."""
+    if not (math.isfinite(num) and num == math.floor(num)):
+        raise _CliError(f"{name} NUM must be a whole number, got {num}")
+    if num < least:
+        raise _CliError(f"{name} needs at least {least} point{'s' if least > 1 else ''}")
+    if num > _MAX_POINTS:
+        raise _CliError(f"{name} asks for {num:g} points, more than an array can hold")
+    return int(num)
 
 
 def _require(params: dict, keys: list[str], context: str) -> None:
@@ -194,21 +225,23 @@ _SWEEP_DEFAULTS = {
 _AXIS_PRIORITY = ("theta", "p", "ndot", "nbar", "tau")
 
 
-def _axis_or_fixed(name: str, spec, log: bool):
-    """A 3-number spec is an axis (min max num); a single number is fixed."""
+def _axis_or_fixed(name: str, spec, log: bool, label: str):
+    """A 3-number spec is an axis (min max num); a single number is fixed.
+
+    ``label`` names the spec in errors.
+    """
     if spec is None:
         return None, None
     vals = list(spec) if isinstance(spec, (list, tuple)) else [spec]
     if len(vals) == 1:
         if log:
-            raise _CliError(f"--{name}-log needs exactly 3 values: min max num")
+            raise _CliError(f"{label} needs exactly 3 values: min max num")
         return None, float(vals[0])
     if len(vals) != 3:
-        raise _CliError(f"--{name} takes 1 value (fixed) or 3 (min max num)")
-    lo, hi, num = float(vals[0]), float(vals[1]), int(vals[2])
-    if num < 2:
-        raise _CliError(f"--{name} axis needs at least 2 points")
-    with np.errstate(over="ignore"):  # values past the float range become inf; sweep flags them
+        raise _CliError(f"{label} takes 1 value (fixed) or 3 (min max num)")
+    lo, hi, num = float(vals[0]), float(vals[1]), _point_count(vals[2], label, 2)
+    # values past the float range become inf or NaN; sweep flags them
+    with np.errstate(over="ignore", invalid="ignore"):
         grid = np.logspace(lo, hi, num) if log else np.linspace(lo, hi, num)
     return SweepAxis(name=name, values=grid), None
 
@@ -225,8 +258,8 @@ def _cmd_sweep(args) -> int:
         log = par.get(f"{name}_log")
         if lin is not None and log is not None:
             raise _CliError(f"--{name} and --{name}-log are mutually exclusive")
-        spec, is_log = (log, True) if log is not None else (lin, False)
-        axis, value = _axis_or_fixed(name, spec, is_log)
+        key = f"{name}_log" if log is not None else name
+        axis, value = _axis_or_fixed(name, par[key], log is not None, _named(args, key))
         if axis is not None:
             axes[name] = axis
         elif value is not None:
@@ -238,21 +271,10 @@ def _cmd_sweep(args) -> int:
     grid = SweepGrid(scenario=case, axis1=axes[names[0]], axis2=axes[names[1]], fixed=fixed)
     result = sweep(grid)
 
+    v1, v2 = np.meshgrid(grid.axis1.values, grid.axis2.values, indexing="ij")
+    cols = (v1, v2, result.work, result.eta, result.tau_opt, result.flag)
     lines = [_UNITS_COMMENT, f"{names[0]},{names[1]},work,yield,tau_opt,flag"]
-    for i, v1 in enumerate(grid.axis1.values):
-        for j, v2 in enumerate(grid.axis2.values):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(v1),
-                        _fmt(v2),
-                        _fmt(result.work[i, j]),
-                        _fmt(result.eta[i, j]),
-                        _fmt(result.tau_opt[i, j]),
-                        _fmt(result.flag[i, j]),
-                    ]
-                )
-            )
+    lines += _rows(np.column_stack([c.ravel() for c in cols]))
     _write_lines(par["out"], lines)
     return 0
 
@@ -318,19 +340,20 @@ _HUSIMI_DEFAULTS = {
 def _cmd_husimi(args) -> int:
     par = _merge(args, _HUSIMI_DEFAULTS)
     _require(par, ["theta"], "husimi")
+    axes = []
     for name in ("re", "im"):
+        label = _named(args, name)
         if len(par[name]) != 3:
-            raise _CliError(f"--{name} takes 3 values: min max num")
-    re = np.linspace(float(par["re"][0]), float(par["re"][1]), int(par["re"][2]))
-    im = np.linspace(float(par["im"][0]), float(par["im"][1]), int(par["im"][2]))
-    grid = husimi(output_state(float(par["theta"])), re, im)
+            raise _CliError(f"{label} takes 3 values: min max num")
+        lo, hi, num = par[name]
+        axes.append(np.linspace(float(lo), float(hi), _point_count(num, label, 1)))
+    grid = husimi(output_state(float(par["theta"])), *axes)
 
     lines = [
         "# husimi overlap <alpha|rho|alpha>; rows: Im(alpha); columns: Re(alpha)",
-        ",".join(["q"] + [_fmt(x) for x in grid.re]),
+        "q," + _rows(grid.re[None, :])[0],
     ]
-    for i, y in enumerate(grid.im):
-        lines.append(",".join([_fmt(y)] + [_fmt(v) for v in grid.q[i]]))
+    lines += _rows(np.column_stack([grid.im, grid.q]))
     _write_lines(par["out"], lines)
     return 0
 

@@ -252,17 +252,18 @@ def _drive_start(rabi, gamma: float, co: AnalyticCoefficients):
     return 0.5 + (co.pc + 0.5 * gamma * s0) / rabi, s0
 
 
-def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=None):
+def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=None, at=None):
     """Closed-form work W(tau) of a constant drive and the dipole s(tau) it ends on.
 
     ``co`` and ``basis`` come from `dynamics._coefficients` and
     `dynamics._transient_basis`; ``tau``, ``rabi`` and the coefficients are
     floats, or arrays with one entry per cell.  ``start`` is `_drive_start`,
-    which a caller that evaluates one drive many times passes in.  See
-    `square_drive_work_fn`.
+    which a caller that evaluates one drive many times passes in, and ``at``
+    is ``basis.at(tau)``, which a caller that holds it already passes in.
+    See `square_drive_work_fn`.
     """
     p0, s0 = _drive_start(rabi, gamma, co) if start is None else start
-    ec, es = basis.at(tau)
+    ec, es = basis.at(tau) if at is None else at
     s = co.a * ec + co.b * es + co.c
     p = 0.5 + (co.pc * ec + co.ps * es + 0.5 * gamma * s) / rabi
     det = rabi * rabi + 0.5 * gamma * gamma  # det A

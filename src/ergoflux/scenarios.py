@@ -32,6 +32,7 @@ from .dynamics import (
 )
 from .energetics import (
     EnergeticsTrace,
+    _drive_start,
     _drive_work,
     _ergotropy,
     accumulate,
@@ -80,6 +81,12 @@ _BLOCK_KNOTS = 1 << 16
 _MAX_STEPS = 64
 # a bracket narrower than _XTOL + _RTOL * t holds its root (brentq's defaults)
 _XTOL, _RTOL = 1e-14, 8.9e-16
+# a bracket whose work bound lies below a cell's floor by more than
+# _PRUNE_TOL * max(1, floor) is not refined.  The terms of W and of the bound
+# are of order 1 + gamma * t_max <= 21, so each carries a rounding error of a
+# few 1e-15; the margin keeps every pruned bracket's computed work strictly
+# below the computed best, so pruning changes no result
+_PRUNE_TOL = 1e-12
 
 
 def _illinois(dipole, lo, hi, flo, fhi, cell):
@@ -111,12 +118,14 @@ def _illinois(dipole, lo, hi, flo, fhi, cell):
     return root, cell
 
 
-def _search_group(rabi, gamma, t_max, co, basis):
-    """The search of `optimal_square_work` on cells that share the sign of k.
+def _knots(gamma, t_max, co, basis):
+    """Where the search of cells that share the sign of k looks for brackets.
 
-    Returns (tau, work, ok) per cell.
+    The knots of a cell are 0, the dipole extrema first + j * period for
+    j < count, then the horizon; s is monotone between consecutive knots.
+    Returns (first, period, horizon, size, ok) per cell: ``size`` knots, none
+    for a cell with a zero horizon or with ``ok`` false.
     """
-    m = rabi.size
     with np.errstate(divide="ignore", invalid="ignore"):
         # For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
         # w = max(sqrt|k|, gamma / 2) (sqrt|k| < gamma / 4 when k < 0), so the
@@ -137,19 +146,39 @@ def _search_group(rabi, gamma, t_max, co, basis):
     # other, so such a cell cannot be searched in double precision
     ok = count <= 2.0**52
     period = np.where(np.isfinite(basis.period), basis.period, 0.0)
-
-    def dipole(t, cell):
-        ec, es = basis.take(cell).at(t)
-        return co.a[cell] * ec + co.b[cell] * es + co.c[cell]
-
-    # knots of a cell: 0, the extrema first + j * period, then the horizon
     size = np.where(ok & (horizon > 0.0), count + 2.0, 0.0).astype(np.intp)
+    return first, period, horizon, size, ok
+
+
+def _work_bound(w_lo, lo, hi, s_lo, rabi, gamma):
+    """An upper bound on the work at the root r of a bracket [lo, hi] of the dipole.
+
+    The dipole falls from s(lo) = ``s_lo`` > 0 to r, and W' = s (rabi + gamma s)
+    grows with s > 0, so W(lo) < W(r) <= W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo)).
+    """
+    return w_lo + (hi - lo) * s_lo * (rabi + gamma * s_lo)
+
+
+def _search_group(rabi, gamma, t_max, co, basis):
+    """The search of `optimal_square_work` on cells that share the sign of k.
+
+    Returns (tau, work, ok) per cell.
+    """
+    m = rabi.size
+    first, period, horizon, size, ok = _knots(gamma, t_max, co, basis)
+
     ends = np.cumsum(size)
     starts = ends - size
     tau, work = np.zeros(m), np.zeros(m)
-    # each window also takes the first knot of the next, so no bracket is cut
-    for lo in range(0, int(ends[-1]) - 1 if m else 0, _BLOCK_KNOTS):
-        g = np.arange(lo, min(lo + _BLOCK_KNOTS + 1, ends[-1]))
+
+    def value(ec, es, cell):
+        return co.a[cell] * ec + co.b[cell] * es + co.c[cell]
+
+    def dipole(t, cell):
+        return value(*basis.take(cell).at(t), cell)
+
+    def search_window(g):
+        """Search the knots ``g``, carrying tau, work and ok of their cells."""
         cell = np.searchsorted(ends, g, side="right")
         j = g - starts[cell]
         t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
@@ -157,11 +186,25 @@ def _search_group(rabi, gamma, t_max, co, basis):
 
         # W' = s (rabi + gamma s) and rabi + gamma s > 0, so only downward
         # crossings of the dipole are interior maxima of the work
-        f = dipole(t, cell)
+        ec, es = basis.take(cell).at(t)
+        f = value(ec, es, cell)
         b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
-        roots, stuck = _illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], cell[b])
-        cell = cell[b]
-        w = _drive_work(roots, rabi[cell], gamma, co.take(cell), basis.take(cell))[0]
+        t_lo, t_hi, s_lo, cell, ec, es = t[b], t[b + 1], f[b], cell[b], ec[b], es[b]
+
+        # the floor (tau = 0, earlier windows, every W(lo)) lies below the
+        # cell's best, so a bracket bounded below it cannot hold the first
+        # maximum; a NaN bound keeps its bracket
+        part = co.take(cell)
+        start = _drive_start(rabi[cell], gamma, part)
+        w_lo = _drive_work(t_lo, rabi[cell], gamma, part, None, start, at=(ec, es))[0]
+        bound = _work_bound(w_lo, t_lo, t_hi, s_lo, rabi[cell], gamma)
+        floor = work.copy()
+        np.fmax.at(floor, cell, w_lo)
+        keep = np.flatnonzero(~(bound < floor[cell] - _PRUNE_TOL * np.maximum(floor[cell], 1.0)))
+        b, cell, start = b[keep], cell[keep], (start[0][keep], start[1][keep])
+
+        roots, stuck = _illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], cell)
+        w = _drive_work(roots, rabi[cell], gamma, part.take(keep), basis.take(cell), start)[0]
         ok[stuck] = ok[cell[~np.isfinite(w)]] = False
 
         # the first strict maximum over tau = 0 (W = 0) and the crossings in
@@ -171,6 +214,10 @@ def _search_group(rabi, gamma, t_max, co, basis):
         hit = np.flatnonzero((w > work[cell]) & (w == best[cell]))
         winners, first_hit = np.unique(cell[hit], return_index=True)
         tau[winners], work[winners] = roots[hit[first_hit]], w[hit[first_hit]]
+
+    # each window also takes the first knot of the next, so no bracket is cut
+    for lo in range(0, int(ends[-1]) - 1 if m else 0, _BLOCK_KNOTS):
+        search_window(np.arange(lo, min(lo + _BLOCK_KNOTS + 1, ends[-1])))
     return tau, work, ok
 
 
@@ -182,7 +229,11 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     Candidates are tau = 0 and the downward zero crossings of the dipole on
     (0, 20/gamma], bracketed by its closed-form extrema and refined by
     `_illinois`; the dipole settles to a strictly negative value, so the
-    work decreases at late times.  Returns arrays (tau, work) of the
+    work decreases at late times.  A bracket [lo, hi] is refined only if
+    its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo)) on the work at
+    its root reaches the cell's floor, the best of 0, the work of earlier
+    knot windows and every W(lo), less `_PRUNE_TOL`; the result is the one
+    refining every bracket gives.  Returns arrays (tau, work) of the
     broadcast shape.  A cell holds NaN when p or theta is out of range,
     rabi is not positive with a finite square, a bracket did not converge,
     or the cell has more than 2^52 extrema to search.
@@ -451,10 +502,11 @@ def sweep(grid: SweepGrid) -> SweepResult:
         c = np.flatnonzero(ok)
         work[c] = _pulsed_work(p[c], theta[c], nbar[c], tau[c], gamma)
 
-    w_max = _ergotropy(p, theta)
-    ok &= np.isfinite(work) & (work <= w_max + _BOUND_TOL)
+    # a non-finite theta gives a NaN ergotropy, and its cell is flagged
     with np.errstate(divide="ignore", invalid="ignore"):
+        w_max = _ergotropy(p, theta)
         eta = np.where(w_max == 0.0, np.nan, work / w_max)
+    ok &= np.isfinite(work) & (work <= w_max + _BOUND_TOL)
     work[~ok] = eta[~ok] = tau_opt[~ok] = np.nan
     return SweepResult(
         grid=grid,

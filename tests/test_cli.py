@@ -190,6 +190,140 @@ def test_sweep_config_takes_axes_and_fixed_values(tmp_path):
     assert by_config.read_bytes() == by_flags.read_bytes()
 
 
+_SWEEP_III = ["sweep", "--case", "iii", "--nbar-log", "-1", "1", "2", "--tau", "1", "--out", "-"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SWEEP_III + ["--theta", "0", "3", "2.7"], "--theta NUM must be a whole number, got 2.7"),
+        (_SWEEP_III + ["--theta", "0", "3", "nan"], "--theta NUM must be a whole number, got nan"),
+        (_SWEEP_III + ["--theta", "0", "3", "inf"], "--theta NUM must be a whole number, got inf"),
+        (_SWEEP_III + ["--theta", "0", "3", "1e30"], "--theta asks for 1e+30 points, more than an array can hold"),
+        (["sweep", "--case", "i", "--theta", "0", "3", "3", "--ndot-log", "-1", "1", "4.5", "--out", "-"],
+         "--ndot-log NUM must be a whole number, got 4.5"),
+        (["husimi", "--theta", "1", "--re", "-1", "1", "2.9"], "--re NUM must be a whole number, got 2.9"),
+        (["husimi", "--theta", "1", "--im", "-1", "1", "nan"], "--im NUM must be a whole number, got nan"),
+        (["husimi", "--theta", "1", "--im", "-1", "1", "1e19"], "--im asks for 1e+19 points, more than an array can hold"),
+        (["husimi", "--theta", "1", "--re", "-1", "1", "0"], "--re needs at least 1 point"),
+    ],
+)
+def test_point_count_must_be_whole_and_names_the_flag(argv, message, capsys):
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("sweep", {"case": "iii", "theta": [0, 3, 2.7], "nbar_log": [-1, 1, 2], "tau": 1, "out": "-"},
+         "config key 'theta' NUM must be a whole number, got 2.7"),
+        ("sweep", {"case": "iii", "theta": [0, 3, 3], "nbar_log": [-1, 1, 1e30], "tau": 1, "out": "-"},
+         "config key 'nbar_log' asks for 1e+30 points, more than an array can hold"),
+        ("husimi", {"theta": 1.0, "im": [-1, 1, 2.5]}, "config key 'im' NUM must be a whole number, got 2.5"),
+    ],
+)
+def test_point_count_from_config_names_the_key(command, config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_whole_float_point_counts_are_taken(tmp_path, capsys):
+    # a config count written as 3.0 is the count 3, as a flag always is
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 1.0, "re": [-1, 1, 3.0], "im": [0, 1, 2]}))
+    assert run("husimi", "--config", str(cfg)) == 0
+    by_config = capsys.readouterr().out
+    assert run("husimi", "--theta", "1", "--re", "-1", "1", "3", "--im", "0", "1", "2") == 0
+    assert capsys.readouterr().out == by_config
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("scenario", {"case": "ii", "theta": _HUGE}, "theta"),
+        ("scenario", {"case": "ii", "theta": 1.0, "p": -_HUGE}, "p"),
+        ("sweep", {"case": "i", "theta": [0, 1, _HUGE], "ndot": 1.0, "out": "-"}, "theta"),
+        ("sweep", {"case": "i", "theta": [0, 1, 3], "ndot_log": [-1, _HUGE, 2], "out": "-"}, "ndot_log"),
+        ("husimi", {"theta": 1.0, "re": [-1, 1, _HUGE]}, "re"),
+        ("optimize", {"theta": 1.0, "nbar": 0.1, "nodes": _HUGE}, "nodes"),
+        ("verify", {"suite": "scale-invariance", "epsilon": _HUGE}, "epsilon"),
+    ],
+)
+def test_config_integer_past_the_float_range_names_the_key(command, config, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} must be ")
+    assert err.count("\n") == 1
+
+
+def _per_value_csv(head, rows):
+    return "\n".join(head + [",".join(cli._fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def test_rows_format_like_fmt():
+    table = np.array([[math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1e-300, 123456789.123456789]])
+    assert cli._rows(table) == [",".join(cli._fmt(v) for v in table[0])]
+    assert cli._rows(table) == ["nan,inf,-inf,-0,0,1,1e-300,123456789.123"]
+
+
+with np.errstate(over="ignore", invalid="ignore"):
+    _CSV_CASES = [
+        # cells flagged for theta past pi and a negative rate, NaN yields of passive cells, -0.0
+        ({"case": "i", "theta": [3.5, -0.0, 5], "ndot": [-1, 100, 4], "p": 0.5},
+         ("theta", np.linspace(3.5, -0.0, 5)), ("ndot", np.linspace(-1, 100, 4)), {"p": 0.5},
+         ["\n-0,", ",nan,", ",1\n", ",0\n"]),
+        ({"case": "i", "theta": [0.0, 3.0, 4], "ndot_log": [-2, 2, 5]},
+         ("theta", np.linspace(0.0, 3.0, 4)), ("ndot", np.logspace(-2, 2, 5)), {}, [",0\n"]),
+        # axes past the float range: NaN, -inf and inf values
+        ({"case": "iii", "theta": [1.0, -math.inf, 3], "nbar_log": [300, 310, 3], "tau": 1.0},
+         ("theta", np.linspace(1.0, -math.inf, 3)), ("nbar", np.logspace(300, 310, 3)), {"tau": 1.0},
+         ["\nnan,", "\n-inf,", ",inf,"]),
+        ({"case": "ii", "theta": [-1e308, 1e308, 3], "p": [0.0, 0.5, 3]},
+         ("theta", np.linspace(-1e308, 1e308, 3)), ("p", np.linspace(0.0, 0.5, 3)), {},
+         ["\nnan,", "\ninf,", "\n1e+308,"]),
+    ]
+
+
+@pytest.mark.parametrize("config, axis1, axis2, fixed, marks", _CSV_CASES)
+def test_sweep_csv_is_per_value_formatting(config, axis1, axis2, fixed, marks, tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({**config, "out": str(out)}))
+    assert run("sweep", "--config", str(cfg)) == 0
+    grid = ef.SweepGrid(scenario=config["case"], axis1=ef.SweepAxis(*axis1), axis2=ef.SweepAxis(*axis2),
+                        fixed=fixed)
+    res = ef.sweep(grid)
+    rows = [
+        (v1, v2, res.work[i, j], res.eta[i, j], res.tau_opt[i, j], res.flag[i, j])
+        for i, v1 in enumerate(axis1[1])
+        for j, v2 in enumerate(axis2[1])
+    ]
+    head = [cli._UNITS_COMMENT, f"{axis1[0]},{axis2[0]},work,yield,tau_opt,flag"]
+    text = out.read_text(encoding="utf-8")
+    assert text == _per_value_csv(head, rows)
+    assert all(mark in text for mark in marks)
+
+
+def test_husimi_csv_is_per_value_formatting(tmp_path):
+    # -0.0 ends the Im axis, and overlaps far from the origin underflow to 0
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"theta": 2.0, "re": [-30.0, 30.0, 5], "im": [1.0, -0.0, 4], "out": str(out)}))
+    assert run("husimi", "--config", str(cfg)) == 0
+    grid = ef.husimi(ef.output_state(2.0), np.linspace(-30.0, 30.0, 5), np.linspace(1.0, -0.0, 4))
+    head = ["# husimi overlap <alpha|rho|alpha>; rows: Im(alpha); columns: Re(alpha)",
+            ",".join(["q"] + [cli._fmt(x) for x in grid.re])]
+    text = out.read_text(encoding="utf-8")
+    assert text == _per_value_csv(head, [[y, *grid.q[i]] for i, y in enumerate(grid.im)])
+    assert "\n-0," in text and ",0," in text
+
+
 def test_sweep_deterministic_and_well_formed(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = (

@@ -140,6 +140,137 @@ def test_stop_search_marks_cells_it_cannot_search():
         ef.optimal_square_work(0.0, 1.0, 1.0, math.nan)
 
 
+# ------------------------------------------------- pruned stopping-time search
+
+
+def _every_bracket(p, theta, rabi, gamma):
+    """Every bracket of the stopping-time search, refined; arrays over all brackets.
+
+    Returns the bracket cells, ends, s(lo), W(lo), roots and W(root), and
+    per cell whether its search can be trusted.  Cells must be valid.
+    """
+    from ergoflux.dynamics import _basis_groups, _coefficients
+    from ergoflux.energetics import _drive_work
+
+    p, theta, rabi = (np.ravel(v).astype(float) for v in np.broadcast_arrays(p, theta, rabi))
+    out, ok = {}, np.ones(p.size, dtype=bool)
+    for cells, part, basis in _basis_groups(_coefficients(p, theta, rabi, gamma), 0.75 * gamma):
+        t_max = np.full(cells.size, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi[cells]
+        first, period, horizon, size, ok_part = scenarios._knots(gamma, t_max, part, basis)
+        cell = np.repeat(np.arange(cells.size), size)
+        j = np.arange(cell.size) - np.repeat(np.cumsum(size) - size, size)
+        t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
+        t[j == 0] = 0.0
+
+        def dipole(x, c):
+            ec, es = basis.take(c).at(x)
+            return part.a[c] * ec + part.b[c] * es + part.c[c]
+
+        f = dipole(t, cell)
+        b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
+        c = cell[b]
+        roots, stuck = scenarios._illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], c)
+        r, co, bc = rabi[cells][c], part.take(c), basis.take(c)
+        new = {
+            "cell": cells[c], "lo": t[b], "hi": t[b + 1], "s_lo": f[b], "rabi": r, "root": roots,
+            "w_lo": _drive_work(t[b], r, gamma, co, bc)[0], "w": _drive_work(roots, r, gamma, co, bc)[0],
+        }
+        for key, v in new.items():
+            out[key] = np.concatenate([out.get(key, []), v])
+        ok_part[stuck] = False
+        ok[cells] = ok_part
+    out["cell"] = out["cell"].astype(np.intp)
+    return out, ok
+
+
+def _refine_every_bracket(p, theta, rabi, gamma):
+    """`optimal_square_work` by the rule before pruning: refine every bracket,
+    then take the first strict maximum over tau = 0 and the roots in time order."""
+    br, ok = _every_bracket(p, theta, rabi, gamma)
+    tau, work = np.zeros(ok.size), np.zeros(ok.size)
+    for c, root, w in zip(br["cell"], br["root"], br["w"]):
+        if w > work[c]:
+            tau[c], work[c] = root, w
+        ok[c] &= bool(np.isfinite(w))
+    return np.where(ok, tau, np.nan), np.where(ok, work, np.nan)
+
+
+def _random_cells(seed, n, log_ratio):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 0.5, n), rng.uniform(0.0, math.pi, n), 2.0 * np.sqrt(10.0 ** rng.uniform(*log_ratio, n))
+
+
+_CRITICAL = 0.25 * (1.0 + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9]))
+
+_SEARCH_CASES = {
+    # both damping regimes: k < 0 below ratio 1/64, k > 0 above
+    "random": (*_random_cells(1, 3000, (-3.0, 4.0)), 1.0),
+    "undamped": (*_random_cells(2, 500, (-2.0, 3.0)), 0.0),
+    # rabi = gamma / 4, where the damping changes kind, and a hair to either side
+    "critical": (*_random_cells(3, 5, (0.0, 0.0))[:2], _CRITICAL, 1.0),
+    "passive": (np.array([0.5, 0.5, 0.0, 0.2]), np.array([2.0, 0.3, 0.0, 0.0]), np.array([0.1, 200.0, 3.0, 20.0]), 1.0),
+    "strong": (*_random_cells(4, 60, (3.9, 4.1)), 1.0),
+    "other gamma": (*_random_cells(5, 300, (-1.0, 3.0)), 2.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEARCH_CASES))
+def test_pruned_search_is_bit_identical_to_refining_every_bracket(name):
+    p, theta, rabi, gamma = _SEARCH_CASES[name]
+    got = ef.optimal_square_work(p, theta, rabi, gamma)
+    want = _refine_every_bracket(p, theta, rabi, gamma)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+    assert not np.isnan(got[1]).any()
+
+
+def test_pruned_search_is_bit_identical_across_knot_windows(monkeypatch):
+    # strong cells span many knot windows, so brackets are pruned against
+    # the work carried from earlier windows
+    p, theta, rabi = (np.concatenate(v) for v in zip(_random_cells(6, 8, (3.9, 4.1)), _random_cells(7, 8, (-2, 2))))
+    want = _refine_every_bracket(p, theta, rabi, 1.0)
+    for knots, cells in [(1, 1), (2, 3), (7, 1 << 13), (64, 5)]:
+        monkeypatch.setattr(scenarios, "_BLOCK_KNOTS", knots)
+        monkeypatch.setattr(scenarios, "_BLOCK_CELLS", cells)
+        got = ef.optimal_square_work(p, theta, rabi, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (knots, cells)
+
+
+@given(active_preparations, st.floats(min_value=1e-3, max_value=3e4), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+@settings(max_examples=60)
+def test_work_bound_holds_on_every_bracket(prep, ratio, gamma):
+    # W(lo) < W(root) <= W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo)), up to
+    # rounding well inside the pruning margin
+    br, _ = _every_bracket(prep.p, prep.theta, 2.0 * math.sqrt(ratio), gamma)
+    bound = scenarios._work_bound(br["w_lo"], br["lo"], br["hi"], br["s_lo"], br["rabi"], gamma)
+    slack = 0.25 * scenarios._PRUNE_TOL
+    assert (br["w"] <= bound + slack).all()
+    assert (br["w"] >= br["w_lo"] - slack).all()
+
+
+def test_a_nan_bound_prunes_nothing(monkeypatch):
+    # a NaN start state gives NaN work at every W(lo) and every root; the
+    # brackets must still be refined, so the cells fail instead of reading 0
+    monkeypatch.setattr(scenarios, "_drive_start", lambda rabi, gamma, co: (np.nan * rabi, np.nan * rabi))
+    tau, work = ef.optimal_square_work(0.0, np.array([1.0, 2.5]), np.array([3.0, 30.0]), 1.0)
+    assert np.isnan(tau).all() and np.isnan(work).all()
+
+
+def test_most_brackets_are_pruned_on_the_case_i_map(monkeypatch):
+    theta, ndot = np.meshgrid(np.linspace(0.0, math.pi, 61), np.logspace(-2, 4, 61), indexing="ij")
+    total = _every_bracket(0.0, theta, 2.0 * np.sqrt(ndot), 1.0)[0]["root"].size
+    refined = []
+
+    def counting(dipole, lo, *rest):
+        refined.append(lo.size)
+        return illinois(dipole, lo, *rest)
+
+    illinois = scenarios._illinois
+    monkeypatch.setattr(scenarios, "_illinois", counting)
+    ef.optimal_square_work(0.0, theta, 2.0 * np.sqrt(ndot), 1.0)
+    assert total > 1e5
+    assert sum(refined) < total / 3
+
+
 def test_continuous_is_continuous_across_critical_damping():
     # ratio 1/64 puts the drive at gamma = 4 rabi, where the damping changes kind
     rng = np.random.default_rng(64)
