@@ -518,6 +518,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a request too large to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except IntegrationAccuracyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,13 @@ Conventions used throughout the package:
   runs at different absolute scales,
 * energies and powers are in units of (hbar * omega0); the transition
   frequency never enters the rotating-frame equations of motion,
-* the drive is resonant with a fixed phase, which keeps the dipole amplitude
-  real for any state produced by `prepare_initial`.
+* the drive is resonant with a fixed phase, so the rotating-frame dipole
+  amplitude s is real: a state is the pair (p_e, s) of floats.
 
 Under a constant drive the dipole has one closed form for every damping,
 s(t) = exp(-3 gamma t / 4) * (a C(t) + b S(t)) + c, whose basis C, S is
-entire in k = rabi^2 - gamma^2/16 (`SquarePulseSolution`).
+entire in k = rabi^2 - gamma^2/16 (`evolve_square_analytic`,
+`analytic_square_trajectory`).
 
 `Units` converts between nondimensional quantities and laboratory values at
 the I/O boundary.
@@ -85,81 +86,61 @@ class Preparation:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
 
-def _violation(p_e: float, s_re: float, s_im: float) -> float:
-    return max(-p_e, p_e - 1.0, s_re * s_re + s_im * s_im - p_e * (1.0 - p_e))
+def _violation(p_e: float, s: float) -> float:
+    return max(-p_e, p_e - 1.0, s * s - p_e * (1.0 - p_e))
 
 
 @dataclass(frozen=True)
 class QubitState:
-    """Excited population and rotating-frame dipole amplitude.
-
-    The dipole is stored as a complex number; every state generated from a
-    `Preparation` keeps it exactly real (the drive phase convention).
-    """
+    """Excited population and real rotating-frame dipole amplitude."""
 
     p_e: float
-    s_bar: complex
+    s_bar: float
 
     def __post_init__(self):
-        if _violation(self.p_e, self.s_bar.real, self.s_bar.imag) > BLOCH_TOL:
+        object.__setattr__(self, "s_bar", float(self.s_bar))  # TypeError for a non-real dipole
+        if _violation(self.p_e, self.s_bar) > BLOCH_TOL:
             raise ValueError(
                 f"state outside the Bloch ball: p_e={self.p_e}, s_bar={self.s_bar}"
             )
 
     @property
     def bloch_violation(self) -> float:
-        return _violation(self.p_e, self.s_bar.real, self.s_bar.imag)
+        return _violation(self.p_e, self.s_bar)
 
 
-def _clamped_state(p_e: float, s_re: float, s_im: float) -> tuple[float, float, float]:
-    """Pull a state back inside the Bloch ball, failing loudly past BLOCH_TOL."""
-    viol = _violation(p_e, s_re, s_im)
-    if viol > BLOCH_TOL:
-        raise IntegrationAccuracyError(
-            f"Bloch-ball violation {viol:.3e} exceeds tolerance {BLOCH_TOL:.0e}"
-        )
-    if viol <= 0.0:
-        return p_e, s_re, s_im
-    p_e = min(max(p_e, 0.0), 1.0)
-    cap = p_e * (1.0 - p_e)
-    m2 = s_re * s_re + s_im * s_im
-    if m2 > cap:
-        scale = math.sqrt(cap / m2) if m2 > 0.0 else 0.0
-        s_re *= scale
-        s_im *= scale
-    return p_e, s_re, s_im
+def _clamped_samples(p_e, s):
+    """Pull states (floats or arrays) back inside the Bloch ball.
 
-
-def _clamped_samples(p_e, s_re, s_im):
-    """`_clamped_state` for arrays of stored samples; a non-finite one is a failure."""
-    m2 = s_re * s_re + s_im * s_im
+    A state outside by more than BLOCH_TOL, or a non-finite one, raises
+    `IntegrationAccuracyError`.
+    """
+    m2 = s * s
     worst = float(np.max(np.maximum(np.maximum(-p_e, p_e - 1.0), m2 - p_e * (1.0 - p_e))))
     if not worst <= BLOCH_TOL:
         raise IntegrationAccuracyError(
             f"Bloch-ball violation {worst:.3e} exceeds tolerance {BLOCH_TOL:.0e}"
         )
     if worst <= 0.0:
-        return p_e, s_re, s_im
+        return p_e, s
     p_e = np.clip(p_e, 0.0, 1.0)
     cap = p_e * (1.0 - p_e)
     out = m2 > cap  # implies m2 > 0
     scale = np.where(out, np.sqrt(cap / np.where(out, m2, 1.0)), 1.0)
-    return p_e, s_re * scale, s_im * scale
+    return p_e, s * scale
 
 
 def prepare_initial(prep: Preparation) -> QubitState:
-    """Map a preparation onto (p_e, s_bar); the dipole comes out real."""
+    """Map a preparation onto (p_e, s_bar)."""
     w = 0.5 - prep.p
     p_e = 0.5 - w * math.cos(prep.theta)
     s = w * math.sin(prep.theta)
-    return QubitState(p_e=p_e, s_bar=complex(s, 0.0))
+    return QubitState(p_e=p_e, s_bar=s)
 
 
-def bloch_rhs(state: QubitState, rabi: float, gamma: float) -> tuple[float, complex]:
+def bloch_rhs(state: QubitState, rabi: float, gamma: float) -> tuple[float, float]:
     """Time derivative (dp_e/dt, ds_bar/dt) under drive ``rabi`` and decay ``gamma``."""
-    dp = -gamma * state.p_e - rabi * state.s_bar.real
-    ds = -0.5 * gamma * state.s_bar + rabi * (state.p_e - 0.5)
-    return dp, ds
+    return _rhs(state.p_e, state.s_bar, rabi, gamma)
 
 
 def free_decay(state: QubitState, gamma: float, dt: float) -> QubitState:
@@ -364,7 +345,7 @@ class Trajectory:
         return len(self.times)
 
     def state(self, i: int) -> QubitState:
-        return QubitState(p_e=float(self.p_e[i]), s_bar=complex(self.s_bar[i]))
+        return QubitState(p_e=float(self.p_e[i]), s_bar=float(self.s_bar[i]))
 
 
 # Steps composed per chunk and per block of the scan.  Both are fixed, so a
@@ -405,15 +386,6 @@ def _rk4_maps(oa, ob, oc, ga, gb, gc, h):
         p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
         s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s),
     ))
-
-
-def _decay_factors(ga, gb, gc, h):
-    """RK4 factor of one step of ds/dt = -(gamma/2) s, the uncoupled imaginary dipole."""
-    k1 = -0.5 * ga
-    k2 = -0.5 * gb * (1.0 + 0.5 * h * k1)
-    k3 = -0.5 * gb * (1.0 + 0.5 * h * k2)
-    k4 = -0.5 * gc * (1.0 + h * k3)
-    return 1.0 + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def _scan_block(maps, x0):
@@ -487,12 +459,10 @@ def evolve_numeric(
 
     The step must resolve the fastest scale: dt <= 0.01 * min(1/gamma,
     1/max(rabi)).  The RK4 steps are affine maps of the state, composed by
-    `_affine_scan`; the uncoupled imaginary part of the dipole is the
-    initial one times the running product of its per-step RK4 factor.  The
-    stored states are clamped back into the Bloch ball after integration,
-    so the clamp never feeds back into the next step; any of them outside
-    by more than BLOCH_TOL raises `IntegrationAccuracyError`.  The fixed
-    grid and scan layout make runs bit-reproducible.
+    `_affine_scan`.  The stored states are clamped back into the Bloch ball
+    after integration, so the clamp never feeds back into the next step; any
+    of them outside by more than BLOCH_TOL raises `IntegrationAccuracyError`.
+    The fixed grid and scan layout make runs bit-reproducible.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -522,24 +492,18 @@ def evolve_numeric(
             f"dt={h:.3e} too coarse for the fastest scale; need dt <= {limit:.3e}"
         )
 
-    s_bar = np.empty(n + 1, dtype=complex)
-    sr, si = s_bar.real, s_bar.imag
-    si[0] = state0.s_bar.imag
-
     def maps(lo, hi):
         ga, gb, gc = gamma * on_g[lo:hi], gamma * on_m[lo:hi], gamma * on_g[lo + 1 : hi + 1]
-        si[lo + 1 : hi + 1] = _decay_factors(ga, gb, gc, h)
         return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], ga, gb, gc, h)
 
-    p, sr[:] = _affine_scan(maps, n, (state0.p_e, state0.s_bar.real))
-    np.cumprod(si, out=si)
+    p, s = _affine_scan(maps, n, (state0.p_e, state0.s_bar))
     for lo in range(0, n + 1, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        p[block], sr[block], si[block] = _clamped_samples(p[block], sr[block], si[block])
+        p[block], s[block] = _clamped_samples(p[block], s[block])
     return Trajectory(
         times=times,
         p_e=p,
-        s_bar=s_bar,
+        s_bar=s,
         drive=drive,
         coupling=coupling,
         gamma=gamma,
@@ -654,6 +618,17 @@ def _coefficients(p, theta, rabi, gamma, xp=np) -> AnalyticCoefficients:
     return AnalyticCoefficients(a=a, b=b, c=c, k=k, pc=b - alpha * a, ps=-(alpha * b + k * a))
 
 
+def _drive_state(ec, es, rabi, gamma, co: AnalyticCoefficients):
+    """The state (p_e, s) of a constant drive from its damped basis values ``ec``, ``es``.
+
+    ``ec``, ``es`` are `_Basis.at` of the drive's time (1 and 0 at its
+    start); the population follows from the dipole's equation of motion,
+    p_e = 1/2 + (s' + gamma s / 2) / rabi.  Floats, or arrays per cell.
+    """
+    s = co.a * ec + co.b * es + co.c
+    return 0.5 + (co.pc * ec + co.ps * es + 0.5 * gamma * s) / rabi, s
+
+
 def _basis_groups(co: AnalyticCoefficients, alpha: float):
     """Split array coefficients by the sign of k: yields (cells, their coefficients, their basis)."""
     sign = np.sign(co.k)
@@ -672,49 +647,18 @@ def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> A
     return _coefficients(prep.p, prep.theta, rabi, gamma, math)
 
 
-class SquarePulseSolution:
-    """Closed-form dipole and population under a constant resonant drive."""
-
-    def __init__(self, prep: Preparation, rabi: float, gamma: float):
-        self.prep = prep
-        self.rabi = rabi
-        self.gamma = gamma
-        self.coefficients = co = square_pulse_coefficients(prep, rabi, gamma)
-        self.alpha = 0.75 * gamma
-        self._basis = _transient_basis(co.k, self.alpha)
-
-    def coherence(self, t):
-        """Dipole amplitude s(t); accepts scalars or arrays."""
-        co = self.coefficients
-        ec, es = self._basis.at(np.asarray(t, dtype=float))
-        out = co.a * ec + co.b * es + co.c
-        return float(out) if out.ndim == 0 else out
-
-    def coherence_rate(self, t):
-        """Time derivative of the dipole amplitude."""
-        co = self.coefficients
-        ec, es = self._basis.at(np.asarray(t, dtype=float))
-        out = co.pc * ec + co.ps * es
-        return float(out) if out.ndim == 0 else out
-
-    def excited_population(self, t):
-        """Population recovered from the dipole equation of motion."""
-        s = self.coherence(t)
-        ds = self.coherence_rate(t)
-        return 0.5 + (ds + 0.5 * self.gamma * s) / self.rabi
-
-    def state(self, t: float) -> QubitState:
-        p, sr, si = _clamped_state(
-            float(self.excited_population(t)), float(self.coherence(t)), 0.0
-        )
-        return QubitState(p_e=p, s_bar=complex(sr, si))
+def _square_states(prep: Preparation, rabi: float, gamma: float, t):
+    """Closed-form states (p_e, s) at the times ``t`` of a constant drive from t = 0."""
+    co = square_pulse_coefficients(prep, rabi, gamma)
+    return _drive_state(*_transient_basis(co.k, 0.75 * gamma).at(t), rabi, gamma, co)
 
 
 def evolve_square_analytic(prep: Preparation, rabi: float, gamma: float, t: float) -> QubitState:
     """State at time ``t`` under a constant drive switched on at t = 0."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    return SquarePulseSolution(prep, rabi, gamma).state(t)
+    p, s = _clamped_samples(*_square_states(prep, rabi, gamma, float(t)))
+    return QubitState(p_e=float(p), s_bar=float(s))
 
 
 # --------------------------- exact trajectory builders ---------------------------
@@ -731,14 +675,12 @@ def analytic_square_trajectory(
     """Constant-drive trajectory sampled from the closed form (no integration error)."""
     if num < 1:
         raise ValueError("num must be at least 1")
-    sol = SquarePulseSolution(prep, rabi, gamma)
     times = np.linspace(0.0, t_end, num) if num > 1 else np.array([0.0])
-    s = np.atleast_1d(sol.coherence(times))
-    p = np.atleast_1d(sol.excited_population(times))
+    p, s = _square_states(prep, rabi, gamma, times)
     return Trajectory(
         times=times,
         p_e=p,
-        s_bar=s.astype(complex),
+        s_bar=s,
         drive=SquarePulse(amplitude=rabi, duration=max(t_end, np.finfo(float).tiny)),
         coupling=coupling,
         gamma=gamma,

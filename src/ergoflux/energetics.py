@@ -4,14 +4,14 @@ All quantities are in units of (hbar * omega0) for energies and
 (hbar * omega0 * gamma) for powers.  The channel splits the outgoing flux into
 
 * work: the coherent part of the emission (stimulated + the interference of
-  spontaneous emission with itself through the dipole), rate
-  gamma*|s|^2 + rabi*Re(s),
-* heat: the incoherent remainder, rate gamma*(p_e - |s|^2), nonnegative for
+  spontaneous emission with itself through the real dipole s), rate
+  gamma*s^2 + rabi*s,
+* heat: the incoherent remainder, rate gamma*(p_e - s^2), nonnegative for
   any physical state.
 
 Their sum matches the energy the qubit loses, which `accumulate` checks on
 every trace it integrates.  Under a constant drive the work needs no trace:
-`square_drive_work_fn` gets it exactly from the end states of the drive.
+`square_drive_work` gets it exactly from the end states of the drive.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .dynamics import (
     Preparation,
     QubitState,
     Trajectory,
+    _drive_state,
     _transient_basis,
     square_pulse_coefficients,
 )
@@ -36,25 +37,15 @@ RESIDUAL_TOL = 1e-6
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def mean_energy(state: QubitState, rabi: float = 0.0, omega0: float | None = None) -> float:
-    """Mean qubit energy; under the canonical phase it is just the excited population.
-
-    With ``omega0`` given, includes the drive's dressing term
-    -(rabi/omega0)*Im(s), which vanishes identically for states whose dipole
-    stays real (any state descending from a `Preparation`).
-    """
-    e = state.p_e
-    if omega0 is not None:
-        if omega0 <= 0.0:
-            raise ValueError("omega0 must be positive")
-        e = e - (rabi / omega0) * state.s_bar.imag
-    return e
+def mean_energy(state: QubitState) -> float:
+    """Mean qubit energy: the excited population."""
+    return state.p_e
 
 
 def work_rate(state: QubitState, rabi: float, gamma: float) -> float:
     """Coherent (work-like) output power."""
-    m2 = abs(state.s_bar) ** 2
-    return gamma * m2 + rabi * state.s_bar.real
+    s = state.s_bar
+    return gamma * s * s + rabi * s
 
 
 def heat_rate(state: QubitState, gamma: float) -> float:
@@ -63,7 +54,7 @@ def heat_rate(state: QubitState, gamma: float) -> float:
     A state within BLOCH_TOL outside the ball is rounding noise (see
     `QubitState`), so its negative excess counts as zero heat.
     """
-    return gamma * max(state.p_e - abs(state.s_bar) ** 2, 0.0)
+    return gamma * max(state.p_e - state.s_bar * state.s_bar, 0.0)
 
 
 def ergotropy(prep: Preparation) -> float:
@@ -123,6 +114,15 @@ class EnergeticsTrace:
         return float(self.heat[-1]) + self.heat_tail
 
 
+def _tail_applies(traj: Trajectory, include_tail: bool | None) -> bool:
+    """``include_tail``, or for None: the drive is done, the coupling still on and gamma > 0."""
+    if include_tail is not None:
+        return include_tail
+    t_end = traj.times[-1]
+    off = traj.coupling.gamma_off_time
+    return t_end >= traj.drive.support_end() and (off is None or t_end < off) and traj.gamma > 0.0
+
+
 def accumulate(
     traj: Trajectory,
     include_tail: bool | None = None,
@@ -139,28 +139,23 @@ def accumulate(
     """
     t = traj.times
     p = np.asarray(traj.p_e, dtype=float)
-    sr = traj.s_bar.real
-    m2 = np.abs(traj.s_bar) ** 2
+    s = traj.s_bar
+    m2 = s * s
 
     on = traj.coupling.on_mask(t)
     om = np.where(on, traj.drive.rabi(t), 0.0)
     ga = np.where(on, traj.gamma, 0.0)
 
-    w_flux = ga * m2 + om * sr
+    w_flux = ga * m2 + om * s
     q_flux = ga * (p - m2)
     in_flux = np.asarray(traj.drive.photon_rate(t, gamma=traj.gamma), dtype=float)
     # total outgoing flux = input + net emission
-    out_flux = in_flux + ga * p + om * sr
+    out_flux = in_flux + ga * p + om * s
 
     work = _cumulative_trapezoid(w_flux, t)
     heat = _cumulative_trapezoid(q_flux, t)
 
-    if include_tail is None:
-        drive_done = t[-1] >= traj.drive.support_end()
-        off = traj.coupling.gamma_off_time
-        coupling_cut = off is not None and t[-1] >= off
-        include_tail = drive_done and not coupling_cut and traj.gamma > 0.0
-    if include_tail:
+    if _tail_applies(traj, include_tail):
         w_tail = float(m2[-1])
         q_tail = float(p[-1] - m2[-1])
     else:
@@ -224,22 +219,16 @@ class WorkSplit:
 def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
     """Integrate the two work channels separately (same conventions as `accumulate`)."""
     t = traj.times
-    sr = traj.s_bar.real
-    m2 = np.abs(traj.s_bar) ** 2
+    s = traj.s_bar
     on = traj.coupling.on_mask(t)
     om = np.where(on, traj.drive.rabi(t), 0.0)
     ga = np.where(on, traj.gamma, 0.0)
 
-    stim = float(_trapezoid(om * sr, t))
-    spon = float(_trapezoid(ga * m2, t))
+    stim = float(_trapezoid(om * s, t))
+    spon = float(_trapezoid(ga * (s * s), t))
 
-    if include_tail is None:
-        drive_done = t[-1] >= traj.drive.support_end()
-        off = traj.coupling.gamma_off_time
-        coupling_cut = off is not None and t[-1] >= off
-        include_tail = drive_done and not coupling_cut and traj.gamma > 0.0
-    if include_tail:
-        spon += float(m2[-1])
+    if _tail_applies(traj, include_tail):
+        spon += float(s[-1] * s[-1])
     return WorkSplit(w_stim=stim, w_sp=spon)
 
 
@@ -248,8 +237,7 @@ def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
 
 def _drive_start(rabi, gamma: float, co: AnalyticCoefficients):
     """The state (p_e, s) at the start of a constant drive."""
-    s0 = co.a + co.c
-    return 0.5 + (co.pc + 0.5 * gamma * s0) / rabi, s0
+    return _drive_state(1.0, 0.0, rabi, gamma, co)
 
 
 def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=None, at=None):
@@ -260,12 +248,10 @@ def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=
     floats, or arrays with one entry per cell.  ``start`` is `_drive_start`,
     which a caller that evaluates one drive many times passes in, and ``at``
     is ``basis.at(tau)``, which a caller that holds it already passes in.
-    See `square_drive_work_fn`.
+    See `square_drive_work`.
     """
     p0, s0 = _drive_start(rabi, gamma, co) if start is None else start
-    ec, es = basis.at(tau) if at is None else at
-    s = co.a * ec + co.b * es + co.c
-    p = 0.5 + (co.pc * ec + co.ps * es + 0.5 * gamma * s) / rabi
+    p, s = _drive_state(*(basis.at(tau) if at is None else at), rabi, gamma, co)
     det = rabi * rabi + 0.5 * gamma * gamma  # det A
     r2 = 2.0 * rabi * rabi
     d1 = p - p0
@@ -279,8 +265,8 @@ def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=
     return rabi * m2 + gamma_s2, s
 
 
-def square_drive_work_fn(prep: Preparation, rabi: float, gamma: float):
-    """Closed-form cumulative work under a constant drive, as a function of its duration.
+def square_drive_work(prep: Preparation, rabi: float, gamma: float, tau):
+    """Work emitted during a constant drive of duration ``tau`` (a float or an array).
 
     Returns W(tau) = rabi * int_0^tau s dt + gamma * int_0^tau s^2 dt,
     exact in both integrals; no free-decay tail is included.
@@ -292,18 +278,9 @@ def square_drive_work_fn(prep: Preparation, rabi: float, gamma: float):
     R = [y y^T]_0^tau - h m^T - m h^T.  Its s-s entry is solved in closed form
     in `_drive_work`; it is finite for every damping, gamma = 0 included.
     """
-    co = square_pulse_coefficients(prep, rabi, gamma)
-    basis = _transient_basis(co.k, 0.75 * gamma, math)
-    start = _drive_start(rabi, gamma, co)
-
-    def work(tau: float) -> float:
-        return _drive_work(tau, rabi, gamma, co, basis, start)[0]
-
-    return work
-
-
-def square_drive_work(prep: Preparation, rabi: float, gamma: float, tau: float) -> float:
-    """Work emitted during a constant drive of duration ``tau`` (no tail)."""
-    if tau < 0.0:
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau >= 0.0):
         raise ValueError("tau must be nonnegative")
-    return square_drive_work_fn(prep, rabi, gamma)(tau)
+    co = square_pulse_coefficients(prep, rabi, gamma)
+    work = _drive_work(tau, rabi, gamma, co, _transient_basis(co.k, 0.75 * gamma))[0]
+    return float(work) if work.ndim == 0 else work

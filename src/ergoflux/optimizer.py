@@ -245,7 +245,7 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
         return m
 
     state0 = prepare_initial(prep)
-    x = _affine_scan(maps, n, (state0.p_e, state0.s_bar.real))
+    x = _affine_scan(maps, n, (state0.p_e, state0.s_bar))
     s = x[1]
     with np.errstate(over="ignore", invalid="ignore"):  # huge states are reported below
         wv = on * s + gamma * s * s

@@ -216,9 +216,10 @@ def test_criterion_08_heat_positivity():
     n = 100_000
     pe = rng.uniform(0.0, 1.0, n)
     radius = np.sqrt(pe * (1.0 - pe)) * np.sqrt(rng.uniform(0.0, 1.0, n))
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    # the heat rate depends on s^2 alone, so a random sign covers the real dipole
+    sign = rng.choice([-1.0, 1.0], n)
     q_min = min(
-        ef.heat_rate(ef.QubitState(p_e=float(pe[k]), s_bar=complex(radius[k] * phase[k])), 1.0)
+        ef.heat_rate(ef.QubitState(p_e=float(pe[k]), s_bar=float(radius[k] * sign[k])), 1.0)
         for k in range(n)
     )
     ok = q_min >= 0.0
@@ -265,7 +266,7 @@ def _square_pulse_deviation(prep, rabi, t_end=10.0):
     ana = ef.analytic_square_trajectory(prep, rabi, 1.0, t_end, num=len(traj.times))
     return max(
         float(np.abs(ana.p_e - traj.p_e).max()),
-        float(np.abs(ana.s_bar.real - traj.s_bar.real).max()),
+        float(np.abs(ana.s_bar - traj.s_bar).max()),
     )
 
 

@@ -230,6 +230,14 @@ def test_point_count_from_config_names_the_key(command, config, message, tmp_pat
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_request_too_large_for_memory_exits_1(capsys):
+    # 1e15 points pass the count check, but numpy refuses the 7.11 PiB axis at once
+    assert run("husimi", "--theta", "1", "--re", "-1", "1", "1e15") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1
+
+
 def test_whole_float_point_counts_are_taken(tmp_path, capsys):
     # a config count written as 3.0 is the count 3, as a flag always is
     cfg = tmp_path / "cfg.json"

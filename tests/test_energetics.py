@@ -20,7 +20,7 @@ preparations = st.builds(
 )
 
 ball_states = st.builds(
-    lambda pe, r: ef.QubitState(p_e=pe, s_bar=complex(r * math.sqrt(pe * (1.0 - pe)), 0.0)),
+    lambda pe, r: ef.QubitState(p_e=pe, s_bar=r * math.sqrt(pe * (1.0 - pe))),
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=-1.0, max_value=1.0),
 )
@@ -30,7 +30,7 @@ ball_states = st.builds(
 
 
 def test_rates_hand_computed_point():
-    state = ef.QubitState(p_e=0.5, s_bar=0.5 + 0.0j)
+    state = ef.QubitState(p_e=0.5, s_bar=0.5)
     # W' = g*s^2 + O*s = 0.25 + 0.5 ; Q' = g*(p - s^2) = 0.25
     assert ef.work_rate(state, rabi=1.0, gamma=1.0) == pytest.approx(0.75)
     assert ef.heat_rate(state, gamma=1.0) == pytest.approx(0.25)
@@ -53,16 +53,27 @@ def test_square_drive_work_matches_quadrature(eps, tau, p, theta):
     gamma = 1.0
     rabi = gamma / eps
     prep = ef.Preparation(p=p, theta=theta)
-    sol = ef.SquarePulseSolution(prep, rabi, gamma)
 
     def flux(t):
-        s = float(sol.coherence(t))
+        s = ef.evolve_square_analytic(prep, rabi, gamma, t).s_bar
         return gamma * s * s + rabi * s
 
     expected, err = quad(flux, 0.0, tau, limit=2000, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-9
     got = ef.square_drive_work(prep, rabi, gamma, tau)
     assert got == pytest.approx(expected, abs=1e-9)
+
+
+def test_square_drive_work_on_an_array_is_elementwise():
+    prep = ef.Preparation(p=0.1, theta=2.0)
+    for rabi in (0.1, 0.25, 1.7):  # k < 0, k = 0 and k > 0
+        taus = np.array([0.0, 1e-9, 0.3, 2.0, 7.5, 40.0])
+        got = ef.square_drive_work(prep, rabi, 1.0, taus)
+        assert got.dtype == np.float64 and got.shape == taus.shape
+        for tau, w in zip(taus.tolist(), got.tolist()):
+            assert w == ef.square_drive_work(prep, rabi, 1.0, tau)
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        ef.square_drive_work(prep, 1.0, 1.0, np.array([0.5, -1e-12, 2.0]))
 
 
 def test_square_drive_work_without_damping():
@@ -77,16 +88,10 @@ def test_square_drive_work_without_damping():
 
 
 def test_mean_energy_is_population_under_canonical_phase():
-    state = ef.QubitState(p_e=0.37, s_bar=0.2 + 0.0j)
+    state = ef.QubitState(p_e=0.37, s_bar=0.2)
     assert ef.mean_energy(state) == pytest.approx(0.37)
-    assert ef.mean_energy(ef.QubitState(p_e=0.0, s_bar=0.0j)) == 0.0
-    assert ef.mean_energy(ef.QubitState(p_e=1.0, s_bar=0.0j)) == 1.0
-
-
-def test_mean_energy_drive_dressing_uses_imaginary_part():
-    state = ef.QubitState(p_e=0.5, s_bar=complex(0.1, 0.2))
-    got = ef.mean_energy(state, rabi=3.0, omega0=10.0)
-    assert got == pytest.approx(0.5 - (3.0 / 10.0) * 0.2)
+    assert ef.mean_energy(ef.QubitState(p_e=0.0, s_bar=0.0)) == 0.0
+    assert ef.mean_energy(ef.QubitState(p_e=1.0, s_bar=0.0)) == 1.0
 
 
 def test_ergotropy_closed_form():
@@ -106,7 +111,7 @@ def test_yield_of_passive_state_is_nan():
 
 @given(ball_states)
 # on the surface, r = 1 rounds |s|^2 one ulp above a subnormal-scale p_e
-@example(state=ef.QubitState(p_e=3.953990319981108e-285, s_bar=complex(6.288076271787031e-143, 0.0)))
+@example(state=ef.QubitState(p_e=3.953990319981108e-285, s_bar=6.288076271787031e-143))
 def test_heat_rate_is_nonnegative_on_the_ball(state):
     assert ef.heat_rate(state, gamma=1.0) >= 0.0
 
@@ -186,7 +191,7 @@ def test_tail_is_skipped_when_coupling_is_cut():
     # with coupling kept on, the tail picks up the remaining coherence energy
     traj2 = ef.evolve_numeric(state, ef.OffDrive(), t_end=1.0, dt=0.001)
     tr2 = ef.accumulate(traj2)
-    s_end = traj2.s_bar.real[-1]
+    s_end = traj2.s_bar[-1]
     assert tr2.work_tail == pytest.approx(s_end**2, abs=1e-12)
     assert tr2.heat_tail == pytest.approx(traj2.p_e[-1] - s_end**2, abs=1e-12)
 
@@ -229,7 +234,7 @@ def test_split_off_drive_has_no_stimulated_part():
     traj = ef.free_decay_trajectory(st0, gamma=1.0, t_end=30.0, num=8001)
     split = ef.work_split(traj)
     assert split.w_stim == 0.0
-    assert split.w_sp == pytest.approx(st0.s_bar.real**2, abs=1e-6)
+    assert split.w_sp == pytest.approx(st0.s_bar**2, abs=1e-6)
 
 
 def _split_limit_deviation(eps, p, theta, angle):
