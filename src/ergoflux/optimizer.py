@@ -23,7 +23,7 @@ through the strict integration pipeline, so numbers are comparable with the
 scenario runs.
 
 scipy is imported inside the two functions that call it, the refine step of
-`optimize_exponential_tau` and `_shape`, so importing the package loads numpy
+`_scan_exponential_tau` and `_shape`, so importing the package loads numpy
 alone.
 """
 from __future__ import annotations
@@ -97,18 +97,9 @@ def _exponential_work(prep: Preparation, n_bar: float, tau: float, gamma: float,
     return trace.total_work
 
 
-def optimize_exponential_tau(
-    prep: Preparation,
-    n_bar: float,
-    gamma: float = 1.0,
-    tau_range: tuple[float, float] = (1e-3, 10.0),
-    n_grid: int = 25,
-) -> ExponentialTauResult:
-    """Scan the pulse time constant on a log grid, then refine around the best point.
-
-    ``tau_range`` is in units of 1/gamma.  ``at_boundary`` flags a maximum
-    pinned to the scan edge, in which case the range should be widened.
-    """
+def _scan_exponential_tau(prep, n_bar, gamma, tau_range=(1e-3, 10.0), n_grid=25):
+    """The scan and refinement of `optimize_exponential_tau` without its strict
+    evaluation: returns (tau_star, at_boundary, taus, works)."""
     if not (math.isfinite(n_bar) and n_bar > 0.0):
         raise ValueError(f"n_bar must be positive and finite, got {n_bar}")
     if not (math.isfinite(gamma) and gamma > 0.0):
@@ -134,7 +125,23 @@ def optimize_exponential_tau(
             options={"xatol": 1e-4},
         )
         tau_star = float(math.exp(res.x))
+    return tau_star, at_boundary, taus, works
 
+
+def optimize_exponential_tau(
+    prep: Preparation,
+    n_bar: float,
+    gamma: float = 1.0,
+    tau_range: tuple[float, float] = (1e-3, 10.0),
+    n_grid: int = 25,
+) -> ExponentialTauResult:
+    """Scan the pulse time constant on a log grid, then refine around the best point.
+
+    ``tau_range`` is in units of 1/gamma.  ``at_boundary`` flags a maximum
+    pinned to the scan edge, in which case the range should be widened.
+    ``work`` is recomputed at the refined time constant on the strict grid.
+    """
+    tau_star, at_boundary, taus, works = _scan_exponential_tau(prep, n_bar, gamma, tau_range, n_grid)
     work = _exponential_work(prep, n_bar, tau_star, gamma, strict=True)
     return ExponentialTauResult(
         tau_opt=tau_star,
@@ -445,8 +452,9 @@ def solve_optimal_control(
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
 
     if init is None:
-        ansatz = optimize_exponential_tau(prep, n_bar, gamma=gamma)
-        init = np.asarray(ansatz.pulse.rabi(times), dtype=float)
+        # start 0 needs only the ansatz's time constant, not its strict work
+        tau = _scan_exponential_tau(prep, n_bar, gamma)[0]
+        init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
     else:
         init = np.asarray(init, dtype=float)
         if init.shape != times.shape:

@@ -77,7 +77,8 @@ class ScenarioResult:
 # _BLOCK_KNOTS, so temporaries stay bounded however many extrema a cell has
 _BLOCK_CELLS = 1 << 13
 _BLOCK_KNOTS = 1 << 16
-# Illinois steps per bracket; a bracket still open after them fails its cell
+# refinement steps (root-function evaluations) per bracket; a bracket still
+# open after them fails its cell
 _MAX_STEPS = 64
 # a bracket narrower than _XTOL + _RTOL * t holds its root (brentq's defaults)
 _XTOL, _RTOL = 1e-14, 8.9e-16
@@ -89,33 +90,42 @@ _XTOL, _RTOL = 1e-14, 8.9e-16
 _PRUNE_TOL = 1e-12
 
 
-def _illinois(dipole, lo, hi, flo, fhi, cell):
-    """Refine brackets with f(lo) > 0 > f(hi) by the Illinois method (Dowell & Jarratt 1971).
+def _newton(dipole, lo, hi, flo, fhi, cell):
+    """Refine brackets with f(lo) > 0 > f(hi) by safeguarded Newton ("rtsafe",
+    Press et al., Numerical Recipes, sec. 9.4).
 
-    Converged brackets leave the active set after every step.  Returns the
-    roots and the cells of the brackets still open after `_MAX_STEPS` steps.
+    ``dipole(x, cell)`` returns f and f' from one evaluation.  The first x
+    is the bracket's secant point.  Each step evaluates x, replaces the end
+    whose sign f(x) shares, and moves to the Newton point when it lies in
+    the bracket and is less than half the step before last, else to the
+    midpoint.  A bracket ends when f(x) is 0 (or NaN), when it is at most
+    _XTOL + _RTOL * hi wide (root: its midpoint), or when the next step is
+    at most half that (root: where the step lands).  Converged brackets
+    leave the active set after every step.  Returns the roots, NaN for
+    brackets still open after `_MAX_STEPS` steps.
     """
     root = np.full(lo.size, np.nan)
     idx = np.arange(lo.size)
-    side = np.zeros(lo.size)
+    x = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+    step = step_old = hi - lo
     for _ in range(_MAX_STEPS):
         if not idx.size:
             break
-        # a step of at least half the tolerance ends a bracket whose root sits at an end
+        f, df = dipole(x, cell)
+        up, down = f > 0.0, f < 0.0
+        lo, hi = np.where(up, x, lo), np.where(down, x, hi)
         tol = _XTOL + _RTOL * hi
-        x = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo + 0.5 * tol, hi - 0.5 * tol)
-        fx = dipole(x, cell)
-        up, down = fx > 0.0, fx < 0.0
-        # an end replaced twice in a row halves the value kept at the other end
-        fhi = np.where(up & (side > 0.0), 0.5 * fhi, fhi)
-        flo = np.where(down & (side < 0.0), 0.5 * flo, flo)
-        lo, flo = np.where(up, x, lo), np.where(up, fx, flo)
-        hi, fhi = np.where(down, x, hi), np.where(down, fx, fhi)
-        side = up - down.astype(float)
-        done = ~(up | down) | (hi - lo <= tol)
-        root[idx[done]] = np.where(up | down, 0.5 * (lo + hi), x)[done]
-        idx, lo, hi, flo, fhi, side, cell = (v[~done] for v in (idx, lo, hi, flo, fhi, side, cell))
-    return root, cell
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / df
+        inside = (lo <= newton) & (newton <= hi) & (np.abs(2.0 * f) <= np.abs(step_old * df))
+        nxt = np.where(inside, newton, 0.5 * (lo + hi))
+        step_old, step = step, np.abs(nxt - x)
+        narrow = hi - lo <= tol
+        done = ~(up | down) | narrow | (step <= 0.5 * tol)
+        root[idx[done]] = np.where(up | down, np.where(narrow, 0.5 * (lo + hi), nxt), x)[done]
+        keep = ~done
+        idx, lo, hi, x, step, step_old, cell = (v[keep] for v in (idx, lo, hi, nxt, step, step_old, cell))
+    return root
 
 
 def _knots(gamma, t_max, co, basis):
@@ -171,17 +181,22 @@ def _search_group(rabi, gamma, t_max, co, basis):
     starts = ends - size
     tau, work = np.zeros(m), np.zeros(m)
 
-    # the root function needs the dipole alone; forming the whole state with
-    # `dynamics._drive_state` at every knot made sweeps about 15% slower
+    # the root function needs the dipole and its slope alone; forming the
+    # whole state with `dynamics._drive_state` at every knot made sweeps
+    # about 15% slower
     def value(ec, es, cell):
         return co.a[cell] * ec + co.b[cell] * es + co.c[cell]
 
     def dipole(t, cell):
-        return value(*basis.take(cell).at(t), cell)
+        ec, es = basis.take(cell).at(t)
+        return value(ec, es, cell), co.pc[cell] * ec + co.ps[cell] * es
 
-    def search_window(g):
-        """Search the knots ``g``, carrying tau, work and ok of their cells."""
-        cell = np.searchsorted(ends, g, side="right")
+    def search_window(lo, hi):
+        """Search the knots lo..hi-1, carrying tau, work and ok of their cells."""
+        g = np.arange(lo, hi)
+        # the window holds a run of cells; each contributes its knots within it
+        run = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(ends, hi - 1, side="right") + 1)
+        cell = np.repeat(run, np.minimum(ends[run], hi) - np.maximum(starts[run], lo))
         j = g - starts[cell]
         t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
         t[j == 0] = 0.0
@@ -205,9 +220,10 @@ def _search_group(rabi, gamma, t_max, co, basis):
         keep = np.flatnonzero(~(bound < floor[cell] - _PRUNE_TOL * np.maximum(floor[cell], 1.0)))
         b, cell, start = b[keep], cell[keep], (start[0][keep], start[1][keep])
 
-        roots, stuck = _illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], cell)
+        roots = _newton(dipole, t[b], t[b + 1], f[b], f[b + 1], cell)
         w = _drive_work(roots, rabi[cell], gamma, part.take(keep), basis.take(cell), start)[0]
-        ok[stuck] = ok[cell[~np.isfinite(w)]] = False
+        # a bracket still open (NaN root) or NaN work fails its cell
+        ok[cell[~np.isfinite(w)]] = False
 
         # the first strict maximum over tau = 0 (W = 0) and the crossings in
         # time order, carried from window to window
@@ -219,7 +235,7 @@ def _search_group(rabi, gamma, t_max, co, basis):
 
     # each window also takes the first knot of the next, so no bracket is cut
     for lo in range(0, int(ends[-1]) - 1 if m else 0, _BLOCK_KNOTS):
-        search_window(np.arange(lo, min(lo + _BLOCK_KNOTS + 1, ends[-1])))
+        search_window(lo, min(lo + _BLOCK_KNOTS + 1, int(ends[-1])))
     return tau, work, ok
 
 
@@ -230,7 +246,8 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     broadcast against each other, one cell per entry; ``gamma`` is shared.
     Candidates are tau = 0 and the downward zero crossings of the dipole on
     (0, 20/gamma], bracketed by its closed-form extrema and refined by
-    `_illinois`; the dipole settles to a strictly negative value, so the
+    `_newton`, a safeguarded Newton iteration on the closed-form dipole and
+    slope; the dipole settles to a strictly negative value, so the
     work decreases at late times.  A bracket [lo, hi] is refined only if
     its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo)) on the work at
     its root reaches the cell's floor, the best of 0, the work of earlier

@@ -159,12 +159,12 @@ def _every_bracket(p, theta, rabi, gamma):
 
         def dipole(x, c):
             ec, es = basis.take(c).at(x)
-            return part.a[c] * ec + part.b[c] * es + part.c[c]
+            return part.a[c] * ec + part.b[c] * es + part.c[c], part.pc[c] * ec + part.ps[c] * es
 
-        f = dipole(t, cell)
+        f = dipole(t, cell)[0]
         b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
         c = cell[b]
-        roots, stuck = scenarios._illinois(dipole, t[b], t[b + 1], f[b], f[b + 1], c)
+        roots = scenarios._newton(dipole, t[b], t[b + 1], f[b], f[b + 1], c)
         r, co, bc = rabi[cells][c], part.take(c), basis.take(c)
         new = {
             "cell": cells[c], "lo": t[b], "hi": t[b + 1], "s_lo": f[b], "rabi": r, "root": roots,
@@ -172,7 +172,7 @@ def _every_bracket(p, theta, rabi, gamma):
         }
         for key, v in new.items():
             out[key] = np.concatenate([out.get(key, []), v])
-        ok_part[stuck] = False
+        ok_part[c[np.isnan(roots)]] = False
         ok[cells] = ok_part
     out["cell"] = out["cell"].astype(np.intp)
     return out, ok
@@ -257,13 +257,125 @@ def test_most_brackets_are_pruned_on_the_case_i_map(monkeypatch):
 
     def counting(dipole, lo, *rest):
         refined.append(lo.size)
-        return illinois(dipole, lo, *rest)
+        return newton(dipole, lo, *rest)
 
-    illinois = scenarios._illinois
-    monkeypatch.setattr(scenarios, "_illinois", counting)
+    newton = scenarios._newton
+    monkeypatch.setattr(scenarios, "_newton", counting)
     ef.optimal_square_work(0.0, theta, 2.0 * np.sqrt(ndot), 1.0)
     assert total > 1e5
     assert sum(refined) < total / 3
+
+
+_ORACLE_CASES = {
+    "random": (*_random_cells(10, 200, (-3.0, 4.0)), 1.0),
+    **{name: _SEARCH_CASES[name] for name in ("undamped", "critical", "other gamma")},
+    # near p = 1/2 the dipole starts near zero and crosses it at a shallow slope
+    "near tangent": (
+        0.5 - 10.0 ** np.random.default_rng(8).uniform(-9.0, -1.0, 400), *_random_cells(8, 400, (-2.0, 3.0))[1:], 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_refined_roots_match_brentq(name):
+    # every bracket's root against scipy's brentq on the scalar closed form,
+    # converged as far as double precision allows.  A rounding of s, of a few
+    # eps * (|a C| + |b S| + |c|), moves a root by that over |s'|; on shallow
+    # crossings this band exceeds the tolerance, and two double-precision
+    # roots, brentq's too, agree only within it
+    from scipy.optimize import brentq
+
+    from ergoflux.dynamics import _transient_basis
+
+    eps = np.finfo(float).eps
+    p, theta, rabi, gamma = _ORACLE_CASES[name]
+    br, ok = _every_bracket(p, theta, rabi, gamma)
+    assert ok.all() and br["root"].size >= 5
+    bands = []
+    for c, lo, hi, root, r in zip(br["cell"], br["lo"], br["hi"], br["root"], br["rabi"]):
+        prep = ef.Preparation(p=float(p[c]), theta=float(theta[c]))
+
+        def dipole(t):
+            return ef.evolve_square_analytic(prep, r, gamma, t).s_bar
+
+        want = brentq(dipole, lo, hi, xtol=1e-300, rtol=4.0 * eps)
+        tol = scenarios._XTOL + scenarios._RTOL * want
+        co = ef.square_pulse_coefficients(prep, r, gamma)
+        ec, es = _transient_basis(co.k, 0.75 * gamma, math).at(want)
+        band = eps * (abs(co.a * ec) + abs(co.b * es) + abs(co.c)) / abs(co.pc * ec + co.ps * es)
+        bands.append(band / tol)
+        assert abs(root - want) <= tol + 2.0 * band, (name, c, root, want)
+    # the near-tangent draw does reach crossings shallower than the tolerance
+    assert name != "near tangent" or max(bands) > 1.0
+
+
+def test_newton_falls_back_to_bisection():
+    # a useless slope leaves bisection alone; its roots still meet the tolerance
+    a = np.linspace(0.01, 0.99, 50)
+
+    def cubic(x, c):
+        return a[c] - x**3, np.where(slope, -3.0 * x * x, np.nan)
+
+    for slope in (True, False):
+        lo, hi, cell = np.zeros(a.size), np.ones(a.size), np.arange(a.size)
+        root = scenarios._newton(cubic, lo, hi, a, a - 1.0, cell)
+        assert np.all(np.abs(root - np.cbrt(a)) <= scenarios._XTOL + scenarios._RTOL * np.cbrt(a)), slope
+
+
+def test_step_cap_fails_exactly_the_cells_it_cuts(monkeypatch):
+    # one step per bracket: a cell fails when one of its refined brackets
+    # needed a second evaluation, and is unchanged otherwise
+    p, theta, rabi = _random_cells(9, 40, (-2.0, 3.0))
+    p[:4], theta[:4] = 0.5, 0.0  # passive: nothing to refine
+    calls = []
+
+    def recording(dipole, lo, *rest):
+        def counted(x, c):
+            calls.append(x.size)
+            return dipole(x, c)
+
+        return newton(counted, lo, *rest)
+
+    newton, max_steps = scenarios._newton, scenarios._MAX_STEPS
+    monkeypatch.setattr(scenarios, "_newton", recording)
+    cuts = []
+    for cell in zip(p, theta, rabi):
+        calls.clear()
+        want = ef.optimal_square_work(*cell, 1.0)
+        cuts.append(len(calls) > 1)
+        monkeypatch.setattr(scenarios, "_MAX_STEPS", 1)
+        got = ef.optimal_square_work(*cell, 1.0)
+        monkeypatch.setattr(scenarios, "_MAX_STEPS", max_steps)
+        if cuts[-1]:
+            assert np.isnan(got).all(), cell
+        else:
+            assert got == want, cell
+    assert 4 <= cuts.count(False) < len(cuts)
+
+
+def test_refinement_steps_per_bracket_on_the_bound_scan(monkeypatch):
+    # counts of brackets refined and root-function evaluations repeat exactly
+    def count():
+        brackets, steps = [], []
+
+        def counting(dipole, lo, *rest):
+            def counted(x, c):
+                steps.append(x.size)
+                return dipole(x, c)
+
+            brackets.append(lo.size)
+            return newton(counted, lo, *rest)
+
+        monkeypatch.setattr(scenarios, "_newton", counting)
+        ef.ergotropy_bound_scan(50)
+        monkeypatch.setattr(scenarios, "_newton", newton)
+        return sum(brackets), sum(steps)
+
+    newton = scenarios._newton
+    brackets, steps = count()
+    assert count() == (brackets, steps)
+    assert brackets > 1e5
+    assert steps / brackets < 6.0
 
 
 def test_continuous_is_continuous_across_critical_damping():
