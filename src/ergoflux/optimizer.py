@@ -13,10 +13,13 @@ Two layers:
   against finite differences of the same objective.
 
 The work functional runs the RK4 steps as affine maps through one forward
-`dynamics._affine_scan`; its adjoint is the same scan transposed and run
-backwards, and the sensitivity of each step to its three drive samples is
-evaluated elementwise from the adjoint after the step and the state before
-it.
+`dynamics._affine_scan` and integrates the work flux on the same fine grid,
+over each control interval by composite Simpson closed by a 3/8 panel when
+the interval's step count is odd, so quadrature and integrator are both
+fourth order.  Its adjoint is the same
+scan transposed and run backwards, and the sensitivity of each step to its
+three drive samples is evaluated elementwise from the adjoint after the
+step and the state before it.
 
 The solver reports the converged waveform together with the work recomputed
 through the strict integration pipeline, so numbers are comparable with the
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,9 +207,28 @@ def _check_grid(controls: np.ndarray, times: np.ndarray) -> float:
     return delta
 
 
+def _quadrature_weights(n: int) -> np.ndarray:
+    """Unit-step weights of n + 1 equally spaced samples, fourth order for n >= 2.
+
+    Composite Simpson, closed by a 3/8 panel on the last three steps when
+    n is odd; a single step is the trapezoid.
+    """
+    if n == 1:
+        return np.full(2, 0.5)
+    w = np.zeros(n + 1)
+    e = n - 3 * (n % 2)  # steps covered by Simpson panels [k, k + 1, k + 2]
+    w[0:e:2] += 1.0 / 3.0
+    w[1:e:2] += 4.0 / 3.0
+    w[2 : e + 1 : 2] += 1.0 / 3.0
+    if e < n:
+        w[e:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    return w
+
+
 @functools.lru_cache(maxsize=8)
 def _gather_tables(m: int, n_sub: int):
-    """Interpolation indices/weights of the fine RK4 grid into the control nodes.
+    """Interpolation indices/weights of the fine RK4 grid into the control nodes,
+    and the unit-step quadrature weights of the fine grid.
 
     Cached per (m, n_sub), so the arrays are read-only.
     """
@@ -216,17 +239,30 @@ def _gather_tables(m: int, n_sub: int):
     km = np.arange(n)
     jm = np.minimum(km // n_sub, m - 2)
     um = (km + 0.5) / n_sub - jm
-    for a in (jn, un, jm, um):
+    # per control interval, so no panel straddles a kink of the drive
+    u = _quadrature_weights(n_sub)
+    w = np.append(np.tile(u[:-1], m - 1), 0.0)
+    w[n_sub::n_sub] += u[-1]
+    for a in (jn, un, jm, um, w):
         a.setflags(write=False)
-    return n, jn, un, jm, um
+    return n, jn, un, jm, um, w
+
+
+# bound on h * max(gamma, drive scale) for the default fine step
+_STEP_BOUND = 0.04
 
 
 def _default_n_sub(delta: float, gamma: float, scale: float) -> int:
-    return max(2, math.ceil(delta * max(gamma, scale, 1e-12) / 0.01))
+    return max(2, math.ceil(delta * max(gamma, scale, 1e-12) / _STEP_BOUND))
+
+
+def _check_n_sub(n_sub) -> None:
+    if isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
+        raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
 
 
 def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
-    """One forward scan of the RK4/trapezoid work functional.
+    """One forward scan of the RK4/Simpson work functional.
 
     Returns the work, the fine-grid drive at nodes and midpoints, the step
     maps as a (2, 3, n) array if ``keep_maps`` (else None), the node states
@@ -238,7 +274,9 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     delta = _check_grid(c, np.asarray(times, dtype=float))
     if n_sub is None:
         n_sub = _default_n_sub(delta, gamma, float(np.abs(c).max()))
-    tables = n, jn, un, jm, um = _gather_tables(len(c), n_sub)
+    else:
+        _check_n_sub(n_sub)
+    tables = n, jn, un, jm, um, w = _gather_tables(len(c), n_sub)
     h = delta / n_sub
     on = (1.0 - un) * c[jn] + un * c[jn + 1]
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
@@ -256,7 +294,7 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     s = x[1]
     with np.errstate(over="ignore", invalid="ignore"):  # huge states are reported below
         wv = on * s + gamma * s * s
-        work = float(h * (wv.sum() - 0.5 * (wv[0] + wv[-1])) + s[-1] ** 2)
+        work = float(h * (w * wv).sum() + s[-1] ** 2)
     if not math.isfinite(work):
         raise IntegrationAccuracyError(
             "forward pass produced a non-finite work; shrink the step or the controls"
@@ -271,7 +309,7 @@ def control_work(
     gamma: float = 1.0,
     n_sub: int | None = None,
 ) -> float:
-    """Work functional of a piecewise-linear waveform (RK4 + trapezoid + exact tail)."""
+    """Work functional of a piecewise-linear waveform (RK4 + Simpson + exact tail)."""
     return _forward(controls, times, prep, gamma, n_sub)[0]
 
 
@@ -284,19 +322,18 @@ def control_work_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Work functional and its exact gradient with respect to the control nodes.
 
-    The gradient is the discrete adjoint of the same RK4/trapezoid scheme
+    The gradient is the discrete adjoint of the same RK4/Simpson scheme
     `control_work` uses, so central finite differences of that function match
     it to roundoff.  Pass an explicit ``n_sub`` when comparing against finite
     differences, because the default substep count depends on the control
     amplitude.
     """
-    work, on, om, maps, x, h, (n, jn, un, jm, um) = _forward(
+    work, on, om, maps, x, h, (n, jn, un, jm, um, w) = _forward(
         controls, times, prep, gamma, n_sub, keep_maps=True
     )
     g = gamma
     p, s = x
-    wq = np.full(n + 1, h)
-    wq[0] = wq[-1] = 0.5 * h
+    wq = h * w
 
     # adjoint lam_k = dJ/dx_k = M_k^T lam_{k+1} + (0, d_k): the transposed scan
     d = wq * (on + 2.0 * g * s)
@@ -441,12 +478,16 @@ def solve_optimal_control(
     remaining starts are seeded multiplicative perturbations of it.  Each
     start is one L-BFGS-B run of at most ``max_iter`` iterations.  The
     returned ``work`` is recomputed through the strict trajectory pipeline;
-    ``objective`` is the internal discrete value the solver maximized.
+    ``objective`` is the internal discrete value the solver maximized.  The
+    default ``n_sub`` (RK4 steps per control interval) comes from start 0
+    alone, so the functional does not depend on ``n_starts`` or ``seed``.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if n_sub is not None:
+        _check_n_sub(n_sub)
     times = control_times(problem.horizon, problem.n_nodes)
     delta = float(times[1] - times[0])
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
@@ -460,14 +501,14 @@ def solve_optimal_control(
         if init.shape != times.shape:
             raise ValueError("init must match the control grid")
 
+    if n_sub is None:
+        peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
+        n_sub = _default_n_sub(delta, gamma, 1.5 * peak)
+
     rng = np.random.default_rng(seed)
     starts = [init]
     for _ in range(n_starts - 1):
         starts.append(init * (1.0 + 0.25 * rng.standard_normal(len(init))))
-
-    peak = max(float(np.abs(project_to_budget(s, times, n_bar, gamma)).max()) for s in starts)
-    if n_sub is None:
-        n_sub = _default_n_sub(delta, gamma, 1.5 * peak)
 
     results = [_shape(s, times, prep, gamma, n_bar, n_sub, max_iter) for s in starts]
     objs = tuple(r[1] for r in results)

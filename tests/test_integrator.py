@@ -43,8 +43,23 @@ def _rk4_reference(p, s, on, om, gn, gm, h):
     return np.array(ps), np.array(ss)
 
 
+def _panel_integral(f, h):
+    """Integral of equally spaced samples ``f``: composite Simpson, with a 3/8
+    panel on the last three steps for an odd step count and the trapezoid for
+    a single step."""
+    n = len(f) - 1
+    if n == 1:
+        return 0.5 * h * (f[0] + f[1])
+    e = n - 3 if n % 2 else n
+    total = h / 3.0 * (f[0:e:2] + 4.0 * f[1:e:2] + f[2 : e + 1 : 2]).sum()
+    if e < n:
+        total += 3.0 * h / 8.0 * (f[e] + 3.0 * f[e + 1] + 3.0 * f[e + 2] + f[e + 3])
+    return total
+
+
 def _reference_work(controls, times, prep, n_sub, gamma):
-    """RK4/trapezoid work of a piecewise-linear waveform, step by step."""
+    """RK4/Simpson work of a piecewise-linear waveform, step by step; the flux
+    is integrated over each control interval separately."""
     c = np.asarray(controls)
     m = len(c)
     x = np.arange(2 * (m - 1) * n_sub + 1) / (2 * n_sub)  # nodes and midpoints, in control steps
@@ -56,7 +71,8 @@ def _reference_work(controls, times, prep, n_sub, gamma):
     g = np.full(len(on), gamma)
     _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, g, g[1:], h)
     w = on * s + gamma * s * s
-    return h * (w.sum() - 0.5 * (w[0] + w[-1])) + s[-1] ** 2
+    flux = sum(_panel_integral(w[j * n_sub : (j + 1) * n_sub + 1], h) for j in range(m - 1))
+    return flux + s[-1] ** 2
 
 
 def _complex_step_gradient(controls, times, prep, n_sub, gamma):

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ergoflux as ef
-from ergoflux.optimizer import _budget_quadratic
+from ergoflux.optimizer import (
+    _budget_quadratic,
+    _gather_tables,
+    _quadrature_weights,
+    _scan_exponential_tau,
+)
 
 
 def _charge(controls, times, gamma=1.0):
@@ -117,6 +122,98 @@ def test_grid_validation():
     t = ef.control_times(7.0, 50)
     assert t[0] == 0.0 and t[-1] == 7.0
     assert np.allclose(np.diff(t), t[1] - t[0])
+
+
+@pytest.mark.parametrize("n_sub", [0, -2, 2.5, True])
+@pytest.mark.parametrize("call", ["control_work", "control_work_and_gradient", "solve_optimal_control"])
+def test_bad_substep_count_is_rejected_by_name(call, n_sub):
+    prep = ef.Preparation(p=0.0, theta=2.0)
+    with pytest.raises(ValueError, match="n_sub"):
+        if call == "solve_optimal_control":
+            problem = ef.ControlProblem(prep=prep, n_bar=1.0, horizon=6.0, n_nodes=64)
+            ef.solve_optimal_control(problem, n_sub=n_sub)
+        else:
+            getattr(ef, call)(np.ones(8), ef.control_times(5.0, 8), prep, n_sub=n_sub)
+
+
+# ------------------------------------------------------------- quadrature
+
+
+def _cubic(x):
+    return 1.0 + 2.0 * x - 3.0 * x * x + 0.5 * x**3
+
+
+def _cubic_integral(b):
+    """Integral of `_cubic` over [0, b]."""
+    return b + b * b - b**3 + 0.125 * b**4
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_quadrature_weights_integrate_cubics_exactly(n):
+    w = _quadrature_weights(n)
+    x = np.arange(n + 1.0)
+    assert float((w * _cubic(x)).sum()) == pytest.approx(_cubic_integral(n), rel=1e-13)
+
+
+@pytest.mark.parametrize("n_sub", [2, 3, 4, 5])
+def test_fine_grid_weights_are_exact_across_drive_kinks(n_sub):
+    # the work flux has kinks at the control nodes, where the drive does; a
+    # continuous piecewise cubic with a kink at every node is integrated
+    # exactly, so no panel straddles a node
+    m = 5
+    w = _gather_tables(m, n_sub)[-1]
+    x = np.arange((m - 1) * n_sub + 1.0) / n_sub  # in control steps
+    j = np.minimum(x.astype(int), m - 2)
+    u = x - j
+    f = (j + 1.0) * u * (1.0 - u) * (1.0 + 2.0 * u)  # 0 at every node
+    exact = sum(k + 1.0 for k in range(m - 1)) / 3.0
+    assert float((w * f).sum()) / n_sub == pytest.approx(exact, rel=1e-13)
+
+
+# the weak-charge, criterion-05 and strong-charge points
+ANSATZ_POINTS = [
+    (1e-3, 0.5 * math.pi),
+    (0.1, 0.5 * math.pi),
+    (1.64, 0.75 * math.pi),
+    (5.0, math.pi),
+    (20.0, math.pi),
+]
+
+
+def _ansatz_controls(n_bar, theta, times):
+    """Start 0 of the solver: the best exponential on the control grid, on the budget."""
+    prep = ef.Preparation(p=0.0, theta=theta)
+    tau = _scan_exponential_tau(prep, n_bar, 1.0)[0]
+    drive = ef.ExponentialPulse(n_bar=n_bar, tau=tau)
+    return prep, ef.project_to_budget(drive.rabi(times), times, n_bar)
+
+
+@pytest.mark.parametrize("n_bar, theta", ANSATZ_POINTS)
+def test_default_substeps_reach_the_converged_functional(n_bar, theta):
+    times = ef.control_times(10.0, 400)
+    prep, controls = _ansatz_controls(n_bar, theta, times)
+    converged = ef.control_work(controls, times, prep, n_sub=512)
+    assert abs(ef.control_work(controls, times, prep) - converged) <= 1e-8
+
+
+@pytest.mark.parametrize("n_sub", [3, 4])
+def test_functional_is_fourth_order_in_the_fine_step(n_sub):
+    times = ef.control_times(10.0, 400)
+    prep, controls = _ansatz_controls(1.64, 0.75 * math.pi, times)
+    converged = ef.control_work(controls, times, prep, n_sub=512)
+    coarse = ef.control_work(controls, times, prep, n_sub=n_sub) - converged
+    fine = ef.control_work(controls, times, prep, n_sub=2 * n_sub) - converged
+    assert abs(fine) * 10.0 <= abs(coarse)
+
+
+def test_start_zero_does_not_depend_on_the_start_count():
+    # the default substep count comes from start 0 alone, so the extra
+    # starts leave the functional, and start 0's ascent, unchanged
+    prep = ef.Preparation(p=0.0, theta=0.75 * math.pi)
+    problem = ef.ControlProblem(prep=prep, n_bar=1.64)
+    one = ef.solve_optimal_control(problem, n_starts=1)
+    four = ef.solve_optimal_control(problem, n_starts=4)
+    assert one.start_objectives[0] == four.start_objectives[0]
 
 
 # ------------------------------------------------------------- ansatz scan
