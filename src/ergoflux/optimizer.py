@@ -4,7 +4,8 @@ Two layers:
 
 * `optimize_exponential_tau` restricts the drive to a decaying exponential
   and finds the time constant that maximizes the extracted work (pulse plus
-  free-decay tail, coupling always on),
+  free-decay tail, coupling always on) on a log grid refined by a bounded
+  scalar search,
 * `solve_optimal_control` optimizes a free piecewise-linear waveform under
   the same photon budget by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) over a
   free vector v >= 0 whose rescaling onto the budget is the waveform, so
@@ -19,7 +20,11 @@ the interval's step count is odd, so quadrature and integrator are both
 fourth order.  Its adjoint is the same
 scan transposed and run backwards, and the sensitivity of each step to its
 three drive samples is evaluated elementwise from the adjoint after the
-step and the state before it.
+step and the state before it.  The exponential scan runs the same
+functional over each drive's own window, with h * max(gamma, amplitude,
+1/tau) <= `_STEP_BOUND`, and all time constants of the grid share one
+forward scan: a restart map between two drives puts the state back at the
+preparation.
 
 The solver reports the converged waveform together with the work recomputed
 through the strict integration pipeline, so numbers are comparable with the
@@ -44,6 +49,7 @@ from .dynamics import (
     Preparation,
     TabulatedPulse,
     _affine_scan,
+    _clamped_samples,
     _rhs,
     _rk4_maps,
     evolve_numeric,
@@ -87,18 +93,45 @@ class ExponentialTauResult:
     works: np.ndarray
 
 
-def _exponential_work(prep: Preparation, n_bar: float, tau: float, gamma: float, strict: bool) -> float:
-    """Work of the exponential drive with the decay tail; strict mode tightens the grid."""
-    pulse = ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma)
-    window = pulse.support_end()
-    if strict:
-        dt = suggested_grid_step(pulse.amplitude, gamma, window)
-    else:
-        dt = min(0.01 / (gamma + pulse.amplitude), tau / 32.0)
+def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> np.ndarray:
+    """Work of the exponential drive, pulse plus free-decay tail, at each time constant.
+
+    The same RK4/Simpson functional as `control_work`: each drive runs over
+    its `ExponentialPulse.support_end` window in n steps with
+    h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its work flux is
+    integrated by `_quadrature_weights` on that grid, and the tail adds the
+    exact s(end)^2.  All drives share one `_affine_scan`: the step after each
+    drive's last node is a restart map (M = 0, offset x0) that puts the state
+    back at the preparation for the next drive.
+    """
+    on, om, hs, wq = [], [], [], []
+    for tau in taus:
+        pulse = ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma)
+        window = pulse.support_end()
+        n = math.ceil(window * max(gamma, pulse.amplitude, 1.0 / pulse.tau) / _STEP_BOUND)
+        h = window / n
+        t = np.linspace(0.0, window, n + 1)
+        on.append(pulse.rabi(t))
+        om.append(np.append(pulse.rabi(t[:-1] + 0.5 * h), 0.0))  # last slot: the restart step
+        hs.append(np.full(n + 1, h))
+        wq.append(h * _quadrature_weights(n))
+    ends = np.cumsum([len(a) for a in on]) - 1  # last node of each drive
+    on, om, hs, wq = (np.concatenate(a) for a in (on, om, hs, wq))
+
     state0 = prepare_initial(prep)
-    traj = evolve_numeric(state0, pulse, t_end=window, dt=dt, gamma=gamma)
-    trace = accumulate(traj, include_tail=True, check_residual=strict)
-    return trace.total_work
+    x0 = (state0.p_e, state0.s_bar)
+    restart = np.array([[0.0, 0.0, x0[0]], [0.0, 0.0, x0[1]]])[..., None]
+
+    def maps(lo, hi):
+        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, gamma, gamma, hs[lo:hi])
+        m[..., ends[(ends >= lo) & (ends < hi)] - lo] = restart
+        return m
+
+    x = _affine_scan(maps, len(on) - 1, x0)
+    _clamped_samples(*x)  # raises past BLOCH_TOL
+    s = x[1]
+    flux = wq * (on * s + gamma * s * s)
+    return np.add.reduceat(flux, np.append(0, ends[:-1] + 1)) + s[ends] ** 2
 
 
 def _scan_exponential_tau(prep, n_bar, gamma, tau_range=(1e-3, 10.0), n_grid=25):
@@ -114,7 +147,7 @@ def _scan_exponential_tau(prep, n_bar, gamma, tau_range=(1e-3, 10.0), n_grid=25)
     if n_grid < 5:
         raise ValueError("n_grid must be at least 5")
     taus = np.geomspace(lo / gamma, hi / gamma, n_grid)
-    works = np.array([_exponential_work(prep, n_bar, t, gamma, strict=False) for t in taus])
+    works = _exponential_works(prep, n_bar, taus, gamma)
 
     best = int(np.argmax(works))
     at_boundary = best in (0, n_grid - 1)
@@ -123,7 +156,7 @@ def _scan_exponential_tau(prep, n_bar, gamma, tau_range=(1e-3, 10.0), n_grid=25)
         from scipy.optimize import minimize_scalar
 
         res = minimize_scalar(
-            lambda lt: -_exponential_work(prep, n_bar, math.exp(lt), gamma, strict=False),
+            lambda lt: -_exponential_works(prep, n_bar, [math.exp(lt)], gamma)[0],
             bounds=(math.log(taus[best - 1]), math.log(taus[best + 1])),
             method="bounded",
             options={"xatol": 1e-4},
@@ -143,15 +176,22 @@ def optimize_exponential_tau(
 
     ``tau_range`` is in units of 1/gamma.  ``at_boundary`` flags a maximum
     pinned to the scan edge, in which case the range should be widened.
-    ``work`` is recomputed at the refined time constant on the strict grid.
+    ``works`` are the RK4/Simpson functional of the scan; ``work`` is
+    recomputed at the refined time constant through the strict pipeline,
+    on a step that also resolves the pulse's decay (at most tau/64).
     """
     tau_star, at_boundary, taus, works = _scan_exponential_tau(prep, n_bar, gamma, tau_range, n_grid)
-    work = _exponential_work(prep, n_bar, tau_star, gamma, strict=True)
+    pulse = ExponentialPulse(n_bar=n_bar, tau=tau_star, gamma=gamma)
+    window = pulse.support_end()
+    # the step resolves the pulse's decay as well as its Rabi and decay rates
+    dt = min(suggested_grid_step(pulse.amplitude, gamma, window), tau_star / 64.0)
+    traj = evolve_numeric(prepare_initial(prep), pulse, t_end=window, dt=dt, gamma=gamma)
+    work = accumulate(traj, include_tail=True).total_work
     return ExponentialTauResult(
         tau_opt=tau_star,
         work=work,
         eta=extraction_yield(work, prep),
-        pulse=ExponentialPulse(n_bar=n_bar, tau=tau_star, gamma=gamma),
+        pulse=pulse,
         at_boundary=at_boundary,
         taus=taus,
         works=works,
@@ -248,12 +288,17 @@ def _gather_tables(m: int, n_sub: int):
     return n, jn, un, jm, um, w
 
 
-# bound on h * max(gamma, drive scale) for the default fine step
+# bound on h * max(gamma, drive scale) for the default fine step and the exponential scan
 _STEP_BOUND = 0.04
 
 
-def _default_n_sub(delta: float, gamma: float, scale: float) -> int:
-    return max(2, math.ceil(delta * max(gamma, scale, 1e-12) / _STEP_BOUND))
+def _default_n_sub(delta: float, gamma: float, peak: float) -> int:
+    """RK4 steps per control interval for controls of the given peak.
+
+    The drive scale is 1.5 times the peak, a margin for the ascent to raise
+    the peak of its start.
+    """
+    return max(2, math.ceil(delta * max(gamma, 1.5 * peak, 1e-12) / _STEP_BOUND))
 
 
 def _check_n_sub(n_sub) -> None:
@@ -503,7 +548,7 @@ def solve_optimal_control(
 
     if n_sub is None:
         peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
-        n_sub = _default_n_sub(delta, gamma, 1.5 * peak)
+        n_sub = _default_n_sub(delta, gamma, peak)
 
     rng = np.random.default_rng(seed)
     starts = [init]

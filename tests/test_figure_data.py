@@ -1,4 +1,4 @@
-"""Smoke test of scripts/make_figure_data.py on its closed-form panel families."""
+"""Smoke test of scripts/make_figure_data.py on each of its panel families."""
 import runpy
 import sys
 from pathlib import Path
@@ -28,3 +28,18 @@ def test_fast_family_writes_its_files(family, written, tmp_path, monkeypatch, ca
         lines = (tmp_path / name).read_text().splitlines()
         n_rows = int(size.split()[0]) if size.endswith("rows") else int(size.split("x")[0])
         assert len(lines) == n_rows + 1  # header or Re(alpha) row
+
+
+def test_pulses_family_writes_shaped_and_exponential_waveforms(tmp_path, monkeypatch, capsys):
+    argv = [str(SCRIPT), "--only", "pulses", "--outdir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"wrote {tmp_path / 'pulse_shapes.csv'} (400 rows)"
+    assert [line.split(":")[0] for line in printed[:-1]] == ["case a", "case b"]
+    for line in printed[:-1]:
+        fields = dict(item.strip().split("=") for item in line.split(":")[1].split(","))
+        assert float(fields["shaped W"]) >= float(fields["exponential W"]), line
+    lines = (tmp_path / "pulse_shapes.csv").read_text().splitlines()
+    assert lines[0] == "time,rabi_opt_a,rabi_exp_a,rabi_opt_b,rabi_exp_b"
+    assert len(lines) == 401

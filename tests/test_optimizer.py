@@ -7,8 +7,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ergoflux as ef
+from ergoflux import optimizer
 from ergoflux.optimizer import (
     _budget_quadratic,
+    _exponential_works,
     _gather_tables,
     _quadrature_weights,
     _scan_exponential_tau,
@@ -196,6 +198,25 @@ def test_default_substeps_reach_the_converged_functional(n_bar, theta):
     assert abs(ef.control_work(controls, times, prep) - converged) <= 1e-8
 
 
+class _FirstStart(Exception):
+    """Stops the solver at its first ascent, carrying the substep count it got."""
+
+
+@pytest.mark.parametrize("n_bar, theta", ANSATZ_POINTS)
+def test_default_substeps_at_start_zero_are_the_solvers(n_bar, theta, monkeypatch):
+    # control_work's default at start 0's controls is the functional the solver maximises
+    def first_start(c0, times, prep, gamma, n_bar, n_sub, max_iter):
+        raise _FirstStart(n_sub)
+
+    times = ef.control_times(10.0, 400)
+    prep, controls = _ansatz_controls(n_bar, theta, times)
+    monkeypatch.setattr(optimizer, "_shape", first_start)
+    with pytest.raises(_FirstStart) as stop:
+        ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar), n_starts=1)
+    n_sub = stop.value.args[0]
+    assert ef.control_work(controls, times, prep) == ef.control_work(controls, times, prep, n_sub=n_sub)
+
+
 @pytest.mark.parametrize("n_sub", [3, 4])
 def test_functional_is_fourth_order_in_the_fine_step(n_sub):
     times = ef.control_times(10.0, 400)
@@ -228,6 +249,61 @@ def test_exponential_tau_benchmark():
     assert res.eta == pytest.approx(res.work / ef.ergotropy(prep), rel=1e-12)
     assert len(res.taus) == len(res.works) == 25
     assert res.pulse.charge() == pytest.approx(1.64, rel=1e-12)
+
+
+TAUS = np.geomspace(1e-3, 10.0, 25)
+
+
+def _scan_works(n_bar, theta, monkeypatch, shrink=1.0):
+    """The 25-point ansatz scan at p = 0 with the step bound divided by ``shrink``."""
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "_STEP_BOUND", optimizer._STEP_BOUND / shrink)
+        return _exponential_works(ef.Preparation(p=0.0, theta=theta), n_bar, TAUS, 1.0)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_batched_scan_matches_one_drive_at_a_time(order):
+    prep = ef.Preparation(p=0.0, theta=0.75 * math.pi)
+    one = np.array([_exponential_works(prep, 1.64, [t], 1.0)[0] for t in TAUS])
+    batched = _exponential_works(prep, 1.64, TAUS[::order], 1.0)[::order]
+    assert float(np.abs(batched - one).max()) <= 1e-14
+
+
+def test_scan_is_fourth_order_in_the_step_bound(monkeypatch):
+    converged = _scan_works(1.64, 0.75 * math.pi, monkeypatch, 8.0)
+    coarse = np.abs(_scan_works(1.64, 0.75 * math.pi, monkeypatch) - converged).max()
+    fine = np.abs(_scan_works(1.64, 0.75 * math.pi, monkeypatch, 2.0) - converged).max()
+    assert fine * 10.0 <= coarse
+
+
+@pytest.mark.parametrize("n_bar, theta", ANSATZ_POINTS)
+def test_scan_reaches_the_converged_functional(n_bar, theta, monkeypatch):
+    converged = _scan_works(n_bar, theta, monkeypatch, 8.0)
+    assert float(np.abs(_scan_works(n_bar, theta, monkeypatch) - converged).max()) <= 1e-6
+
+
+@pytest.mark.parametrize("p, theta", [(0.0, 0.0), (0.5, 1.0), (0.5, math.pi / 2)])
+@pytest.mark.parametrize("n_bar", [1e-6, 1e-2, 1.64, 80.0])
+def test_scan_extracts_no_work_from_passive_states(p, theta, n_bar):
+    # W <= ergotropy = 0 for every drive
+    works = _exponential_works(ef.Preparation(p=p, theta=theta), n_bar, TAUS, 1.0)
+    assert float(works.max()) <= 1e-12
+
+
+def test_scan_rejects_states_outside_the_bloch_ball(monkeypatch):
+    # a step far past the RK4 bound keeps the states finite but leaves the ball
+    monkeypatch.setattr(optimizer, "_STEP_BOUND", 5.0)
+    with pytest.raises(ef.IntegrationAccuracyError, match="Bloch-ball"):
+        _exponential_works(ef.Preparation(p=0.0, theta=2.0), 1.64, [0.2], 1.0)
+
+
+@pytest.mark.parametrize("n_bar", [1e-3, 1e-4])
+def test_strict_work_resolves_short_pulses(n_bar):
+    # the strict step must resolve a 1e-3 pulse's decay, or the first-law check fails
+    prep = ef.Preparation(p=0.0, theta=0.5 * math.pi)
+    res = ef.optimize_exponential_tau(prep, n_bar=n_bar, tau_range=(1e-3, 1e-2))
+    assert res.at_boundary and res.tau_opt == pytest.approx(1e-2)
+    assert res.work == pytest.approx(res.works[-1], abs=1e-6)
 
 
 def test_exponential_tau_flags_boundary():

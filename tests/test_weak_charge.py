@@ -40,6 +40,8 @@ def test_exponential_time_constant_tends_to_two_thirds_of_a_lifetime(gamma):
     assert errors[0] <= 1e-3
     assert all(e <= 2.0 * math.sqrt(n) for e, n in zip(errors, WEAK)), errors
     assert errors == sorted(errors)
+    # the O(n_bar) correction offsets tau* by about 0.96 sqrt(n_bar)
+    assert all(0.9 <= e / math.sqrt(n) <= 1.0 for e, n in zip(errors, WEAK)), errors
 
 
 def test_shaped_optimum_approaches_the_exponential_as_sqrt_n_bar():
