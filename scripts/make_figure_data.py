@@ -87,7 +87,7 @@ def spontaneous_theta(outdir, n_theta=201):
         for i, th in enumerate(thetas):
             prep = ef.Preparation(p=p, theta=float(th))
             work[i] = ef.scenario_spontaneous(prep).work
-            energy[i] = ef.mean_energy(ef.prepare_initial(prep))
+            energy[i] = ef.prepare_initial(prep).p_e
             ergo[i] = ef.ergotropy(prep)
         cols += [work, energy, ergo]
         tag = f"{p:g}".replace(".", "_")

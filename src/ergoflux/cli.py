@@ -52,10 +52,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     return f"{float(x):.12g}"
 
 
@@ -346,7 +342,8 @@ def _cmd_husimi(args) -> int:
         if len(par[name]) != 3:
             raise _CliError(f"{label} takes 3 values: min max num")
         lo, hi, num = par[name]
-        axes.append(np.linspace(float(lo), float(hi), _point_count(num, label, 1)))
+        with np.errstate(invalid="ignore"):  # a non-finite end gives NaN points, which husimi rejects
+            axes.append(np.linspace(float(lo), float(hi), _point_count(num, label, 1)))
     grid = husimi(output_state(float(par["theta"])), *axes)
 
     lines = [
@@ -430,12 +427,7 @@ def _cmd_verify(args) -> int:
     else:
         raise _CliError(f"unknown suite {suite!r}; pick from {sorted(_SUITES)} or 'all'")
 
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if par["out"] is None or par["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(par["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_lines(par["out"], [json.dumps(report, indent=2, sort_keys=True)])
     return 0 if passed else 3
 
 

@@ -14,9 +14,6 @@ Under a constant drive the dipole has one closed form for every damping,
 s(t) = exp(-3 gamma t / 4) * (a C(t) + b S(t)) + c, whose basis C, S is
 entire in k = rabi^2 - gamma^2/16 (`evolve_square_analytic`,
 `analytic_square_trajectory`).
-
-`Units` converts between nondimensional quantities and laboratory values at
-the I/O boundary.
 """
 from __future__ import annotations
 
@@ -25,9 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-# Reduced Planck constant in J*s; exact in the SI since 2019.
-HBAR = 6.62607015e-34 / (2 * math.pi)
 
 # Largest Bloch-ball violation that is silently clamped; anything bigger is a
 # genuine integration failure.
@@ -38,33 +32,6 @@ _INF = float("inf")
 
 class IntegrationAccuracyError(RuntimeError):
     """A numerical trajectory or quadrature failed its accuracy contract."""
-
-
-@dataclass(frozen=True)
-class Units:
-    """Physical scales: decay rate ``gamma`` (1/s) and transition frequency ``omega0`` (rad/s)."""
-
-    gamma: float
-    omega0: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0.0 and self.omega0 > 0.0):
-            raise ValueError("gamma and omega0 must both be positive")
-
-    def time_seconds(self, t: float) -> float:
-        return t / self.gamma
-
-    def time_dimensionless(self, seconds: float) -> float:
-        return seconds * self.gamma
-
-    def rate_per_second(self, r: float) -> float:
-        return r * self.gamma
-
-    def energy_joules(self, e: float) -> float:
-        return e * HBAR * self.omega0
-
-    def power_watts(self, p: float) -> float:
-        return p * HBAR * self.omega0 * self.gamma
 
 
 @dataclass(frozen=True)
@@ -136,21 +103,6 @@ def prepare_initial(prep: Preparation) -> QubitState:
     p_e = 0.5 - w * math.cos(prep.theta)
     s = w * math.sin(prep.theta)
     return QubitState(p_e=p_e, s_bar=s)
-
-
-def bloch_rhs(state: QubitState, rabi: float, gamma: float) -> tuple[float, float]:
-    """Time derivative (dp_e/dt, ds_bar/dt) under drive ``rabi`` and decay ``gamma``."""
-    return _rhs(state.p_e, state.s_bar, rabi, gamma)
-
-
-def free_decay(state: QubitState, gamma: float, dt: float) -> QubitState:
-    """Exact undriven evolution over ``dt``: population decays at gamma, dipole at gamma/2."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    return QubitState(
-        p_e=state.p_e * math.exp(-gamma * dt),
-        s_bar=state.s_bar * math.exp(-0.5 * gamma * dt),
-    )
 
 
 # --------------------------- drive profiles ---------------------------
@@ -307,9 +259,6 @@ class CouplingSchedule:
     def __post_init__(self):
         if self.gamma_off_time is not None and self.gamma_off_time <= 0.0:
             raise ValueError("gamma_off_time must be positive")
-
-    def is_on(self, t: float) -> bool:
-        return self.gamma_off_time is None or t <= self.gamma_off_time
 
     def on_mask(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

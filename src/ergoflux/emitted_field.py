@@ -53,14 +53,6 @@ def mean_photon_number(state: OutputFieldState) -> float:
     return abs(state.c1) ** 2
 
 
-def husimi_at(state: OutputFieldState, alpha: complex) -> float:
-    """Coherent-state overlap <alpha|rho|alpha> at a single phase-space point."""
-    a = complex(alpha)
-    return float(
-        math.exp(-abs(a) ** 2) * abs(state.c0 + state.c1 * a.conjugate()) ** 2
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class HusimiGrid:
     """Coherent-state overlap sampled on a rectangular phase-space grid.
@@ -75,12 +67,21 @@ class HusimiGrid:
 
 
 def husimi(state: OutputFieldState, re, im) -> HusimiGrid:
-    """Evaluate the coherent-state overlap on the grid re x im."""
+    """Evaluate the coherent-state overlap on the grid re x im.
+
+    Non-finite coordinates raise `ValueError`.  Where exp(-|alpha|^2)
+    underflows, the overlap is 0, even if |alpha|^2 itself overflows.
+    """
     re = np.asarray(re, dtype=float)
     im = np.asarray(im, dtype=float)
     if re.ndim != 1 or im.ndim != 1 or len(re) == 0 or len(im) == 0:
         raise ValueError("re and im must be nonempty 1-D arrays")
+    for name, axis in (("re", re), ("im", im)):
+        if not np.isfinite(axis).all():
+            raise ValueError(f"{name} must be finite")
     alpha = re[None, :] + 1j * im[:, None]
-    amp = state.c0 + state.c1 * np.conj(alpha)
-    q = np.exp(-np.abs(alpha) ** 2) * np.abs(amp) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = state.c0 + state.c1 * np.conj(alpha)
+        env = np.exp(-np.abs(alpha) ** 2)
+        q = np.where(env > 0.0, env * np.abs(amp) ** 2, 0.0)
     return HusimiGrid(re=re, im=im, q=q)

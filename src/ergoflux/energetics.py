@@ -34,14 +34,6 @@ from .dynamics import (
 # grid-level residual allowed between the integrated fluxes and the energy drop
 RESIDUAL_TOL = 1e-6
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def mean_energy(state: QubitState) -> float:
-    """Mean qubit energy: the excited population."""
-    return state.p_e
-
-
 def work_rate(state: QubitState, rabi: float, gamma: float) -> float:
     """Coherent (work-like) output power."""
     s = state.s_bar
@@ -224,8 +216,8 @@ def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
     om = np.where(on, traj.drive.rabi(t), 0.0)
     ga = np.where(on, traj.gamma, 0.0)
 
-    stim = float(_trapezoid(om * s, t))
-    spon = float(_trapezoid(ga * (s * s), t))
+    stim = float(_cumulative_trapezoid(om * s, t)[-1])
+    spon = float(_cumulative_trapezoid(ga * (s * s), t)[-1])
 
     if _tail_applies(traj, include_tail):
         spon += float(s[-1] * s[-1])

@@ -58,7 +58,6 @@ from .dynamics import (
 from .energetics import accumulate, extraction_yield, suggested_grid_step
 
 __all__ = [
-    "exponential_drive",
     "ExponentialTauResult",
     "optimize_exponential_tau",
     "ControlProblem",
@@ -70,11 +69,6 @@ __all__ = [
     "OptimalPulse",
     "pulse_distance",
 ]
-
-
-def exponential_drive(n_bar: float, tau: float, gamma: float = 1.0) -> ExponentialPulse:
-    """Decaying-exponential waveform carrying exactly ``n_bar`` photons."""
-    return ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma)
 
 
 # --------------------------- exponential ansatz ---------------------------
@@ -295,8 +289,8 @@ _STEP_BOUND = 0.04
 def _default_n_sub(delta: float, gamma: float, peak: float) -> int:
     """RK4 steps per control interval for controls of the given peak.
 
-    The drive scale is 1.5 times the peak, a margin for the ascent to raise
-    the peak of its start.
+    The drive scale is 1.5 times the peak, a margin for L-BFGS-B to raise
+    the peak above that of its start.
     """
     return max(2, math.ceil(delta * max(gamma, 1.5 * peak, 1e-12) / _STEP_BOUND))
 

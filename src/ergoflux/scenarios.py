@@ -20,25 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    CouplingSchedule,
     IntegrationAccuracyError,
     Preparation,
     _basis_groups,
     _coefficients,
-    analytic_square_trajectory,
-    evolve_square_analytic,
-    free_decay_trajectory,
     prepare_initial,
 )
 from .energetics import (
-    EnergeticsTrace,
     _drive_start,
     _drive_work,
     _ergotropy,
-    accumulate,
     ergotropy,
     extraction_yield,
-    suggested_grid_step,
 )
 
 # work may exceed ergotropy only by numerical noise
@@ -61,7 +54,6 @@ class ScenarioResult:
     eta: float
     tau_opt: float | None = None
     n_interacted: float | None = None
-    trace: EnergeticsTrace | None = None
 
     def __post_init__(self):
         if not self.work <= ergotropy(self.prep) + _BOUND_TOL:
@@ -295,19 +287,10 @@ def _pulsed_work(p, theta, n_bar, tau, gamma: float):
     return work
 
 
-def _square_trace(
-    prep: Preparation, rabi: float, gamma: float, tau: float, coupling: CouplingSchedule
-) -> EnergeticsTrace:
-    num = max(2, int(math.ceil(tau / suggested_grid_step(rabi, gamma, tau))) + 1)
-    traj = analytic_square_trajectory(prep, rabi, gamma, tau, num, coupling)
-    return accumulate(traj, include_tail=False)
-
-
 def scenario_continuous(
     prep: Preparation,
     photon_rate_ratio: float,
     gamma: float = 1.0,
-    with_trace: bool = False,
 ) -> ScenarioResult:
     """Case (i): constant drive at photon rate ``photon_rate_ratio * gamma``.
 
@@ -328,38 +311,24 @@ def scenario_continuous(
             f"stopping-time search failed for {prep} at photon_rate_ratio {photon_rate_ratio}, "
             f"gamma {gamma}: a bracket did not converge or the drive is too strong to search"
         )
-    trace = None
-    if with_trace and tau > 0.0:
-        trace = _square_trace(
-            prep, rabi, gamma, tau, CouplingSchedule(gamma_off_time=tau)
-        )
     return ScenarioResult(
         prep=prep,
         work=work,
         eta=extraction_yield(work, prep),
         tau_opt=tau,
         n_interacted=photon_rate_ratio * gamma * tau,
-        trace=trace,
     )
 
 
-def scenario_spontaneous(
-    prep: Preparation, gamma: float = 1.0, with_trace: bool = False
-) -> ScenarioResult:
+def scenario_spontaneous(prep: Preparation) -> ScenarioResult:
     """Case (ii): no drive; the full decay deposits s(0)^2 of work into the channel."""
-    state0 = prepare_initial(prep)
-    work = state0.s_bar ** 2
-    trace = None
-    if with_trace:
-        traj = free_decay_trajectory(state0, gamma, t_end=40.0 / gamma, num=16001)
-        trace = accumulate(traj, include_tail=True)
+    work = prepare_initial(prep).s_bar ** 2
     return ScenarioResult(
         prep=prep,
         work=work,
         eta=extraction_yield(work, prep),
         tau_opt=None,
         n_interacted=0.0,
-        trace=trace,
     )
 
 
@@ -368,7 +337,6 @@ def scenario_pulsed(
     n_bar: float,
     tau: float,
     gamma: float = 1.0,
-    with_trace: bool = False,
 ) -> ScenarioResult:
     """Case (iii): square wave packet of charge ``n_bar`` and duration ``tau``.
 
@@ -382,40 +350,16 @@ def scenario_pulsed(
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if n_bar == 0.0:
-        return scenario_spontaneous(prep, gamma=gamma, with_trace=with_trace)
+        return scenario_spontaneous(prep)
 
-    rabi = 2.0 * math.sqrt(gamma * n_bar / tau)
     cell = [np.array([v]) for v in (prep.p, prep.theta, n_bar, tau)]
     work = float(_pulsed_work(*cell, gamma)[0])
-
-    trace = None
-    if with_trace:
-        pulse_part = _square_trace(prep, rabi, gamma, tau, CouplingSchedule())
-        state_end = evolve_square_analytic(prep, rabi, gamma, tau)
-        decay = free_decay_trajectory(state_end, gamma, t_end=40.0 / gamma, num=16001)
-        decay_trace = accumulate(decay, include_tail=True)
-        # splice the two traces on a common clock
-        times = np.concatenate([pulse_part.times, tau + decay_trace.times[1:]])
-        trace = EnergeticsTrace(
-            times=times,
-            energy=np.concatenate([pulse_part.energy, decay_trace.energy[1:]]),
-            work_flux=np.concatenate([pulse_part.work_flux, decay_trace.work_flux[1:]]),
-            heat_flux=np.concatenate([pulse_part.heat_flux, decay_trace.heat_flux[1:]]),
-            input_flux=np.concatenate([pulse_part.input_flux, decay_trace.input_flux[1:]]),
-            output_flux=np.concatenate([pulse_part.output_flux, decay_trace.output_flux[1:]]),
-            work=np.concatenate([pulse_part.work, pulse_part.work[-1] + decay_trace.work[1:]]),
-            heat=np.concatenate([pulse_part.heat, pulse_part.heat[-1] + decay_trace.heat[1:]]),
-            work_tail=decay_trace.work_tail,
-            heat_tail=decay_trace.heat_tail,
-        )
-
     return ScenarioResult(
         prep=prep,
         work=work,
         eta=extraction_yield(work, prep),
         tau_opt=tau,
         n_interacted=n_bar,
-        trace=trace,
     )
 
 
@@ -427,7 +371,7 @@ class SweepAxis:
     """One swept parameter: name plus the grid of values."""
 
     name: str
-    values: np.ndarray = field(default_factory=lambda: np.array([]))
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))

@@ -462,6 +462,17 @@ def test_husimi_grid_matches_library(capsys):
     assert row1[1:] == pytest.approx(list(grid.q[1]), rel=1e-10)
 
 
+@pytest.mark.parametrize("axis", [["--re", "nan", "1", "3"], ["--im", "-1", "inf", "3"]])
+def test_husimi_non_finite_point_exits_1(axis, capsys):
+    assert run("husimi", "--theta", "1", *axis) == 1
+    assert capsys.readouterr().err == f"error: {axis[0][2:]} must be finite\n"
+
+
+def test_husimi_overflowing_point_is_zero(capsys):
+    assert run("husimi", "--theta", "1", "--re", "0", "1e200", "2", "--im", "0", "0", "1") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0,0.770151152934,0"
+
+
 def test_verify_scale_suite(capsys):
     assert run("verify", "--suite", "scale-invariance") == 0
     rep = json.loads(capsys.readouterr().out)

@@ -11,6 +11,11 @@ import ergoflux as ef
 thetas = st.floats(min_value=0.0, max_value=math.pi)
 
 
+def _q_at(state, alpha):
+    """The overlap at one phase-space point, from a 1x1 grid."""
+    return float(ef.husimi(state, [alpha.real], [alpha.imag]).q[0, 0])
+
+
 def test_equator_state_frozen_values():
     st_ = ef.output_state(math.pi / 2.0)
     r = math.sqrt(0.5)
@@ -23,12 +28,12 @@ def test_equator_state_frozen_values():
 def test_poles():
     ground = ef.output_state(0.0)
     assert ef.mean_photon_number(ground) == 0.0
-    assert ef.husimi_at(ground, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert _q_at(ground, 0j) == pytest.approx(1.0, abs=1e-15)
 
     excited = ef.output_state(math.pi)
     assert ef.mean_photon_number(excited) == pytest.approx(1.0, abs=1e-15)
     assert ef.coherent_amplitude(excited) == pytest.approx(0.0, abs=1e-15)
-    assert ef.husimi_at(excited, 0.0) <= 1e-12  # one photon never overlaps vacuum
+    assert _q_at(excited, 0j) <= 1e-12  # one photon never overlaps vacuum
 
 
 @given(thetas)
@@ -51,7 +56,7 @@ def test_equator_husimi_peak_at_golden_ratio():
     # on the real axis Q(x) = exp(-x^2) (1 + x)^2 / 2 peaks at x = (sqrt(5)-1)/2
     st_ = ef.output_state(math.pi / 2.0)
     x = np.linspace(0.0, 2.0, 200001)
-    q = np.array([ef.husimi_at(st_, xi) for xi in x[:: 1000]])
+    q = np.array([_q_at(st_, complex(xi)) for xi in x[:: 1000]])
     x_peak = (math.sqrt(5.0) - 1.0) / 2.0
     grid = ef.husimi(st_, x, np.array([0.0]))
     assert x[np.argmax(grid.q[0])] == pytest.approx(x_peak, abs=1e-4)
@@ -61,7 +66,7 @@ def test_equator_husimi_peak_at_golden_ratio():
 
 @given(thetas, st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
 def test_husimi_bounded(theta, x, y):
-    val = ef.husimi_at(ef.output_state(theta), complex(x, y))
+    val = _q_at(ef.output_state(theta), complex(x, y))
     assert 0.0 <= val <= 1.0 + 1e-12
 
 
@@ -71,7 +76,7 @@ def test_husimi_grid_layout():
     im = np.linspace(-0.5, 0.5, 5)
     grid = ef.husimi(st_, re, im)
     assert grid.q.shape == (5, 7)
-    assert grid.q[3, 2] == pytest.approx(ef.husimi_at(st_, complex(re[2], im[3])), abs=1e-15)
+    assert grid.q[3, 2] == pytest.approx(_q_at(st_, complex(re[2], im[3])), abs=1e-15)
 
 
 def test_validation():
@@ -83,3 +88,22 @@ def test_validation():
         ef.OutputFieldState(c0=1.0, c1=1.0)
     with pytest.raises(ValueError):
         ef.husimi(ef.output_state(1.0), np.zeros((2, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("name", ["re", "im"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_husimi_rejects_non_finite_points(name, bad):
+    axes = {"re": [0.0, 1.0], "im": [0.0]}
+    axes[name] = [0.0, bad]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ef.husimi(ef.output_state(1.0), axes["re"], axes["im"])
+
+
+def test_husimi_far_points_vanish_without_overflow():
+    # |alpha|^2 overflows at 1e200; the overlap there is exp(-|alpha|^2)|...|^2 = 0
+    st_ = ef.output_state(1.0)
+    far = np.array([-1e200, -30.0, 0.0, 30.0, 1e200, 1e308])
+    grid = ef.husimi(st_, far, far)  # RuntimeWarnings are errors in this suite
+    assert np.isfinite(grid.q).all()
+    assert (grid.q[:, [0, 4, 5]] == 0.0).all() and (grid.q[[0, 4, 5], :] == 0.0).all()
+    assert grid.q[2, 2] == pytest.approx(math.cos(0.5) ** 2, abs=1e-15)

@@ -87,13 +87,6 @@ def test_square_drive_work_without_damping():
 # ------------------------------------------------------------- simple scalars
 
 
-def test_mean_energy_is_population_under_canonical_phase():
-    state = ef.QubitState(p_e=0.37, s_bar=0.2)
-    assert ef.mean_energy(state) == pytest.approx(0.37)
-    assert ef.mean_energy(ef.QubitState(p_e=0.0, s_bar=0.0)) == 0.0
-    assert ef.mean_energy(ef.QubitState(p_e=1.0, s_bar=0.0)) == 1.0
-
-
 def test_ergotropy_closed_form():
     assert ef.ergotropy(ef.Preparation(p=0.0, theta=math.pi)) == pytest.approx(1.0)
     assert ef.ergotropy(ef.Preparation(p=0.5, theta=1.0)) == pytest.approx(0.0, abs=1e-15)

@@ -410,8 +410,8 @@ def test_solver_rejects_mismatched_init():
 
 
 def test_pulse_distance_properties():
-    a = ef.exponential_drive(1.64, 0.4)
-    b = ef.exponential_drive(1.64, 0.8)
+    a = ef.ExponentialPulse(1.64, 0.4)
+    b = ef.ExponentialPulse(1.64, 0.8)
     assert ef.pulse_distance(a, a) == 0.0
     assert ef.pulse_distance(a, b) > 0.0
     assert ef.pulse_distance(ef.OffDrive(), a) == pytest.approx(1.0, rel=1e-12)

@@ -26,6 +26,18 @@ active_preparations = st.builds(
 rate_ratios = st.floats(min_value=1e-3, max_value=1e4)
 
 
+def _square_trace(prep, rabi, tau, coupling=ef.ALWAYS_ON, include_tail=None):
+    """The first-law-checked trace of a constant drive over [0, tau], from the closed form."""
+    num = math.ceil(tau / ef.suggested_grid_step(rabi, 1.0, tau)) + 1
+    traj = ef.analytic_square_trajectory(prep, rabi, 1.0, tau, max(num, 2), coupling)
+    return ef.accumulate(traj, include_tail=include_tail)
+
+
+def _decay_trace(state):
+    """The first-law-checked trace of the free decay from ``state``, with its exact tail."""
+    return ef.accumulate(ef.free_decay_trajectory(state, 1.0, t_end=40.0, num=16001), include_tail=True)
+
+
 # ----------------------------------------------------------- continuous drive
 
 
@@ -424,11 +436,12 @@ def test_continuous_passive_states_extract_nothing():
 
 def test_continuous_trace_reproduces_reported_work():
     prep = ef.Preparation(p=0.0, theta=2.4)
-    res = ef.scenario_continuous(prep, 1.5, with_trace=True)
-    assert res.trace is not None
-    assert res.trace.total_work == pytest.approx(res.work, abs=1e-6)
+    res = ef.scenario_continuous(prep, 1.5)
+    cut = ef.CouplingSchedule(gamma_off_time=res.tau_opt)
+    trace = _square_trace(prep, 2.0 * math.sqrt(1.5), res.tau_opt, cut)
+    assert trace.total_work == pytest.approx(res.work, abs=1e-6)
     # coupling is cut at the stop, so no tail is booked
-    assert res.trace.work_tail == 0.0
+    assert trace.work_tail == 0.0
 
 
 def test_continuous_yield_increases_with_rate():
@@ -456,11 +469,11 @@ def test_spontaneous_yield_closed_form():
 
 def test_spontaneous_trace_matches_closed_form():
     prep = ef.Preparation(p=0.25, theta=2.0)
-    res = ef.scenario_spontaneous(prep, with_trace=True)
-    assert res.trace.total_work == pytest.approx(res.work, abs=1e-6)
-    assert res.trace.total_heat + res.trace.total_work == pytest.approx(
-        ef.mean_energy(ef.prepare_initial(prep)), abs=1e-6
-    )
+    res = ef.scenario_spontaneous(prep)
+    state0 = ef.prepare_initial(prep)
+    trace = _decay_trace(state0)
+    assert trace.total_work == pytest.approx(res.work, abs=1e-6)
+    assert trace.total_heat + trace.total_work == pytest.approx(state0.p_e, abs=1e-6)
 
 
 # ------------------------------------------------------------- pulsed charge
@@ -500,13 +513,15 @@ def test_pulsed_ground_state_absorbs_energy():
 
 def test_pulsed_trace_splices_the_pulse_edge():
     prep = ef.Preparation(p=0.0, theta=2.356)
-    res = ef.scenario_pulsed(prep, n_bar=1.64, tau=1.0, with_trace=True)
-    tr = res.trace
-    assert tr.total_work == pytest.approx(res.work, abs=1e-6)
-    # the grid contains the pulse edge exactly once and flux drops there
-    k = np.searchsorted(tr.times, 1.0)
-    assert tr.times[k] == pytest.approx(1.0, abs=1e-12)
-    assert np.count_nonzero(np.isclose(tr.times, 1.0)) == 1
+    res = ef.scenario_pulsed(prep, n_bar=1.64, tau=1.0)
+    rabi = 2.0 * math.sqrt(1.64)
+    pulse = _square_trace(prep, rabi, 1.0, include_tail=False)
+    decay = _decay_trace(ef.evolve_square_analytic(prep, rabi, 1.0, 1.0))
+    # the decay picks up the pulse's end state at the edge
+    assert decay.energy[0] == pytest.approx(pulse.energy[-1], abs=1e-12)
+    assert pulse.total_work + decay.total_work == pytest.approx(res.work, abs=1e-6)
+    # a trace that ends with the drive, coupling on, books the decay as its exact tail
+    assert _square_trace(prep, rabi, 1.0).total_work == pytest.approx(res.work, abs=1e-6)
 
 
 @given(
@@ -648,6 +663,8 @@ def test_batched_searches_keep_memory_bounded():
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         ef.SweepAxis(name="theta", values=np.array([1.0]))  # too short
+    with pytest.raises(TypeError, match="values"):  # no values at all
+        ef.SweepAxis(name="theta")
     with pytest.raises(ValueError):
         ef.SweepGrid(
             scenario="continuous",

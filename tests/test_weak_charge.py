@@ -50,7 +50,7 @@ def test_shaped_optimum_approaches_the_exponential_as_sqrt_n_bar():
     for n_bar in (1e-2, 1e-3, 1e-4):
         sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar))
         assert sol.converged, sol.message
-        target = ef.exponential_drive(n_bar, 2.0 / 3.0)
+        target = ef.ExponentialPulse(n_bar, 2.0 / 3.0)
         d = ef.pulse_distance(sol.pulse, target, t_end=sol.problem.horizon)
         assert d <= math.sqrt(n_bar), (n_bar, d)
         dists.append(d)
