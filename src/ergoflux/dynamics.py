@@ -245,31 +245,6 @@ class TabulatedPulse(DriveProfile):
         return float(np.sum(dt * (v0 * v0 + v0 * v1 + v1 * v1) / 3.0) / (4.0 * gamma))
 
 
-@dataclass(frozen=True)
-class CouplingSchedule:
-    """Qubit-channel coupling: full strength up to ``gamma_off_time``, zero after.
-
-    ``None`` means the coupling is never switched off.  The boundary instant
-    itself counts as "on" so that integrals over the coupled window include
-    their endpoint.
-    """
-
-    gamma_off_time: float | None = None
-
-    def __post_init__(self):
-        if self.gamma_off_time is not None and self.gamma_off_time <= 0.0:
-            raise ValueError("gamma_off_time must be positive")
-
-    def on_mask(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.gamma_off_time is None:
-            return np.ones_like(t, dtype=bool)
-        return t <= self.gamma_off_time
-
-
-ALWAYS_ON = CouplingSchedule()
-
-
 # --------------------------- trajectories ---------------------------
 
 
@@ -281,7 +256,6 @@ class Trajectory:
     p_e: np.ndarray
     s_bar: np.ndarray
     drive: DriveProfile
-    coupling: CouplingSchedule
     gamma: float
 
     def __post_init__(self):
@@ -295,6 +269,14 @@ class Trajectory:
 
     def state(self, i: int) -> QubitState:
         return QubitState(p_e=float(self.p_e[i]), s_bar=float(self.s_bar[i]))
+
+
+def _check_span(t_end: float, gamma: float) -> None:
+    """Reject a trace length or decay rate that no trajectory builder can sample."""
+    if not 0.0 < t_end < _INF:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0.0 <= gamma < _INF:
+        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
 
 
 # Steps composed per chunk and per block of the scan.  Both are fixed, so a
@@ -318,19 +300,19 @@ def _rhs(p, s, rabi, gamma, half=0.5):
     return -gamma * p - rabi * s, rabi * (p - half) - 0.5 * gamma * s
 
 
-def _rk4_maps(oa, ob, oc, ga, gb, gc, h):
+def _rk4_maps(oa, ob, oc, gamma, h):
     """Affine maps x -> M x + v of RK4 steps, one per element of the samples.
 
     The Bloch equations are affine in x = (p_e, s), so one RK4 step is too.
-    ``oa``/``ob``/``oc`` and ``ga``/``gb``/``gc`` are the drive and decay at
-    step start, middle and end.  Stepping the homogeneous columns e_p, e_s
+    ``oa``/``ob``/``oc`` are the drive at step start, middle and end, and
+    ``gamma`` the decay rate.  Stepping the homogeneous columns e_p, e_s
     and 1 gives the (2, 3, n) array whose row i holds (M_i0, M_i1, v_i).
     """
     p, s = _COLUMNS
-    k1p, k1s = _rhs(p, s, oa, ga, _HALF)
-    k2p, k2s = _rhs(p + 0.5 * h * k1p, s + 0.5 * h * k1s, ob, gb, _HALF)
-    k3p, k3s = _rhs(p + 0.5 * h * k2p, s + 0.5 * h * k2s, ob, gb, _HALF)
-    k4p, k4s = _rhs(p + h * k3p, s + h * k3s, oc, gc, _HALF)
+    k1p, k1s = _rhs(p, s, oa, gamma, _HALF)
+    k2p, k2s = _rhs(p + 0.5 * h * k1p, s + 0.5 * h * k1s, ob, gamma, _HALF)
+    k3p, k3s = _rhs(p + 0.5 * h * k2p, s + 0.5 * h * k2s, ob, gamma, _HALF)
+    k4p, k4s = _rhs(p + h * k3p, s + h * k3s, oc, gamma, _HALF)
     return np.stack((
         p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
         s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s),
@@ -401,7 +383,6 @@ def evolve_numeric(
     drive: DriveProfile,
     t_end: float,
     dt: float,
-    coupling: CouplingSchedule = ALWAYS_ON,
     gamma: float = 1.0,
 ) -> Trajectory:
     """Integrate the Bloch equations with a fixed-step RK4 scheme.
@@ -413,23 +394,15 @@ def evolve_numeric(
     of them outside by more than BLOCH_TOL raises `IntegrationAccuracyError`.
     The fixed grid and scan layout make runs bit-reproducible.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    _check_span(t_end, gamma)
+    if not 0.0 < dt < _INF:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     n = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
     h = t_end / n
     times = np.linspace(0.0, t_end, n + 1)
-    mids = times[:-1] + 0.5 * h
-
-    on_g = coupling.on_mask(times)
-    on_m = coupling.on_mask(mids)
-    om_g = np.where(on_g, drive.rabi(times), 0.0)
-    om_m = np.where(on_m, drive.rabi(mids), 0.0)
-    del mids
+    om_g = np.asarray(drive.rabi(times), dtype=float)
+    om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
 
     om_max = float(max(om_g.max(initial=0.0), om_m.max(initial=0.0)))
     limit = 0.01 * min(
@@ -442,21 +415,13 @@ def evolve_numeric(
         )
 
     def maps(lo, hi):
-        ga, gb, gc = gamma * on_g[lo:hi], gamma * on_m[lo:hi], gamma * on_g[lo + 1 : hi + 1]
-        return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], ga, gb, gc, h)
+        return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], gamma, h)
 
     p, s = _affine_scan(maps, n, (state0.p_e, state0.s_bar))
     for lo in range(0, n + 1, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         p[block], s[block] = _clamped_samples(p[block], s[block])
-    return Trajectory(
-        times=times,
-        p_e=p,
-        s_bar=s,
-        drive=drive,
-        coupling=coupling,
-        gamma=gamma,
-    )
+    return Trajectory(times=times, p_e=p, s_bar=s, drive=drive, gamma=gamma)
 
 
 # --------------------------- constant-drive closed form ---------------------------
@@ -481,12 +446,11 @@ class _Basis(NamedTuple):
     sf: Callable
     arc: Callable
     period: object
-    exp: Callable
 
     def at(self, t):
         """The damped basis exp(-alpha t) C(t) and exp(-alpha t) S(t)."""
         qt = self.q * t
-        env = self.exp(-self.decay * t)
+        env = np.exp(-self.decay * t)
         return env * self.cf(qt), env * self.sf(qt) / self.q
 
     def take(self, cells):
@@ -494,7 +458,7 @@ class _Basis(NamedTuple):
         return self._replace(q=self.q[cells], decay=self.decay[cells], period=self.period[cells])
 
 
-def _transient_basis(k, alpha, xp=np) -> _Basis:
+def _transient_basis(k, alpha) -> _Basis:
     """Basis of the constant-drive dipole transient; the only test of the sign of ``k``.
 
     ``k = rabi^2 - gamma^2/16`` and ``alpha = 3 gamma / 4``.  C and S solve
@@ -506,26 +470,25 @@ def _transient_basis(k, alpha, xp=np) -> _Basis:
     cosh and sinh scaled by exp(-q t), so long drives neither overflow nor
     cancel.  ``arc(q r) / q`` is the root of S(t) / C(t) = r on the branch
     through t = 0 (NaN where there is none), and the roots repeat every
-    ``period`` (infinite unless k > 0).  ``xp`` is ``math`` for a scalar
-    ``k`` and ``numpy`` for an array of one sign; `_basis_groups` splits
-    arrays of cells into such groups.
+    ``period`` (infinite unless k > 0).  ``k`` is a float or an array of one
+    sign; `_basis_groups` splits arrays of cells into such groups.
     """
     one = _one(k)
     sign = np.ravel(k)[0]
     if sign > 0.0:
-        q = xp.sqrt(k)
-        return _Basis(q, alpha * one, xp.cos, xp.sin, np.arctan, math.pi / q, xp.exp)
+        q = np.sqrt(k)
+        return _Basis(q, alpha * one, np.cos, np.sin, np.arctan, math.pi / q)
     if sign < 0.0:
-        q = xp.sqrt(-k)
+        q = np.sqrt(-k)
 
         def cf(x):
-            return 0.5 * (1.0 + xp.exp(-2.0 * x))
+            return 0.5 * (1.0 + np.exp(-2.0 * x))
 
         def sf(x):
-            return -0.5 * xp.expm1(-2.0 * x)
+            return -0.5 * np.expm1(-2.0 * x)
 
-        return _Basis(q, alpha - q, cf, sf, _atanh_inside, _INF * one, xp.exp)
-    return _Basis(one, alpha * one, _one, _identity, _identity, _INF * one, xp.exp)
+        return _Basis(q, alpha - q, cf, sf, _atanh_inside, _INF * one)
+    return _Basis(one, alpha * one, _one, _identity, _identity, _INF * one)
 
 
 @dataclass(frozen=True)
@@ -619,35 +582,24 @@ def analytic_square_trajectory(
     gamma: float,
     t_end: float,
     num: int,
-    coupling: CouplingSchedule = ALWAYS_ON,
 ) -> Trajectory:
     """Constant-drive trajectory sampled from the closed form (no integration error)."""
+    _check_span(t_end, gamma)
     if num < 1:
         raise ValueError("num must be at least 1")
-    times = np.linspace(0.0, t_end, num) if num > 1 else np.array([0.0])
+    times = np.linspace(0.0, t_end, num)
     p, s = _square_states(prep, rabi, gamma, times)
     return Trajectory(
-        times=times,
-        p_e=p,
-        s_bar=s,
-        drive=SquarePulse(amplitude=rabi, duration=max(t_end, np.finfo(float).tiny)),
-        coupling=coupling,
-        gamma=gamma,
+        times=times, p_e=p, s_bar=s, drive=SquarePulse(amplitude=rabi, duration=t_end), gamma=gamma
     )
 
 
 def free_decay_trajectory(state0: QubitState, gamma: float, t_end: float, num: int) -> Trajectory:
     """Undriven decay sampled exactly on a uniform grid."""
+    _check_span(t_end, gamma)
     if num < 2:
         raise ValueError("num must be at least 2")
     times = np.linspace(0.0, t_end, num)
     p = state0.p_e * np.exp(-gamma * times)
     s = state0.s_bar * np.exp(-0.5 * gamma * times)
-    return Trajectory(
-        times=times,
-        p_e=p,
-        s_bar=s,
-        drive=OffDrive(),
-        coupling=ALWAYS_ON,
-        gamma=gamma,
-    )
+    return Trajectory(times=times, p_e=p, s_bar=s, drive=OffDrive(), gamma=gamma)

@@ -82,8 +82,8 @@ class EnergeticsTrace:
     """Instantaneous and cumulative energy flows along a trajectory.
 
     ``work_tail``/``heat_tail`` hold the exact free-decay contributions after
-    the final grid point (zero unless the tail was requested); ``total_work``
-    and ``total_heat`` include them.
+    the final grid point (zero when no tail applies, see `accumulate`);
+    ``total_work`` and ``total_heat`` include them.
     """
 
     times: np.ndarray
@@ -106,26 +106,19 @@ class EnergeticsTrace:
         return float(self.heat[-1]) + self.heat_tail
 
 
-def _tail_applies(traj: Trajectory, include_tail: bool | None) -> bool:
-    """``include_tail``, or for None: the drive is done, the coupling still on and gamma > 0."""
-    if include_tail is not None:
-        return include_tail
-    t_end = traj.times[-1]
-    off = traj.coupling.gamma_off_time
-    return t_end >= traj.drive.support_end() and (off is None or t_end < off) and traj.gamma > 0.0
+def _tail_applies(traj: Trajectory) -> bool:
+    """The drive is over by the last sample and the qubit still decays."""
+    return traj.times[-1] >= traj.drive.support_end() and traj.gamma > 0.0
 
 
-def accumulate(
-    traj: Trajectory,
-    include_tail: bool | None = None,
-    check_residual: bool = True,
-) -> EnergeticsTrace:
+def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace:
     """Integrate the energy flows of a trajectory.
 
-    ``include_tail=None`` appends the exact free-decay work/heat after the
-    last sample whenever both the drive and the coupling are still nontrivial
-    there (i.e. the run was cut off mid-decay with the coupling on); True and
-    False force it.  The grid-level first-law residual
+    When the last sample is at or past the drive's `support_end` and
+    gamma > 0, the exact free-decay tail after it is booked: work s_end^2
+    and heat p_end - s_end^2.  A trace that ends while the drive is still on
+    books none; it stands for a run whose coupling is cut at its end, which
+    freezes the state.  The grid-level first-law residual
     |energy drop - (work + heat)| is checked against RESIDUAL_TOL unless
     ``check_residual`` is False.
     """
@@ -134,10 +127,8 @@ def accumulate(
     s = traj.s_bar
     m2 = s * s
 
-    on = traj.coupling.on_mask(t)
-    om = np.where(on, traj.drive.rabi(t), 0.0)
-    ga = np.where(on, traj.gamma, 0.0)
-
+    om = traj.drive.rabi(t)
+    ga = traj.gamma
     w_flux = ga * m2 + om * s
     q_flux = ga * (p - m2)
     in_flux = np.asarray(traj.drive.photon_rate(t, gamma=traj.gamma), dtype=float)
@@ -147,7 +138,7 @@ def accumulate(
     work = _cumulative_trapezoid(w_flux, t)
     heat = _cumulative_trapezoid(q_flux, t)
 
-    if _tail_applies(traj, include_tail):
+    if _tail_applies(traj):
         w_tail = float(m2[-1])
         q_tail = float(p[-1] - m2[-1])
     else:
@@ -208,18 +199,14 @@ class WorkSplit:
         return self.w_stim + self.w_sp
 
 
-def work_split(traj: Trajectory, include_tail: bool | None = None) -> WorkSplit:
+def work_split(traj: Trajectory) -> WorkSplit:
     """Integrate the two work channels separately (same conventions as `accumulate`)."""
     t = traj.times
     s = traj.s_bar
-    on = traj.coupling.on_mask(t)
-    om = np.where(on, traj.drive.rabi(t), 0.0)
-    ga = np.where(on, traj.gamma, 0.0)
+    stim = float(_cumulative_trapezoid(traj.drive.rabi(t) * s, t)[-1])
+    spon = float(_cumulative_trapezoid(traj.gamma * (s * s), t)[-1])
 
-    stim = float(_cumulative_trapezoid(om * s, t)[-1])
-    spon = float(_cumulative_trapezoid(ga * (s * s), t)[-1])
-
-    if _tail_applies(traj, include_tail):
+    if _tail_applies(traj):
         spon += float(s[-1] * s[-1])
     return WorkSplit(w_stim=stim, w_sp=spon)
 

@@ -117,7 +117,7 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     restart = np.array([[0.0, 0.0, x0[0]], [0.0, 0.0, x0[1]]])[..., None]
 
     def maps(lo, hi):
-        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, gamma, gamma, hs[lo:hi])
+        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, hs[lo:hi])
         m[..., ends[(ends >= lo) & (ends < hi)] - lo] = restart
         return m
 
@@ -180,7 +180,7 @@ def optimize_exponential_tau(
     # the step resolves the pulse's decay as well as its Rabi and decay rates
     dt = min(suggested_grid_step(pulse.amplitude, gamma, window), tau_star / 64.0)
     traj = evolve_numeric(prepare_initial(prep), pulse, t_end=window, dt=dt, gamma=gamma)
-    work = accumulate(traj, include_tail=True).total_work
+    work = accumulate(traj).total_work
     return ExponentialTauResult(
         tau_opt=tau_star,
         work=work,
@@ -323,7 +323,7 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     kept = np.empty((2, 3, n)) if keep_maps else None
 
     def maps(lo, hi):
-        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, gamma, gamma, h)
+        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, h)
         if keep_maps:
             kept[..., lo:hi] = m
         return m
@@ -557,7 +557,7 @@ def solve_optimal_control(
     pulse = TabulatedPulse(times=times, values=c_best)
     dt = suggested_grid_step(float(c_best.max()), gamma, problem.horizon)
     traj = evolve_numeric(prepare_initial(prep), pulse, t_end=problem.horizon, dt=dt, gamma=gamma)
-    work = accumulate(traj, include_tail=True).total_work
+    work = accumulate(traj).total_work
 
     return OptimalPulse(
         problem=problem,

@@ -78,7 +78,7 @@ def conservation_audit(traj: Trajectory, tolerance: float = 1e-6) -> Conservatio
     if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise ValueError("conservation audit requires a uniform time grid")
 
-    trace = accumulate(traj, include_tail=False, check_residual=False)
+    trace = accumulate(traj, check_residual=False)
     e = trace.energy
     de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
     sl = slice(2, -2)

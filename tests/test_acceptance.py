@@ -91,7 +91,7 @@ def test_criterion_02_spontaneous_work_closed_form():
         for j, th in enumerate(thetas):
             prep = ef.Preparation(p=p, theta=float(th))
             traj = ef.free_decay_trajectory(ef.prepare_initial(prep), 1.0, t_end=16.0, num=16001)
-            w = ef.accumulate(traj, include_tail=True).total_work
+            w = ef.accumulate(traj).total_work
             w_grid[i, j] = w
             worst = max(worst, abs(w - (0.5 - p) ** 2 * math.sin(th) ** 2))
     i_max, j_max = np.unravel_index(int(w_grid.argmax()), w_grid.shape)

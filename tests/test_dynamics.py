@@ -143,18 +143,46 @@ def test_photon_rate_relation():
     assert d.photon_rate(0.5, gamma=2.0) == pytest.approx(9.0 / 8.0)
 
 
-def test_coupling_schedule_validation_and_gating():
-    with pytest.raises(ValueError):
-        ef.CouplingSchedule(gamma_off_time=0.0)
-    with pytest.raises(ValueError):
-        ef.CouplingSchedule(gamma_off_time=-1.0)
-    cut = ef.CouplingSchedule(gamma_off_time=2.0)
-    assert cut.on_mask(2.0) and not cut.on_mask(2.0000001)
-    assert ef.ALWAYS_ON.on_mask(1e9)
-    assert cut.on_mask([1.0, 2.0, 3.0]).tolist() == [True, True, False]
-
-
 # ------------------------------------------------------- numeric integration
+
+
+_STATE = ef.QubitState(p_e=0.5, s_bar=0.3)
+
+
+def _evolve(t_end=1.0, gamma=1.0, dt=0.001):
+    return ef.evolve_numeric(_STATE, ef.OffDrive(), t_end=t_end, dt=dt, gamma=gamma)
+
+
+def _decay(t_end=1.0, gamma=1.0):
+    return ef.free_decay_trajectory(_STATE, gamma=gamma, t_end=t_end, num=11)
+
+
+def _square(t_end=1.0, gamma=1.0):
+    return ef.analytic_square_trajectory(ef.Preparation(p=0.0, theta=1.0), 1.0, gamma, t_end, 11)
+
+
+@pytest.mark.parametrize(
+    "build", [_evolve, _decay, _square], ids=["evolve", "free_decay", "analytic_square"]
+)
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("t_end", math.inf),
+        ("t_end", math.nan),
+        ("gamma", math.nan),
+        ("gamma", math.inf),
+        ("gamma", -1.0),
+    ],
+)
+def test_trajectory_builders_reject_bad_spans_and_rates(build, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        build(**{name: value})
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_evolve_numeric_rejects_non_finite_step(dt):
+    with pytest.raises(ValueError, match="dt must be"):
+        _evolve(dt=dt)
 
 
 def test_dt_guard_rejects_coarse_steps():
@@ -172,20 +200,6 @@ def test_numeric_grid_is_uniform_and_starts_at_zero():
     assert len(traj) == traj.times.size
     st0 = traj.state(0)
     assert st0.p_e == pytest.approx(state.p_e)
-
-
-def test_coupling_cut_freezes_the_state():
-    prep = ef.Preparation(p=0.0, theta=2.0)
-    state = ef.prepare_initial(prep)
-    cut = ef.CouplingSchedule(gamma_off_time=0.5)
-    traj = ef.evolve_numeric(state, ef.OffDrive(), t_end=2.0, dt=0.005, coupling=cut)
-    # the step straddling the cut still sees the on-value at its left node,
-    # so the state is frozen from the next grid point onward
-    k = int(np.searchsorted(traj.times, 0.5)) + 1
-    late_p = traj.p_e[k:]
-    assert np.allclose(late_p, late_p[0], atol=1e-12)
-    early = traj.p_e[traj.times <= 0.5]
-    assert early[-1] < early[0]  # it really did decay while coupled
 
 
 @given(preparations, epsilons)
@@ -315,6 +329,5 @@ def test_trajectory_validation():
             p_e=np.zeros(2),
             s_bar=np.zeros(2),
             drive=ef.OffDrive(),
-            coupling=ef.ALWAYS_ON,
             gamma=1.0,
         )

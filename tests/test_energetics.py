@@ -146,7 +146,7 @@ def test_accumulate_power_balance_columns():
         t_end=4.0,
         dt=0.002,
     )
-    tr = ef.accumulate(traj, include_tail=False)
+    tr = ef.accumulate(traj)
     assert np.allclose(tr.output_flux - tr.input_flux, tr.work_flux + tr.heat_flux, atol=1e-12)
     assert np.all(tr.input_flux == rabi**2 / 4.0)
     assert tr.heat_flux.min() >= -1e-12
@@ -165,7 +165,6 @@ def test_first_law_residual_guard_trips_on_corrupted_population():
         p_e=traj.p_e * (1.0 + 1e-3),
         s_bar=traj.s_bar,
         drive=traj.drive,
-        coupling=traj.coupling,
         gamma=traj.gamma,
     )
     with pytest.raises(ef.IntegrationAccuracyError):
@@ -174,27 +173,45 @@ def test_first_law_residual_guard_trips_on_corrupted_population():
     ef.accumulate(bad, check_residual=False)
 
 
-def test_tail_is_skipped_when_coupling_is_cut():
-    prep = ef.Preparation(p=0.0, theta=math.pi / 2)
-    state = ef.prepare_initial(prep)
-    cut = ef.CouplingSchedule(gamma_off_time=1.0)
-    traj = ef.evolve_numeric(state, ef.OffDrive(), t_end=1.0, dt=0.001, coupling=cut)
+_KINKED = ef.TabulatedPulse(times=[0.0, 0.5, 1.0], values=[0.0, 2.0, 0.0])  # kinks on grid nodes
+
+
+@pytest.mark.parametrize(
+    "t_end, booked",
+    [
+        (0.5, False),  # the drive is still on: the trace stands for a cut coupling
+        (1.0, True),  # ends with the drive
+        (1.5, True),  # ends in the free decay
+    ],
+)
+def test_tail_is_booked_after_the_drive_only(t_end, booked):
+    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
+    traj = ef.evolve_numeric(state, _KINKED, t_end=t_end, dt=0.001)
     tr = ef.accumulate(traj)
-    assert tr.work_tail == 0.0 and tr.heat_tail == 0.0
-    # with coupling kept on, the tail picks up the remaining coherence energy
-    traj2 = ef.evolve_numeric(state, ef.OffDrive(), t_end=1.0, dt=0.001)
-    tr2 = ef.accumulate(traj2)
-    s_end = traj2.s_bar[-1]
-    assert tr2.work_tail == pytest.approx(s_end**2, abs=1e-12)
-    assert tr2.heat_tail == pytest.approx(traj2.p_e[-1] - s_end**2, abs=1e-12)
+    s_end, p_end = traj.s_bar[-1], traj.p_e[-1]
+    if booked:
+        assert tr.work_tail == pytest.approx(s_end**2, abs=1e-12)
+        assert tr.heat_tail == pytest.approx(p_end - s_end**2, abs=1e-12)
+        assert tr.work_tail > 1e-4 and tr.heat_tail > 1e-4
+    else:
+        assert tr.work_tail == 0.0 and tr.heat_tail == 0.0
+    assert ef.work_split(traj).total == pytest.approx(tr.total_work, abs=1e-9)
+
+
+def test_no_tail_without_decay():
+    # gamma = 0: the coherence left at the end never leaves, so no spontaneous work is booked
+    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
+    traj = ef.evolve_numeric(state, _KINKED, t_end=1.5, dt=0.001, gamma=0.0)
+    assert abs(traj.s_bar[-1]) > 0.1
+    assert ef.work_split(traj).w_sp == 0.0
 
 
 def test_accumulated_work_matches_closed_form():
     prep = ef.Preparation(p=0.1, theta=1.8)
     rabi, gamma, tau = 1.3, 1.0, 4.0
     traj = ef.analytic_square_trajectory(prep, rabi, gamma, t_end=tau, num=40001)
-    tr = ef.accumulate(traj, include_tail=False)
-    assert tr.total_work == pytest.approx(ef.square_drive_work(prep, rabi, gamma, tau), abs=2e-8)
+    tr = ef.accumulate(traj)
+    assert tr.work[-1] == pytest.approx(ef.square_drive_work(prep, rabi, gamma, tau), abs=2e-8)
 
 
 def test_suggested_grid_step_budget_scaling():
@@ -237,7 +254,7 @@ def _split_limit_deviation(eps, p, theta, angle):
     tau = angle / rabi
     prep = ef.Preparation(p=p, theta=theta)
     traj = ef.analytic_square_trajectory(prep, rabi, gamma, t_end=tau, num=8001)
-    split = ef.work_split(traj, include_tail=True)
+    split = ef.work_split(traj)
     a = theta - angle
     w_stim = (0.5 - p) * (math.cos(a) - math.cos(theta))
     w_sp = (0.5 - p) ** 2 * math.sin(a) ** 2
@@ -267,7 +284,7 @@ def test_stimulated_limit_pi_pulse_extracts_ergotropy():
     prep = ef.Preparation(p=0.0, theta=math.pi)
     tau = math.pi / rabi
     traj = ef.analytic_square_trajectory(prep, rabi, gamma, t_end=tau, num=4001)
-    split = ef.work_split(traj, include_tail=True)
+    split = ef.work_split(traj)
     assert split.w_stim == pytest.approx(1.0, abs=0.03)
     assert abs(split.w_sp) < 5e-3
 
@@ -278,6 +295,6 @@ def test_split_consistency_property(prep, rabi):
     tau = 2.0
     h = ef.suggested_grid_step(rabi, 1.0, tau)
     traj = ef.analytic_square_trajectory(prep, rabi, 1.0, t_end=tau, num=int(tau / h) + 2)
-    split = ef.work_split(traj, include_tail=False)
-    tr = ef.accumulate(traj, include_tail=False)
+    split = ef.work_split(traj)
+    tr = ef.accumulate(traj)
     assert split.total == pytest.approx(tr.total_work, abs=1e-9)

@@ -2,9 +2,9 @@
 
 `evolve_numeric`, `control_work` and `control_work_and_gradient` compose
 each RK4 step as an affine map and scan them in chunks and blocks; these
-tests pin them to a step-by-step loop at the chunk and block edges, across
-a coupling cut and without decay.  The gradient reference is the
-complex-step derivative of the same loop.
+tests pin them to a step-by-step loop at the chunk and block edges, for a
+drive that stops before the end of the run and without decay.  The
+gradient reference is the complex-step derivative of the same loop.
 """
 import tracemalloc
 
@@ -18,24 +18,24 @@ STEP_COUNTS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + 1]
 TOL = 1e-13
 
 
-def _rk4_reference(p, s, on, om, gn, gm, h):
+def _rk4_reference(p, s, on, om, gamma, h):
     """Sequential RK4 of the real Bloch channel; returns the node states.
 
-    ``on``/``gn`` are the drive and decay at the nodes, ``om``/``gm`` at the
-    step midpoints.  Every operation is analytic, so complex drives give
-    complex-step derivatives.
+    ``on`` is the drive at the nodes and ``om`` at the step midpoints.
+    Every operation is analytic, so complex drives give complex-step
+    derivatives.
     """
 
-    def f(p, s, o, g):
-        return -g * p - o * s, o * (p - 0.5) - 0.5 * g * s
+    def f(p, s, o):
+        return -gamma * p - o * s, o * (p - 0.5) - 0.5 * gamma * s
 
-    on, om, gn, gm = (np.asarray(a).tolist() for a in (on, om, gn, gm))
+    on, om = np.asarray(on).tolist(), np.asarray(om).tolist()
     ps, ss = [p], [s]
     for k in range(len(om)):
-        k1p, k1s = f(p, s, on[k], gn[k])
-        k2p, k2s = f(p + 0.5 * h * k1p, s + 0.5 * h * k1s, om[k], gm[k])
-        k3p, k3s = f(p + 0.5 * h * k2p, s + 0.5 * h * k2s, om[k], gm[k])
-        k4p, k4s = f(p + h * k3p, s + h * k3s, on[k + 1], gn[k + 1])
+        k1p, k1s = f(p, s, on[k])
+        k2p, k2s = f(p + 0.5 * h * k1p, s + 0.5 * h * k1s, om[k])
+        k3p, k3s = f(p + 0.5 * h * k2p, s + 0.5 * h * k2s, om[k])
+        k4p, k4s = f(p + h * k3p, s + h * k3s, on[k + 1])
         p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
         s = s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
         ps.append(p)
@@ -68,8 +68,7 @@ def _reference_work(controls, times, prep, n_sub, gamma):
     on, om = drive[::2], drive[1::2]
     h = (times[1] - times[0]) / n_sub
     state0 = ef.prepare_initial(prep)
-    g = np.full(len(on), gamma)
-    _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, g, g[1:], h)
+    _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, gamma, h)
     w = on * s + gamma * s * s
     flux = sum(_panel_integral(w[j * n_sub : (j + 1) * n_sub + 1], h) for j in range(m - 1))
     return flux + s[-1] ** 2
@@ -88,9 +87,9 @@ def _complex_step_gradient(controls, times, prep, n_sub, gamma):
 
 
 EVOLVE_CASES = {
-    # varying drive that stops before the end, coupling cut mid-run
-    "cut": dict(state=ef.QubitState(p_e=0.8, s_bar=0.3), gamma=1.0, cut=0.55),
-    "no decay": dict(state=ef.QubitState(p_e=0.3, s_bar=-0.4), gamma=0.0, cut=None),
+    # the varying drive is cut at 0.8 t_end; the decay goes on to the end
+    "cut": dict(state=ef.QubitState(p_e=0.8, s_bar=0.3), gamma=1.0),
+    "no decay": dict(state=ef.QubitState(p_e=0.3, s_bar=-0.4), gamma=0.0),
 }
 
 
@@ -102,17 +101,13 @@ def test_evolve_numeric_matches_sequential_rk4(n, case):
     h = 0.004
     t_end = n * h
     drive = ef.TabulatedPulse(times=[0.0, 0.4 * t_end, 0.8 * t_end], values=[0.5, 2.0, 1.0])
-    cut = ef.ALWAYS_ON if spec["cut"] is None else ef.CouplingSchedule(spec["cut"] * t_end)
-    traj = ef.evolve_numeric(state, drive, t_end=t_end, dt=h, coupling=cut, gamma=gamma)
+    traj = ef.evolve_numeric(state, drive, t_end=t_end, dt=h, gamma=gamma)
     assert len(traj.times) == n + 1
 
     t = traj.times
-    mids = t[:-1] + 0.5 * (t[1] - t[0])
-    on_g, on_m = cut.on_mask(t), cut.on_mask(mids)
-    om_g = np.where(on_g, drive.rabi(t), 0.0)
-    om_m = np.where(on_m, drive.rabi(mids), 0.0)
     h = t[1] - t[0]
-    p, s = _rk4_reference(state.p_e, state.s_bar, om_g, om_m, gamma * on_g, gamma * on_m, h)
+    on, om = drive.rabi(t), drive.rabi(t[:-1] + 0.5 * h)
+    p, s = _rk4_reference(state.p_e, state.s_bar, on, om, gamma, h)
     assert np.abs(traj.p_e - p).max() <= TOL
     assert np.abs(traj.s_bar - s).max() <= TOL
     assert traj.s_bar.dtype == np.float64

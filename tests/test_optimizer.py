@@ -64,7 +64,7 @@ def test_control_work_matches_strict_pipeline():
     pulse = ef.TabulatedPulse(times=times, values=controls)
     dt = ef.suggested_grid_step(float(controls.max()), 1.0, 8.0)
     traj = ef.evolve_numeric(ef.prepare_initial(prep), pulse, t_end=8.0, dt=dt)
-    strict = ef.accumulate(traj, include_tail=True).total_work
+    strict = ef.accumulate(traj).total_work
     assert w == pytest.approx(strict, rel=1e-4)
 
 

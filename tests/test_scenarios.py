@@ -26,16 +26,19 @@ active_preparations = st.builds(
 rate_ratios = st.floats(min_value=1e-3, max_value=1e4)
 
 
-def _square_trace(prep, rabi, tau, coupling=ef.ALWAYS_ON, include_tail=None):
-    """The first-law-checked trace of a constant drive over [0, tau], from the closed form."""
+def _square_trace(prep, rabi, tau):
+    """The first-law-checked trace of a constant drive over [0, tau], from the closed form.
+
+    It ends with the drive, so it books the free decay after tau as its tail.
+    """
     num = math.ceil(tau / ef.suggested_grid_step(rabi, 1.0, tau)) + 1
-    traj = ef.analytic_square_trajectory(prep, rabi, 1.0, tau, max(num, 2), coupling)
-    return ef.accumulate(traj, include_tail=include_tail)
+    traj = ef.analytic_square_trajectory(prep, rabi, 1.0, tau, max(num, 2))
+    return ef.accumulate(traj)
 
 
 def _decay_trace(state):
     """The first-law-checked trace of the free decay from ``state``, with its exact tail."""
-    return ef.accumulate(ef.free_decay_trajectory(state, 1.0, t_end=40.0, num=16001), include_tail=True)
+    return ef.accumulate(ef.free_decay_trajectory(state, 1.0, t_end=40.0, num=16001))
 
 
 # ----------------------------------------------------------- continuous drive
@@ -313,7 +316,7 @@ def test_refined_roots_match_brentq(name):
         want = brentq(dipole, lo, hi, xtol=1e-300, rtol=4.0 * eps)
         tol = scenarios._XTOL + scenarios._RTOL * want
         co = ef.square_pulse_coefficients(prep, r, gamma)
-        ec, es = _transient_basis(co.k, 0.75 * gamma, math).at(want)
+        ec, es = _transient_basis(co.k, 0.75 * gamma).at(want)
         band = eps * (abs(co.a * ec) + abs(co.b * es) + abs(co.c)) / abs(co.pc * ec + co.ps * es)
         bands.append(band / tol)
         assert abs(root - want) <= tol + 2.0 * band, (name, c, root, want)
@@ -437,11 +440,13 @@ def test_continuous_passive_states_extract_nothing():
 def test_continuous_trace_reproduces_reported_work():
     prep = ef.Preparation(p=0.0, theta=2.4)
     res = ef.scenario_continuous(prep, 1.5)
-    cut = ef.CouplingSchedule(gamma_off_time=res.tau_opt)
-    trace = _square_trace(prep, 2.0 * math.sqrt(1.5), res.tau_opt, cut)
-    assert trace.total_work == pytest.approx(res.work, abs=1e-6)
-    # coupling is cut at the stop, so no tail is booked
-    assert trace.work_tail == 0.0
+    # the coupling is cut at the stop, so the reported work is the work of
+    # the trace stopped at tau_opt, without the tail that trace books
+    trace = _square_trace(prep, 2.0 * math.sqrt(1.5), res.tau_opt)
+    assert trace.work[-1] == pytest.approx(res.work, abs=1e-6)
+    # the stop is a zero of the dipole: the tail holds heat only
+    assert trace.work_tail == pytest.approx(0.0, abs=1e-12)
+    assert trace.heat_tail == pytest.approx(trace.energy[-1], abs=1e-12)
 
 
 def test_continuous_yield_increases_with_rate():
@@ -515,13 +520,13 @@ def test_pulsed_trace_splices_the_pulse_edge():
     prep = ef.Preparation(p=0.0, theta=2.356)
     res = ef.scenario_pulsed(prep, n_bar=1.64, tau=1.0)
     rabi = 2.0 * math.sqrt(1.64)
-    pulse = _square_trace(prep, rabi, 1.0, include_tail=False)
+    pulse = _square_trace(prep, rabi, 1.0)
     decay = _decay_trace(ef.evolve_square_analytic(prep, rabi, 1.0, 1.0))
     # the decay picks up the pulse's end state at the edge
     assert decay.energy[0] == pytest.approx(pulse.energy[-1], abs=1e-12)
-    assert pulse.total_work + decay.total_work == pytest.approx(res.work, abs=1e-6)
-    # a trace that ends with the drive, coupling on, books the decay as its exact tail
-    assert _square_trace(prep, rabi, 1.0).total_work == pytest.approx(res.work, abs=1e-6)
+    assert pulse.work[-1] + decay.total_work == pytest.approx(res.work, abs=1e-6)
+    # the trace ends with the drive, so it books the decay as its exact tail
+    assert pulse.total_work == pytest.approx(res.work, abs=1e-6)
 
 
 @given(

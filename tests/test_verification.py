@@ -40,7 +40,6 @@ def test_audit_catches_corrupted_bookkeeping():
         s_bar=traj.s_bar,
         drive=traj.drive,
         gamma=traj.gamma,
-        coupling=traj.coupling,
     )
     assert not ef.conservation_audit(bad).passed
 
@@ -53,7 +52,6 @@ def test_audit_rejects_bad_grids():
         s_bar=traj.s_bar[:4],
         drive=traj.drive,
         gamma=traj.gamma,
-        coupling=traj.coupling,
     )
     with pytest.raises(ValueError):
         ef.conservation_audit(squeezed)
@@ -63,7 +61,6 @@ def test_audit_rejects_bad_grids():
         s_bar=traj.s_bar,
         drive=traj.drive,
         gamma=traj.gamma,
-        coupling=traj.coupling,
     )
     with pytest.raises(ValueError):
         ef.conservation_audit(warped)
