@@ -283,7 +283,7 @@ _OPTIMIZE_DEFAULTS = {
     "nbar": None,
     "horizon": 10.0,
     "nodes": 400,
-    "starts": 4,
+    "starts": 1,
     "seed": 0,
     "out": None,
 }
@@ -469,7 +469,12 @@ def _build_parser() -> _Parser:
     op.add_argument("--nbar", type=float)
     op.add_argument("--horizon", type=float)
     op.add_argument("--nodes", type=int)
-    op.add_argument("--starts", type=int)
+    op.add_argument(
+        "--starts",
+        type=int,
+        help="L-BFGS-B starts (default 1): start 0 is the best exponential; "
+        "seeded perturbations of it never gained more than 1e-12 in W from n_bar = 1e-4 to 80",
+    )
     op.add_argument("--seed", type=int)
     op.add_argument("--out")
     op.add_argument("--config")

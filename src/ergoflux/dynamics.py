@@ -29,6 +29,9 @@ BLOCH_TOL = 1e-9
 
 _INF = float("inf")
 
+# Largest h * max(gamma, rabi) of one RK4 step of a trajectory.
+_RK4_BOUND = 0.01
+
 
 class IntegrationAccuracyError(RuntimeError):
     """A numerical trajectory or quadrature failed its accuracy contract."""
@@ -120,9 +123,13 @@ class DriveProfile:
         raise NotImplementedError
 
     def photon_rate(self, t, gamma: float = 1.0):
-        """Incoming photon flux rabi^2 / (4 gamma)."""
+        """Incoming photon flux rabi^2 / (4 gamma).
+
+        At gamma = 0 it is the limit gamma -> 0: inf where the drive is on
+        and 0 where it is off.
+        """
         r = np.asarray(self.rabi(t), dtype=float)
-        out = r * r / (4.0 * gamma)
+        out = r * r / (4.0 * gamma) if gamma > 0.0 else np.where(r != 0.0, _INF, 0.0)
         return float(out) if out.ndim == 0 else out
 
     def charge(self, gamma: float = 1.0) -> float:
@@ -387,36 +394,51 @@ def evolve_numeric(
 ) -> Trajectory:
     """Integrate the Bloch equations with a fixed-step RK4 scheme.
 
-    The step must resolve the fastest scale: dt <= 0.01 * min(1/gamma,
-    1/max(rabi)).  The RK4 steps are affine maps of the state, composed by
-    `_affine_scan`.  The stored states are clamped back into the Bloch ball
-    after integration, so the clamp never feeds back into the next step; any
-    of them outside by more than BLOCH_TOL raises `IntegrationAccuracyError`.
-    The fixed grid and scan layout make runs bit-reproducible.
+    Each step must resolve the fastest scale around it: dt * max(gamma,
+    rabi at the step's start, middle and end) <= 0.01.  The RK4 steps are
+    affine maps of the state, composed by `_affine_scan`.  The stored states
+    are clamped back into the Bloch ball after integration, so the clamp
+    never feeds back into the next step; any of them outside by more than
+    BLOCH_TOL raises `IntegrationAccuracyError`.  The fixed grid and scan
+    layout make runs bit-reproducible.
     """
     _check_span(t_end, gamma)
     if not 0.0 < dt < _INF:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-
     n = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
-    h = t_end / n
-    times = np.linspace(0.0, t_end, n + 1)
-    om_g = np.asarray(drive.rabi(times), dtype=float)
-    om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
+    return _integrate(state0, drive, np.linspace(0.0, t_end, n + 1), t_end / n, gamma)
 
-    om_max = float(max(om_g.max(initial=0.0), om_m.max(initial=0.0)))
-    limit = 0.01 * min(
-        1.0 / gamma if gamma > 0.0 else _INF,
-        1.0 / om_max if om_max > 0.0 else _INF,
-    )
-    if h > limit * (1.0 + 1e-9):
+
+def _check_steps(times, h, om_g, om_m, gamma: float) -> None:
+    """Raise `ValueError` at the first step with h * max(gamma, its drive samples) above `_RK4_BOUND`."""
+    local = np.maximum(om_g[:-1], om_g[1:])
+    np.maximum(local, om_m, out=local)
+    np.maximum(local, gamma, out=local)
+    local *= h
+    worst = int(np.argmax(local))
+    if local[worst] > _RK4_BOUND * (1.0 + 1e-9):
+        step = float(np.broadcast_to(h, local.shape)[worst])
         raise ValueError(
-            f"dt={h:.3e} too coarse for the fastest scale; need dt <= {limit:.3e}"
+            f"dt={step:.3e} too coarse for the fastest scale at t={times[worst]:.3e}; "
+            f"need dt <= {_RK4_BOUND * step / local[worst]:.3e}"
         )
 
-    def maps(lo, hi):
-        return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], gamma, h)
 
+def _integrate(state0: QubitState, drive: DriveProfile, times, h, gamma: float) -> Trajectory:
+    """`evolve_numeric` on a given grid: one RK4 step of length ``h`` from each of ``times[:-1]``.
+
+    ``h`` is a float for a uniform grid or an array with one length per
+    step; ``times[k] + h[k]`` is ``times[k + 1]`` up to rounding.
+    """
+    om_g = np.asarray(drive.rabi(times), dtype=float)
+    om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
+    _check_steps(times, h, om_g, om_m, gamma)
+
+    def maps(lo, hi):
+        hk = h if np.ndim(h) == 0 else h[lo:hi]
+        return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], gamma, hk)
+
+    n = len(times) - 1
     p, s = _affine_scan(maps, n, (state0.p_e, state0.s_bar))
     for lo in range(0, n + 1, _BLOCK):
         block = slice(lo, lo + _BLOCK)

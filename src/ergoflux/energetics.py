@@ -26,6 +26,7 @@ from .dynamics import (
     Preparation,
     QubitState,
     Trajectory,
+    _RK4_BOUND,
     _drive_state,
     _transient_basis,
     square_pulse_coefficients,
@@ -33,6 +34,10 @@ from .dynamics import (
 
 # grid-level residual allowed between the integrated fluxes and the energy drop
 RESIDUAL_TOL = 1e-6
+
+# default error budget of the trapezoid integral of a flux, see `suggested_grid_step`
+_TRAPEZOID_BUDGET = 3e-7
+
 
 def work_rate(state: QubitState, rabi: float, gamma: float) -> float:
     """Coherent (work-like) output power."""
@@ -168,7 +173,9 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     )
 
 
-def suggested_grid_step(rabi_peak: float, gamma: float, window: float, budget: float = 3e-7) -> float:
+def suggested_grid_step(
+    rabi_peak: float, gamma: float, window: float, budget: float = _TRAPEZOID_BUDGET
+) -> float:
     """Sampling step keeping the trapezoid error of flux integrals under ``budget``.
 
     The fluxes oscillate at rate ~ hypot(rabi, gamma) and are damped within a
@@ -180,7 +187,7 @@ def suggested_grid_step(rabi_peak: float, gamma: float, window: float, budget: f
         return window
     eff = min(window, 4.0 / (3.0 * gamma)) if gamma > 0.0 else window
     h = math.sqrt(12.0 * budget / (rate**3 * max(eff, 1e-300)))
-    h_rk4 = 0.01 / rate
+    h_rk4 = _RK4_BOUND / rate
     return min(h, h_rk4, window)
 
 

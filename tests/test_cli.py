@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,28 @@ def test_module_entry_point_runs_the_cli():
     proc = _fresh_python("-m", "ergoflux.cli", "scenario", "--case", "ii", "--theta", "1.5708")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "1.5708,0,0.249999999997,0.499998163397,nan,0"
+
+
+def _readme_commands():
+    """The ``ergoflux`` lines of the README's "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ergoflux ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_lines_run_clean(argv, tmp_path, capsys):
+    path = None
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        path = tmp_path / argv[i]
+        argv = [*argv[:i], str(path), *argv[i + 1 :]]
+    assert cli.run(argv) == 0
+    text = path.read_text() if path else capsys.readouterr().out
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    if rows and rows[0][-1] == "flag":
+        assert len(rows) > 1 and all(row[-1] == "0" for row in rows[1:])
 
 
 _IMPORT_PROBE = """

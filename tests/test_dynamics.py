@@ -141,6 +141,10 @@ def test_off_drive_is_null():
 def test_photon_rate_relation():
     d = ef.SquarePulse(amplitude=3.0, duration=1.0)
     assert d.photon_rate(0.5, gamma=2.0) == pytest.approx(9.0 / 8.0)
+    # gamma -> 0: infinite where the drive is on, zero where it is off
+    assert d.photon_rate(0.5, gamma=0.0) == math.inf
+    assert d.photon_rate(2.0, gamma=0.0) == 0.0
+    assert ef.OffDrive().photon_rate(np.linspace(0.0, 1.0, 3), gamma=0.0).tolist() == [0.0] * 3
 
 
 # ------------------------------------------------------- numeric integration

@@ -206,6 +206,18 @@ def test_no_tail_without_decay():
     assert ef.work_split(traj).w_sp == 0.0
 
 
+def test_accumulate_without_decay_books_the_drive_alone():
+    # gamma = 0: the input flux is its gamma -> 0 limit, and no heat leaves
+    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
+    traj = ef.evolve_numeric(state, _KINKED, t_end=1.5, dt=0.001, gamma=0.0)
+    tr = ef.accumulate(traj)
+    on = _KINKED.rabi(traj.times) > 0.0
+    assert np.isinf(tr.input_flux[on]).all() and (tr.input_flux[~on] == 0.0).all()
+    assert (tr.heat == 0.0).all() and tr.work_tail == 0.0 and tr.heat_tail == 0.0
+    assert tr.total_work == pytest.approx(ef.work_split(traj).total, abs=1e-15)
+    assert abs(tr.total_work) > 1e-3
+
+
 def test_accumulated_work_matches_closed_form():
     prep = ef.Preparation(p=0.1, theta=1.8)
     rabi, gamma, tau = 1.3, 1.0, 4.0

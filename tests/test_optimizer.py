@@ -399,6 +399,19 @@ def test_solver_beats_exponential_ansatz():
     assert sol.converged and sol.iterations >= 1 and sol.message
 
 
+@pytest.mark.parametrize(
+    "n_bar, theta",
+    [(0.1, 0.5 * math.pi), (1.64, 0.75 * math.pi), (5.0, math.pi), (20.0, math.pi)],
+)
+def test_strict_work_matches_the_converged_functional(n_bar, theta):
+    # the strict pipeline steps each control interval by its own peak; one
+    # step over the whole horizon was 1.1e-7 off at n_bar = 0.1
+    prep = ef.Preparation(p=0.0, theta=theta)
+    sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar))
+    converged = ef.control_work(sol.controls, sol.times, prep, n_sub=512)
+    assert abs(sol.work - converged) <= 5e-8
+
+
 def test_solver_rejects_mismatched_init():
     prep = ef.Preparation(p=0.0, theta=2.0)
     problem = ef.ControlProblem(prep=prep, n_bar=1.0, horizon=6.0, n_nodes=64)
