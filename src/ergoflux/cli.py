@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -384,15 +385,7 @@ def _verify_bound_scan(par) -> dict:
 
 def _verify_conservation(par) -> dict:
     rep = conservation_suite(n_cases=int(par["cases"]), seed=int(par["seed"]))
-    return {
-        "n_cases": rep.n_cases,
-        "max_rate_residual": rep.max_rate_residual,
-        "max_flux_residual": rep.max_flux_residual,
-        "max_integral_residual": rep.max_integral_residual,
-        "min_heat_rate": rep.min_heat_rate,
-        "tolerance": rep.tolerance,
-        "passed": rep.passed,
-    }
+    return {**dataclasses.asdict(rep), "passed": rep.passed}
 
 
 def _verify_scale(par) -> dict:

@@ -88,7 +88,10 @@ class EnergeticsTrace:
 
     ``work_tail``/``heat_tail`` hold the exact free-decay contributions after
     the final grid point (zero when no tail applies, see `accumulate`);
-    ``total_work`` and ``total_heat`` include them.
+    ``total_work`` and ``total_heat`` include them.  The work splits into
+    its two channels: ``stimulated_work`` = int rabi*s dt and
+    ``spontaneous_work`` = int gamma*s^2 dt + ``work_tail``.  ``residual`` is
+    the grid first-law residual max |E(0) - E - (work + heat)|.
     """
 
     times: np.ndarray
@@ -101,6 +104,9 @@ class EnergeticsTrace:
     heat: np.ndarray
     work_tail: float
     heat_tail: float
+    stimulated_work: float
+    spontaneous_work: float
+    residual: float
 
     @property
     def total_work(self) -> float:
@@ -111,11 +117,6 @@ class EnergeticsTrace:
         return float(self.heat[-1]) + self.heat_tail
 
 
-def _tail_applies(traj: Trajectory) -> bool:
-    """The drive is over by the last sample and the qubit still decays."""
-    return traj.times[-1] >= traj.drive.support_end() and traj.gamma > 0.0
-
-
 def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace:
     """Integrate the energy flows of a trajectory.
 
@@ -124,40 +125,41 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     and heat p_end - s_end^2.  A trace that ends while the drive is still on
     books none; it stands for a run whose coupling is cut at its end, which
     freezes the state.  The grid-level first-law residual
-    |energy drop - (work + heat)| is checked against RESIDUAL_TOL unless
-    ``check_residual`` is False.
+    |energy drop - (work + heat)| is always recorded, and checked against
+    RESIDUAL_TOL unless ``check_residual`` is False.
     """
     t = traj.times
     p = np.asarray(traj.p_e, dtype=float)
     s = traj.s_bar
     m2 = s * s
 
-    om = traj.drive.rabi(t)
     ga = traj.gamma
-    w_flux = ga * m2 + om * s
+    stim = traj.drive.rabi(t) * s
+    # the channel integrals come first, while few arrays are alive
+    stimulated = float(_cumulative_trapezoid(stim, t)[-1])
+    spontaneous = float(_cumulative_trapezoid(ga * m2, t)[-1])
+    w_flux = ga * m2 + stim
     q_flux = ga * (p - m2)
     in_flux = np.asarray(traj.drive.photon_rate(t, gamma=traj.gamma), dtype=float)
     # total outgoing flux = input + net emission
-    out_flux = in_flux + ga * p + om * s
+    out_flux = in_flux + ga * p + stim
 
     work = _cumulative_trapezoid(w_flux, t)
     heat = _cumulative_trapezoid(q_flux, t)
 
-    if _tail_applies(traj):
+    if t[-1] >= traj.drive.support_end() and ga > 0.0:
         w_tail = float(m2[-1])
         q_tail = float(p[-1] - m2[-1])
     else:
         w_tail = 0.0
         q_tail = 0.0
 
-    if check_residual:
-        resid = np.abs((p[0] - p) - (work + heat))
-        worst = float(resid.max())
-        if worst > RESIDUAL_TOL:
-            raise IntegrationAccuracyError(
-                f"first-law residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}; "
-                "refine the grid or split the trace at drive discontinuities"
-            )
+    worst = float(np.abs((p[0] - p) - (work + heat)).max())
+    if check_residual and worst > RESIDUAL_TOL:
+        raise IntegrationAccuracyError(
+            f"first-law residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}; "
+            "refine the grid or split the trace at drive discontinuities"
+        )
 
     return EnergeticsTrace(
         times=t,
@@ -170,6 +172,9 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
         heat=heat,
         work_tail=w_tail,
         heat_tail=q_tail,
+        stimulated_work=stimulated,
+        spontaneous_work=spontaneous + w_tail,
+        residual=worst,
     )
 
 
@@ -189,33 +194,6 @@ def suggested_grid_step(
     h = math.sqrt(12.0 * budget / (rate**3 * max(eff, 1e-300)))
     h_rk4 = _RK4_BOUND / rate
     return min(h, h_rk4, window)
-
-
-# --------------------------- split by channel ---------------------------
-
-
-@dataclass(frozen=True)
-class WorkSplit:
-    """Work decomposed into its stimulated and spontaneous channels."""
-
-    w_stim: float
-    w_sp: float
-
-    @property
-    def total(self) -> float:
-        return self.w_stim + self.w_sp
-
-
-def work_split(traj: Trajectory) -> WorkSplit:
-    """Integrate the two work channels separately (same conventions as `accumulate`)."""
-    t = traj.times
-    s = traj.s_bar
-    stim = float(_cumulative_trapezoid(traj.drive.rabi(t) * s, t)[-1])
-    spon = float(_cumulative_trapezoid(traj.gamma * (s * s), t)[-1])
-
-    if _tail_applies(traj):
-        spon += float(s[-1] * s[-1])
-    return WorkSplit(w_stim=stim, w_sp=spon)
 
 
 # --------------------------- constant-drive closed-form work ---------------------------

@@ -354,6 +354,11 @@ def scenario_pulsed(
 
     cell = [np.array([v]) for v in (prep.p, prep.theta, n_bar, tau)]
     work = float(_pulsed_work(*cell, gamma)[0])
+    if not math.isfinite(work):
+        raise IntegrationAccuracyError(
+            f"pulsed work is not finite at n_bar {n_bar}, tau {tau}, gamma {gamma}: the Rabi frequency "
+            f"2*sqrt(gamma*n_bar/tau) = {2.0 * math.sqrt(gamma * n_bar / tau):.6g} is not finite or too strong"
+        )
     return ScenarioResult(
         prep=prep,
         work=work,

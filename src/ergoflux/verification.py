@@ -40,63 +40,14 @@ from .scenarios import optimal_square_work, scenario_continuous
 
 @dataclass(frozen=True)
 class ConservationReport:
-    """Worst energy-balance residuals along one trajectory.
+    """Worst energy-balance residuals over ``n_cases`` trajectories.
 
-    ``rate_residual`` is max |−dE/dt − (work flux + heat flux)| with the
+    ``max_rate_residual`` is max |−dE/dt − (work flux + heat flux)| with the
     derivative taken by fourth-order centered differences on the interior;
-    ``flux_residual`` is max |output − input + dE/dt|; ``integral_residual``
-    is the cumulative first-law mismatch on the grid.
+    ``max_flux_residual`` is max |output − input + dE/dt|;
+    ``max_integral_residual`` is the cumulative first-law mismatch on the
+    grid, `EnergeticsTrace.residual`.
     """
-
-    rate_residual: float
-    flux_residual: float
-    integral_residual: float
-    min_heat_rate: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.rate_residual <= self.tolerance
-            and self.flux_residual <= self.tolerance
-            and self.integral_residual <= self.tolerance
-            and self.min_heat_rate >= -self.tolerance
-        )
-
-
-def conservation_audit(traj: Trajectory, tolerance: float = 1e-6) -> ConservationReport:
-    """Derivative-level check of the energy bookkeeping on one trajectory.
-
-    The trajectory grid must be uniform (as produced by `evolve_numeric`)
-    and the drive smooth inside the window, otherwise the centered
-    differences see the kinks rather than the physics.
-    """
-    if len(traj) < 5:
-        raise ValueError("need at least 5 grid points to audit")
-    steps = np.diff(traj.times)
-    h = float(steps[0])
-    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        raise ValueError("conservation audit requires a uniform time grid")
-
-    trace = accumulate(traj, check_residual=False)
-    e = trace.energy
-    de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
-    sl = slice(2, -2)
-    rate_resid = float(np.abs(-de - (trace.work_flux[sl] + trace.heat_flux[sl])).max())
-    flux_resid = float(np.abs(trace.output_flux[sl] - trace.input_flux[sl] + de).max())
-    integral_resid = float(np.abs((e[0] - e) - (trace.work + trace.heat)).max())
-    return ConservationReport(
-        rate_residual=rate_resid,
-        flux_residual=flux_resid,
-        integral_residual=integral_resid,
-        min_heat_rate=float(trace.heat_flux.min()),
-        tolerance=tolerance,
-    )
-
-
-@dataclass(frozen=True)
-class ConservationSuiteReport:
-    """Aggregate of `conservation_audit` over randomized trajectories."""
 
     n_cases: int
     max_rate_residual: float
@@ -113,6 +64,37 @@ class ConservationSuiteReport:
             and self.max_integral_residual <= self.tolerance
             and self.min_heat_rate >= -self.tolerance
         )
+
+
+def conservation_audit(traj: Trajectory, tolerance: float = 1e-6) -> ConservationReport:
+    """Derivative-level check of the energy bookkeeping on one trajectory.
+
+    The trajectory grid must be uniform (as produced by `evolve_numeric`)
+    and the drive smooth inside the window, otherwise the centered
+    differences see the kinks rather than the physics.  The decay rate must
+    be positive: without a channel there is no power balance to audit.
+    """
+    if not traj.gamma > 0.0:
+        raise ValueError(f"conservation audit needs a positive decay rate, got gamma {traj.gamma}")
+    if len(traj) < 5:
+        raise ValueError("need at least 5 grid points to audit")
+    steps = np.diff(traj.times)
+    h = float(steps[0])
+    if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+        raise ValueError("conservation audit requires a uniform time grid")
+
+    trace = accumulate(traj, check_residual=False)
+    e = trace.energy
+    de = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * h)
+    sl = slice(2, -2)
+    return ConservationReport(
+        n_cases=1,
+        max_rate_residual=float(np.abs(-de - (trace.work_flux[sl] + trace.heat_flux[sl])).max()),
+        max_flux_residual=float(np.abs(trace.output_flux[sl] - trace.input_flux[sl] + de).max()),
+        max_integral_residual=trace.residual,
+        min_heat_rate=float(trace.heat_flux.min()),
+        tolerance=tolerance,
+    )
 
 
 def _random_trajectory(rng: np.random.Generator) -> Trajectory:
@@ -139,25 +121,18 @@ def _random_trajectory(rng: np.random.Generator) -> Trajectory:
 
 def conservation_suite(
     n_cases: int = 20, seed: int = 0, tolerance: float = 1e-6
-) -> ConservationSuiteReport:
+) -> ConservationReport:
     """Run `conservation_audit` over randomized drives and preparations."""
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
     rng = np.random.default_rng(seed)
-    worst = [0.0, 0.0, 0.0]
-    min_q = math.inf
-    for _ in range(n_cases):
-        rep = conservation_audit(_random_trajectory(rng), tolerance=tolerance)
-        worst[0] = max(worst[0], rep.rate_residual)
-        worst[1] = max(worst[1], rep.flux_residual)
-        worst[2] = max(worst[2], rep.integral_residual)
-        min_q = min(min_q, rep.min_heat_rate)
-    return ConservationSuiteReport(
+    reps = [conservation_audit(_random_trajectory(rng), tolerance=tolerance) for _ in range(n_cases)]
+    return ConservationReport(
         n_cases=n_cases,
-        max_rate_residual=worst[0],
-        max_flux_residual=worst[1],
-        max_integral_residual=worst[2],
-        min_heat_rate=min_q,
+        max_rate_residual=max(rep.max_rate_residual for rep in reps),
+        max_flux_residual=max(rep.max_flux_residual for rep in reps),
+        max_integral_residual=max(rep.max_integral_residual for rep in reps),
+        min_heat_rate=min(rep.min_heat_rate for rep in reps),
         tolerance=tolerance,
     )
 
@@ -273,9 +248,9 @@ def scale_invariance_check(
     photon rate ratio of 1/(4 epsilon^2); scaling gamma and rabi together
     must leave the work and gamma*tau_opt unchanged.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    ratio = 1.0 / (4.0 * epsilon * epsilon)
+    ratio = 1.0 / (4.0 * epsilon * epsilon) if epsilon * epsilon > 0.0 else math.inf
+    if not (0.0 < epsilon < math.inf and 0.0 < ratio < math.inf):
+        raise ValueError(f"epsilon must be positive with 1/(4 epsilon^2) positive and finite, got {epsilon}")
     base = scenario_continuous(prep, ratio, gamma=1.0)
     factors = np.asarray(factors, dtype=float)
     dw = np.empty_like(factors)

@@ -146,6 +146,13 @@ def test_scenario_rejects_non_finite_parameters(flags, name, capsys):
     assert f"error: {name} must be" in capsys.readouterr().err
 
 
+def test_scenario_pulsed_drive_past_the_float_range_exits_2(capsys):
+    assert run("scenario", "--case", "iii", "--theta", "1", "--nbar", "1e308", "--tau", "1e-308") == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: pulsed work is not finite" in err
+    assert "Rabi frequency 2*sqrt(gamma*n_bar/tau) = inf" in err
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -502,6 +509,12 @@ def test_verify_scale_suite(capsys):
     assert rep["suite"] == "scale-invariance"
     assert rep["passed"] is True
     assert rep["max_work_deviation"] <= rep["tolerance"]
+
+
+@pytest.mark.parametrize("epsilon", ["1e-300", "nan", "1e200"])  # 4 eps^2 underflows, is NaN, overflows
+def test_verify_scale_rejects_epsilon_out_of_range(epsilon, capsys):
+    assert run("verify", "--suite", "scale-invariance", "--epsilon", epsilon) == 1
+    assert "error: epsilon must be" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ergoflux as ef
+from ergoflux import verification
 
 
 def _driven_trajectory(rabi=1.3, t_end=3.0):
@@ -17,9 +18,10 @@ def _driven_trajectory(rabi=1.3, t_end=3.0):
 def test_audit_passes_on_a_clean_trajectory():
     rep = ef.conservation_audit(_driven_trajectory())
     assert rep.passed
-    assert rep.rate_residual < 1e-8
-    assert rep.flux_residual < 1e-8
-    assert rep.integral_residual < 1e-6
+    assert rep.n_cases == 1
+    assert rep.max_rate_residual < 1e-8
+    assert rep.max_flux_residual < 1e-8
+    assert rep.max_integral_residual < 1e-6
     assert rep.min_heat_rate >= -1e-12
 
 
@@ -27,9 +29,9 @@ def test_audit_ground_state_off_drive_is_exact():
     state0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=0.0))
     traj = ef.evolve_numeric(state0, ef.OffDrive(), t_end=2.0, dt=0.01)
     rep = ef.conservation_audit(traj)
-    assert rep.rate_residual == 0.0
-    assert rep.flux_residual == 0.0
-    assert rep.integral_residual == 0.0
+    assert rep.max_rate_residual == 0.0
+    assert rep.max_flux_residual == 0.0
+    assert rep.max_integral_residual == 0.0
 
 
 def test_audit_catches_corrupted_bookkeeping():
@@ -64,6 +66,20 @@ def test_audit_rejects_bad_grids():
     )
     with pytest.raises(ValueError):
         ef.conservation_audit(warped)
+
+
+def test_audit_rejects_a_trace_without_decay():
+    # gamma = 0: no channel, so no power balance; the input flux is its infinite limit
+    state0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=1.0))
+    traj = ef.evolve_numeric(state0, ef.SquarePulse(1.0, 3.0), t_end=3.0, dt=1e-3, gamma=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        ef.conservation_audit(traj)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_suite_of_one_case_is_the_audit_of_that_case(seed):
+    traj = verification._random_trajectory(np.random.default_rng(seed))
+    assert ef.conservation_suite(n_cases=1, seed=seed) == ef.conservation_audit(traj)
 
 
 def test_suite_over_random_drives():
@@ -113,17 +129,19 @@ def test_scale_invariance_across_decades():
 
 def test_report_pass_logic():
     rep = ef.ConservationReport(
-        rate_residual=1e-9,
-        flux_residual=1e-9,
-        integral_residual=2e-6,
+        n_cases=1,
+        max_rate_residual=1e-9,
+        max_flux_residual=1e-9,
+        max_integral_residual=2e-6,
         min_heat_rate=0.0,
         tolerance=1e-6,
     )
     assert not rep.passed
     rep = ef.ConservationReport(
-        rate_residual=0.0,
-        flux_residual=0.0,
-        integral_residual=0.0,
+        n_cases=1,
+        max_rate_residual=0.0,
+        max_flux_residual=0.0,
+        max_integral_residual=0.0,
         min_heat_rate=-1.0,
         tolerance=1e-6,
     )
