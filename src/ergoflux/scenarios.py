@@ -65,10 +65,11 @@ class ScenarioResult:
 
 # --------------------------- stopping-time search ---------------------------
 
-# cells are searched in blocks of _BLOCK_CELLS, and their knots in windows of
-# _BLOCK_KNOTS, so temporaries stay bounded however many extrema a cell has
+# cells are searched in blocks of _BLOCK_CELLS, and their candidate brackets
+# (one per positive maximum, see `_layout`) in windows of _BLOCK_BRACKETS, so
+# temporaries stay bounded however many extrema a cell has
 _BLOCK_CELLS = 1 << 13
-_BLOCK_KNOTS = 1 << 16
+_BLOCK_BRACKETS = 1 << 14
 # refinement steps (root-function evaluations) per bracket; a bracket still
 # open after them fails its cell
 _MAX_STEPS = 64
@@ -80,6 +81,10 @@ _XTOL, _RTOL = 1e-14, 8.9e-16
 # few 1e-15; the margin keeps every pruned bracket's computed work strictly
 # below the computed best, so pruning changes no result
 _PRUNE_TOL = 1e-12
+# slack, in units of the exponent alpha * t, on the reach of the positive
+# maxima; far above the rounding of the exponent (a few 1e-15), so no maximum
+# whose computed dipole is positive lies past the reach
+_REACH_TOL = 1e-12
 
 
 def _newton(dipole, lo, hi, flo, fhi, cell):
@@ -120,36 +125,93 @@ def _newton(dipole, lo, hi, flo, fhi, cell):
     return root
 
 
-def _knots(gamma, t_max, co, basis):
+def _layout(gamma, t_max, co, basis):
     """Where the search of cells that share the sign of k looks for brackets.
 
-    The knots of a cell are 0, the dipole extrema first + j * period for
-    j < count, then the horizon; s is monotone between consecutive knots.
-    Returns (first, period, horizon, size, ok) per cell: ``size`` knots, none
-    for a cell with a zero horizon or with ``ok`` false.
+    The dipole is monotone between its extrema, settles to c < 0, and can
+    fall through zero only before its first extremum or after a positive
+    maximum.  For k <= 0 it has at most one extremum, so a cell has at most
+    one bracket, between two of its knots 0, ``first`` and an envelope
+    horizon.  For k > 0 the extrema sit at t_j = first + j * period, where
+    the damped basis is its value at ``first`` times (-rho)^j with
+    rho = exp(-alpha * period), so the dipole there is c + A (-rho)^j with A
+    the transient at ``first``.  A maximum has A (-1)^j > 0 (a minimum lies
+    below c), and only the maxima before the reach log(|A| / |c|) / (alpha *
+    period) can be positive; each opens a bracket that ends at the next
+    extremum, or at t_max.
+
+    Returns (size, ok, brackets) per cell: ``size`` candidate brackets, none
+    for a cell with ``ok`` false.  ``brackets(cell, i)`` gives the ends
+    (lo, hi) of candidate i of each ``cell`` and the damped basis there
+    (ec, es at lo, then at hi), for k > 0 from one exp per candidate.  A
+    candidate is a bracket when the dipole falls from s(lo) > 0 to s(hi) < 0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        # For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
-        # w = max(sqrt|k|, gamma / 2) (sqrt|k| < gamma / 4 when k < 0), so the
-        # transient stays below (|a| + |b| / w) * exp(-gamma t / 2).  The settled
-        # value c is strictly negative, so crossings die once that envelope
-        # drops below |c|; the 1 / gamma pad puts the end knot inside that region.
-        horizon = t_max
-        if gamma > 0.0:
-            amp = np.abs(co.a) + np.abs(co.b) / np.maximum(np.sqrt(np.abs(co.k)), 0.5 * gamma)
-            settle = 2.0 / gamma * np.log(amp / np.abs(co.c)) + 1.0 / gamma
-            horizon = np.where(amp <= np.abs(co.c), 0.0, np.minimum(t_max, settle))
         # the slope exp(-alpha t) * (pc C + ps S) vanishes where S / C = -pc / ps
         r = np.where(co.ps != 0.0, -co.pc / co.ps, np.copysign(np.inf, -co.pc))
         first = basis.arc(basis.q * r) / basis.q
         first = np.where(first > 1e-15, first, first + basis.period)
-        count = np.where(first < horizon, np.maximum(np.ceil((horizon - first) / basis.period), 1.0), 0.0)
-    # more than 2^52 extrema before the horizon lie within a few ulps of each
-    # other, so such a cell cannot be searched in double precision
+    s0 = co.a + co.c  # the damped basis is (1, 0) at t = 0
+
+    if not np.isfinite(basis.period[0]):
+        # k <= 0, so gamma > 0 and sqrt(-k) < gamma / 4: exp(-gamma t / 4)
+        # bounds |C| by 1 and |S| by 2 / gamma, and the transient stays below
+        # amp * exp(-gamma t / 2).  Crossings die once that envelope drops
+        # below |c|; the 1 / gamma pad puts the end knot inside that region.
+        amp = np.abs(co.a) + np.abs(co.b) / (0.5 * gamma)
+        with np.errstate(divide="ignore"):
+            settle = 2.0 / gamma * np.log(amp / np.abs(co.c)) + 1.0 / gamma
+        horizon = np.where(amp <= np.abs(co.c), 0.0, np.minimum(t_max, settle))
+        mid = np.where(first < horizon, first, horizon)  # first is NaN without an extremum
+        (ec1, es1), (ec2, es2) = basis.at(mid), basis.at(horizon)
+        s1, s2 = co.a * ec1 + co.b * es1 + co.c, co.a * ec2 + co.b * es2 + co.c
+        down = (s0 > 0.0) & (s1 < 0.0)  # the crossing lies in [0, mid], else in [mid, horizon]
+        ends = (
+            np.where(down, 0.0, mid), np.where(down, mid, horizon),
+            np.where(down, 1.0, ec1), np.where(down, 0.0, es1),
+            np.where(down, ec1, ec2), np.where(down, es1, es2),
+        )
+        size = (down | (s1 > 0.0) & (s2 < 0.0)).astype(np.intp)
+        return size, np.ones(size.size, dtype=bool), lambda cell, i: tuple(v[cell] for v in ends)
+
+    t1 = np.minimum(first, t_max)
+    ec1, es1 = basis.at(t1)
+    transient = co.a * ec1 + co.b * es1
+    before = (s0 > 0.0) & (transient + co.c < 0.0)  # a crossing in [0, first]
+    log_rho = -basis.decay * basis.period
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.ceil((np.log(np.abs(transient)) - np.log(np.abs(co.c)) + _REACH_TOL) / -log_rho)
+    extrema = np.where(first < t_max, np.maximum(np.ceil((t_max - first) / basis.period), 1.0), 0.0)
+    count = np.maximum(np.fmin(reach, extrema), 0.0)
+    # more than 2^52 extrema to search lie within a few ulps of each other,
+    # so such a cell cannot be searched in double precision
     ok = count <= 2.0**52
-    period = np.where(np.isfinite(basis.period), basis.period, 0.0)
-    size = np.where(ok & (horizon > 0.0), count + 2.0, 0.0).astype(np.intp)
-    return first, period, horizon, size, ok
+    odd = (transient <= 0.0).astype(np.intp)  # the parity of the maxima
+    size = np.where(ok, before + np.maximum(np.ceil(0.5 * (count - odd)), 0.0), 0.0).astype(np.intp)
+    # candidate i is maximum j = 2 i + skip, after the bracket before the
+    # first extremum (j < 0) where the cell has one
+    skip = odd - 2 * before.astype(np.intp)
+    sign = 1.0 - 2.0 * odd
+    ec_max, es_max, rho = sign * ec1, sign * es1, np.exp(log_rho)
+
+    def brackets(cell, i):
+        j = 2 * i + skip[cell]
+        t0, step = first[cell], basis.period[cell]
+        lo, hi = t0 + j * step, t0 + (j + 1) * step
+        up = np.exp(np.maximum(j, 0) * log_rho[cell])  # j < 0 is replaced below
+        ec, es = ec_max[cell], es_max[cell]
+        down = -rho[cell] * up
+        ec, es, ec_hi, es_hi = up * ec, up * es, down * ec, down * es
+        b = np.flatnonzero(j < 0)
+        c = cell[b]
+        lo[b], hi[b], ec[b], es[b], ec_hi[b], es_hi[b] = 0.0, t1[c], 1.0, 0.0, ec1[c], es1[c]
+        # no root past t_max: a bracket reaching it ends there
+        b = np.flatnonzero(hi > t_max[cell])
+        hi[b] = t_max[cell[b]]
+        ec_hi[b], es_hi[b] = basis.take(cell[b]).at(hi[b])
+        return lo, hi, ec, es, ec_hi, es_hi
+
+    return size, ok, brackets
 
 
 def _work_bound(w_lo, lo, hi, s_lo, rabi, gamma):
@@ -167,53 +229,44 @@ def _search_group(rabi, gamma, t_max, co, basis):
     Returns (tau, work, ok) per cell.
     """
     m = rabi.size
-    first, period, horizon, size, ok = _knots(gamma, t_max, co, basis)
+    size, ok, brackets = _layout(gamma, t_max, co, basis)
+    start = _drive_start(rabi, gamma, co)
 
     ends = np.cumsum(size)
     starts = ends - size
     tau, work = np.zeros(m), np.zeros(m)
 
-    # the root function needs the dipole and its slope alone; forming the
-    # whole state with `dynamics._drive_state` at every knot made sweeps
-    # about 15% slower
-    def value(ec, es, cell):
-        return co.a[cell] * ec + co.b[cell] * es + co.c[cell]
-
+    # the root function needs the dipole and its slope alone, not the whole
+    # state `dynamics._drive_state` forms
     def dipole(t, cell):
         ec, es = basis.take(cell).at(t)
-        return value(ec, es, cell), co.pc[cell] * ec + co.ps[cell] * es
+        return co.a[cell] * ec + co.b[cell] * es + co.c[cell], co.pc[cell] * ec + co.ps[cell] * es
 
     def search_window(lo, hi):
-        """Search the knots lo..hi-1, carrying tau, work and ok of their cells."""
+        """Search the candidates lo..hi-1, carrying tau, work and ok of their cells."""
         g = np.arange(lo, hi)
-        # the window holds a run of cells; each contributes its knots within it
+        # the window holds a run of cells; each contributes its candidates within it
         run = np.arange(np.searchsorted(ends, lo, side="right"), np.searchsorted(ends, hi - 1, side="right") + 1)
         cell = np.repeat(run, np.minimum(ends[run], hi) - np.maximum(starts[run], lo))
-        j = g - starts[cell]
-        t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
-        t[j == 0] = 0.0
+        t_lo, t_hi, ec, es, ec_hi, es_hi = brackets(cell, g - starts[cell])
+        part, r = co.take(cell), rabi[cell]
+        s_lo, s_hi = part.a * ec + part.b * es + part.c, part.a * ec_hi + part.b * es_hi + part.c
+        w_lo = _drive_work(t_lo, r, gamma, part, None, (start[0][cell], start[1][cell]), at=(ec, es))[0]
 
         # W' = s (rabi + gamma s) and rabi + gamma s > 0, so only downward
-        # crossings of the dipole are interior maxima of the work
-        ec, es = basis.take(cell).at(t)
-        f = value(ec, es, cell)
-        b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
-        t_lo, t_hi, s_lo, cell, ec, es = t[b], t[b + 1], f[b], cell[b], ec[b], es[b]
-
-        # the floor (tau = 0, earlier windows, every W(lo)) lies below the
-        # cell's best, so a bracket bounded below it cannot hold the first
-        # maximum; a NaN bound keeps its bracket
-        part = co.take(cell)
-        start = _drive_start(rabi[cell], gamma, part)
-        w_lo = _drive_work(t_lo, rabi[cell], gamma, part, None, start, at=(ec, es))[0]
-        bound = _work_bound(w_lo, t_lo, t_hi, s_lo, rabi[cell], gamma)
+        # crossings of the dipole are interior maxima of the work.  The floor
+        # (tau = 0, earlier windows, every W(lo)) lies below the cell's best,
+        # so a bracket bounded below it cannot hold the first maximum; a NaN
+        # bound keeps its bracket
+        down = (s_lo > 0.0) & (s_hi < 0.0)
+        bound = _work_bound(w_lo, t_lo, t_hi, s_lo, r, gamma)
         floor = work.copy()
-        np.fmax.at(floor, cell, w_lo)
-        keep = np.flatnonzero(~(bound < floor[cell] - _PRUNE_TOL * np.maximum(floor[cell], 1.0)))
-        b, cell, start = b[keep], cell[keep], (start[0][keep], start[1][keep])
+        np.fmax.at(floor, cell, np.where(down, w_lo, -np.inf))
+        keep = np.flatnonzero(down & ~(bound < floor[cell] - _PRUNE_TOL * np.maximum(floor[cell], 1.0)))
+        cell = cell[keep]
 
-        roots = _newton(dipole, t[b], t[b + 1], f[b], f[b + 1], cell)
-        w = _drive_work(roots, rabi[cell], gamma, part.take(keep), basis.take(cell), start)[0]
+        roots = _newton(dipole, t_lo[keep], t_hi[keep], s_lo[keep], s_hi[keep], cell)
+        w = _drive_work(roots, r[keep], gamma, part.take(keep), basis.take(cell), (start[0][cell], start[1][cell]))[0]
         # a bracket still open (NaN root) or NaN work fails its cell
         ok[cell[~np.isfinite(w)]] = False
 
@@ -225,9 +278,9 @@ def _search_group(rabi, gamma, t_max, co, basis):
         winners, first_hit = np.unique(cell[hit], return_index=True)
         tau[winners], work[winners] = roots[hit[first_hit]], w[hit[first_hit]]
 
-    # each window also takes the first knot of the next, so no bracket is cut
-    for lo in range(0, int(ends[-1]) - 1 if m else 0, _BLOCK_KNOTS):
-        search_window(lo, min(lo + _BLOCK_KNOTS + 1, int(ends[-1])))
+    total = int(ends[-1]) if m else 0
+    for lo in range(0, total, _BLOCK_BRACKETS):
+        search_window(lo, min(lo + _BLOCK_BRACKETS, total))
     return tau, work, ok
 
 
@@ -237,15 +290,19 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     ``p``, ``theta`` (as in `Preparation`) and the Rabi frequency ``rabi``
     broadcast against each other, one cell per entry; ``gamma`` is shared.
     Candidates are tau = 0 and the downward zero crossings of the dipole on
-    (0, 20/gamma], bracketed by its closed-form extrema and refined by
-    `_newton`, a safeguarded Newton iteration on the closed-form dipole and
-    slope; the dipole settles to a strictly negative value, so the
-    work decreases at late times.  A bracket [lo, hi] is refined only if
-    its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo)) on the work at
-    its root reaches the cell's floor, the best of 0, the work of earlier
-    knot windows and every W(lo), less `_PRUNE_TOL`; the result is the one
-    refining every bracket gives.  Returns arrays (tau, work) of the
-    broadcast shape.  A cell holds NaN when p or theta is out of range,
+    (0, 20/gamma].  Their brackets are laid out in closed form (`_layout`):
+    from 0 to the first extremum, and from each positive maximum to the next
+    extremum.  The dipole at the extrema of an oscillating drive falls
+    geometrically towards its settled value, so its positive maxima follow
+    from one evaluation per cell and one exp per maximum.  The
+    brackets are refined by `_newton`, a safeguarded Newton iteration on the
+    closed-form dipole and slope; the dipole settles to a strictly negative
+    value, so the work decreases at late times.  A bracket [lo, hi] is
+    refined only if its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo))
+    on the work at its root reaches the cell's floor, the best of 0, the
+    work of earlier windows and every W(lo), less `_PRUNE_TOL`; the result
+    is the one refining every bracket gives.  Returns arrays (tau, work) of
+    the broadcast shape.  A cell holds NaN when p or theta is out of range,
     rabi is not positive with a finite square, a bracket did not converge,
     or the cell has more than 2^52 extrema to search.
     """

@@ -119,16 +119,16 @@ def test_stop_search_matches_the_scalar_oracle():
 
 
 def test_stop_search_windows_do_not_cut_brackets(monkeypatch):
-    # knots are laid out in windows; tiny windows must give the same answers
+    # brackets are laid out in windows; tiny windows must give the same answers
     ratio, p, theta = (np.array(col) for col in list(zip(*ORACLE))[:3])
     rabi = 2.0 * np.sqrt(np.concatenate([ratio, [300.0, 0.3]]))
     p, theta = np.append(p, [0.1, 0.2]), np.append(theta, [2.5, 1.0])
     whole = ef.optimal_square_work(p, theta, rabi, 1.0)
-    for knots, cells in [(1, 1), (2, 3), (7, 1 << 13), (64, 5)]:
-        monkeypatch.setattr(scenarios, "_BLOCK_KNOTS", knots)
+    for brackets, cells in [(1, 1), (2, 3), (7, 1 << 13), (64, 5)]:
+        monkeypatch.setattr(scenarios, "_BLOCK_BRACKETS", brackets)
         monkeypatch.setattr(scenarios, "_BLOCK_CELLS", cells)
         windowed = ef.optimal_square_work(p, theta, rabi, 1.0)
-        assert all(np.array_equal(a, b) for a, b in zip(windowed, whole)), (knots, cells)
+        assert all(np.array_equal(a, b) for a, b in zip(windowed, whole)), (brackets, cells)
 
 
 def test_stop_search_reaches_very_strong_drives():
@@ -153,11 +153,78 @@ def test_stop_search_marks_cells_it_cannot_search():
 # ------------------------------------------------- pruned stopping-time search
 
 
-def _every_bracket(p, theta, rabi, gamma):
+def _knots(gamma, t_max, co, basis):
+    """The knot layout the search used before it laid out its brackets in closed form.
+
+    The knots of a cell are 0, the dipole extrema first + j * period for
+    j < count, then the horizon; s is monotone between consecutive knots.
+    Returns (first, period, horizon, size, ok) per cell: ``size`` knots, none
+    for a cell with a zero horizon or with ``ok`` false.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # For every k, exp(-gamma t / 4) bounds |C| by 1 and |S| by 1 / w with
+        # w = max(sqrt|k|, gamma / 2) (sqrt|k| < gamma / 4 when k < 0), so the
+        # transient stays below (|a| + |b| / w) * exp(-gamma t / 2).  The settled
+        # value c is strictly negative, so crossings die once that envelope
+        # drops below |c|; the 1 / gamma pad puts the end knot inside that region.
+        horizon = t_max
+        if gamma > 0.0:
+            amp = np.abs(co.a) + np.abs(co.b) / np.maximum(np.sqrt(np.abs(co.k)), 0.5 * gamma)
+            settle = 2.0 / gamma * np.log(amp / np.abs(co.c)) + 1.0 / gamma
+            horizon = np.where(amp <= np.abs(co.c), 0.0, np.minimum(t_max, settle))
+        # the slope exp(-alpha t) * (pc C + ps S) vanishes where S / C = -pc / ps
+        r = np.where(co.ps != 0.0, -co.pc / co.ps, np.copysign(np.inf, -co.pc))
+        first = basis.arc(basis.q * r) / basis.q
+        first = np.where(first > 1e-15, first, first + basis.period)
+        count = np.where(first < horizon, np.maximum(np.ceil((horizon - first) / basis.period), 1.0), 0.0)
+    ok = count <= 2.0**52
+    period = np.where(np.isfinite(basis.period), basis.period, 0.0)
+    size = np.where(ok & (horizon > 0.0), count + 2.0, 0.0).astype(np.intp)
+    return first, period, horizon, size, ok
+
+
+# brackets are laid out and refined in chunks, so a cell with a million
+# extrema stays within a few tens of MB
+_CHUNK = 1 << 18
+
+
+def _in_chunks(fn, *arrays):
+    """``fn`` on consecutive slices of at most _CHUNK entries of ``arrays``; its outputs concatenated."""
+    parts = [fn(*(v[i:i + _CHUNK] for v in arrays)) for i in range(0, max(arrays[0].size, 1), _CHUNK)]
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
+def _knot_brackets(gamma, t_max, co, basis):
+    """Every bracket between consecutive knots of `_knots` where s falls through zero.
+
+    Returns the bracket cells, ends and the damped basis at both ends, and ok.
+    """
+    first, period, horizon, size, ok = _knots(gamma, t_max, co, basis)
+    cell = np.repeat(np.arange(size.size), size)
+    j = np.arange(cell.size) - np.repeat(np.cumsum(size) - size, size)
+    t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
+    t[j == 0] = 0.0
+    ec, es = _in_chunks(lambda x, c: basis.take(c).at(x), t, cell)
+    f = co.a[cell] * ec + co.b[cell] * es + co.c[cell]
+    b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
+    return cell[b], t[b], t[b + 1], ec[b], es[b], ec[b + 1], es[b + 1], ok
+
+
+def _search_brackets(gamma, t_max, co, basis):
+    """Every candidate bracket of `scenarios._layout`, as the search lays them out."""
+    size, ok, brackets = scenarios._layout(gamma, t_max, co, basis)
+    cell = np.repeat(np.arange(size.size), size)
+    i = np.arange(cell.size) - np.repeat(np.cumsum(size) - size, size)
+    return (cell, *_in_chunks(brackets, cell, i), ok)
+
+
+def _every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
     """Every bracket of the stopping-time search, refined; arrays over all brackets.
 
-    Returns the bracket cells, ends, s(lo), W(lo), roots and W(root), and
-    per cell whether its search can be trusted.  Cells must be valid.
+    ``layout`` is `_search_brackets` (the search's own brackets) or
+    `_knot_brackets`.  Returns the bracket cells, ends, s(lo), W(lo), roots
+    and W(root), and per cell whether its search can be trusted.  Cells must
+    be valid.
     """
     from ergoflux.dynamics import _basis_groups, _coefficients
     from ergoflux.energetics import _drive_work
@@ -166,24 +233,22 @@ def _every_bracket(p, theta, rabi, gamma):
     out, ok = {}, np.ones(p.size, dtype=bool)
     for cells, part, basis in _basis_groups(_coefficients(p, theta, rabi, gamma), 0.75 * gamma):
         t_max = np.full(cells.size, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi[cells]
-        first, period, horizon, size, ok_part = scenarios._knots(gamma, t_max, part, basis)
-        cell = np.repeat(np.arange(cells.size), size)
-        j = np.arange(cell.size) - np.repeat(np.cumsum(size) - size, size)
-        t = np.where(j == size[cell] - 1, horizon[cell], first[cell] + (j - 1) * period[cell])
-        t[j == 0] = 0.0
+        c, lo, hi, ec, es, ec_hi, es_hi, ok_part = layout(gamma, t_max, part, basis)
+        f_lo = part.a[c] * ec + part.b[c] * es + part.c[c]
+        f_hi = part.a[c] * ec_hi + part.b[c] * es_hi + part.c[c]
+        b = np.flatnonzero((f_lo > 0.0) & (f_hi < 0.0))
+        c, lo, hi, ec, es, f_lo, f_hi = (v[b] for v in (c, lo, hi, ec, es, f_lo, f_hi))
 
         def dipole(x, c):
             ec, es = basis.take(c).at(x)
             return part.a[c] * ec + part.b[c] * es + part.c[c], part.pc[c] * ec + part.ps[c] * es
 
-        f = dipole(t, cell)[0]
-        b = np.flatnonzero((cell[1:] == cell[:-1]) & (f[:-1] > 0.0) & (f[1:] < 0.0))
-        c = cell[b]
-        roots = scenarios._newton(dipole, t[b], t[b + 1], f[b], f[b + 1], c)
+        roots = _in_chunks(lambda *v: (scenarios._newton(dipole, *v),), lo, hi, f_lo, f_hi, c)[0]
         r, co, bc = rabi[cells][c], part.take(c), basis.take(c)
         new = {
-            "cell": cells[c], "lo": t[b], "hi": t[b + 1], "s_lo": f[b], "rabi": r, "root": roots,
-            "w_lo": _drive_work(t[b], r, gamma, co, bc)[0], "w": _drive_work(roots, r, gamma, co, bc)[0],
+            "cell": cells[c], "lo": lo, "hi": hi, "s_lo": f_lo, "rabi": r, "root": roots,
+            "w_lo": _drive_work(lo, r, gamma, co, None, at=(ec, es))[0],
+            "w": _drive_work(roots, r, gamma, co, bc)[0],
         }
         for key, v in new.items():
             out[key] = np.concatenate([out.get(key, []), v])
@@ -193,16 +258,20 @@ def _every_bracket(p, theta, rabi, gamma):
     return out, ok
 
 
-def _refine_every_bracket(p, theta, rabi, gamma):
+def _refine_every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
     """`optimal_square_work` by the rule before pruning: refine every bracket,
     then take the first strict maximum over tau = 0 and the roots in time order."""
-    br, ok = _every_bracket(p, theta, rabi, gamma)
-    tau, work = np.zeros(ok.size), np.zeros(ok.size)
-    for c, root, w in zip(br["cell"], br["root"], br["w"]):
-        if w > work[c]:
-            tau[c], work[c] = root, w
-        ok[c] &= bool(np.isfinite(w))
-    return np.where(ok, tau, np.nan), np.where(ok, work, np.nan)
+    br, ok = _every_bracket(p, theta, rabi, gamma, layout)
+    cell, root, w = br["cell"], br["root"], br["w"]
+    ok[cell[~np.isfinite(w)]] = False
+    best = np.zeros(ok.size)
+    np.fmax.at(best, cell, w)
+    # the brackets of a cell are in time order, so the first hit is the first strict maximum
+    hit = np.flatnonzero((w > 0.0) & (w == best[cell]))
+    winners, first_hit = np.unique(cell[hit], return_index=True)
+    tau = np.zeros(ok.size)
+    tau[winners] = root[hit[first_hit]]
+    return np.where(ok, tau, np.nan), np.where(ok, best, np.nan)
 
 
 def _random_cells(seed, n, log_ratio):
@@ -233,16 +302,128 @@ def test_pruned_search_is_bit_identical_to_refining_every_bracket(name):
     assert not np.isnan(got[1]).any()
 
 
-def test_pruned_search_is_bit_identical_across_knot_windows(monkeypatch):
-    # strong cells span many knot windows, so brackets are pruned against
+def test_pruned_search_is_bit_identical_across_bracket_windows(monkeypatch):
+    # strong cells span many bracket windows, so brackets are pruned against
     # the work carried from earlier windows
     p, theta, rabi = (np.concatenate(v) for v in zip(_random_cells(6, 8, (3.9, 4.1)), _random_cells(7, 8, (-2, 2))))
     want = _refine_every_bracket(p, theta, rabi, 1.0)
-    for knots, cells in [(1, 1), (2, 3), (7, 1 << 13), (64, 5)]:
-        monkeypatch.setattr(scenarios, "_BLOCK_KNOTS", knots)
+    for brackets, cells in [(1, 1), (2, 3), (7, 1 << 13), (64, 5)]:
+        monkeypatch.setattr(scenarios, "_BLOCK_BRACKETS", brackets)
         monkeypatch.setattr(scenarios, "_BLOCK_CELLS", cells)
         got = ef.optimal_square_work(p, theta, rabi, 1.0)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (knots, cells)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (brackets, cells)
+
+
+def _bound_scan_cells(resolution=50):
+    """The cells (p, theta, rabi) of `ergotropy_bound_scan` at gamma = 1."""
+    eps, p, theta = np.meshgrid(
+        np.geomspace(0.05, 50.0, resolution), np.linspace(0.0, 0.5, resolution),
+        np.linspace(0.0, math.pi, resolution), indexing="ij",
+    )
+    return p, theta, 1.0 / eps
+
+
+def _case_i_map():
+    """The cells (p, theta, rabi) of the 61 x 61 case-i map at gamma = 1."""
+    theta, ndot = np.meshgrid(np.linspace(0.0, math.pi, 61), np.logspace(-2, 4, 61), indexing="ij")
+    return 0.0, theta, 2.0 * np.sqrt(ndot)
+
+
+_MATCH_CASES = {
+    **_SEARCH_CASES,
+    "oracle": (*(np.array(col) for col in list(zip(*ORACLE))[1:3]), 2.0 * np.sqrt([row[0] for row in ORACLE]), 1.0),
+    "bound scan": (*_bound_scan_cells(), 1.0),
+    # about 10^6 positive maxima, searched window by window
+    "ratio 3e10": (0.0, math.pi, 2.0 * math.sqrt(3e10), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_MATCH_CASES))
+def test_search_matches_the_knot_layout(name):
+    # the knot layout brackets the dipole between every pair of extrema up to
+    # an envelope horizon; the closed-form layout must find the same roots.
+    # Only the rounding of the bracket-end values differs, so the roots agree
+    # within the convergence tolerance of each and the work to rounding
+    p, theta, rabi, gamma = _MATCH_CASES[name]
+    p, theta, rabi = (np.ravel(v) for v in np.broadcast_arrays(p, theta, rabi))
+    tau, work = ef.optimal_square_work(p, theta, rabi, gamma)
+    want_tau, want_work = _refine_every_bracket(p, theta, rabi, gamma, layout=_knot_brackets)
+    assert np.array_equal(np.isnan(work), np.isnan(want_work))
+    ok = ~np.isnan(work)
+    assert ok.any()
+    assert np.abs(work - want_work)[ok].max() <= 1e-15
+    gap = tau - want_tau
+    if gamma == 0.0:
+        # undamped, W is periodic in tau with period 2 pi / rabi: its equal
+        # maxima repeat, and the rounding of W picks one of them in either layout
+        period = 2.0 * math.pi / rabi
+        gap -= np.round(gap / period) * period
+    tol = 2.0 * (scenarios._XTOL + scenarios._RTOL * want_tau)
+    assert (np.abs(gap) <= tol)[ok].all()
+
+
+@pytest.mark.parametrize("name", ["bound scan", "case-i map"])
+def test_search_lays_out_exactly_the_knot_brackets(monkeypatch, name):
+    # per cell the search lays out as many candidates as the knot layout has
+    # brackets, and takes one exp per candidate on top of two per cell
+    from ergoflux import dynamics
+
+    cells = _bound_scan_cells() if name == "bound scan" else _case_i_map()
+    p, theta, rabi = (np.ravel(v) for v in np.broadcast_arrays(*cells))
+    want = np.bincount(_every_bracket(p, theta, rabi, 1.0, layout=_knot_brackets)[0]["cell"], minlength=rabi.size)
+
+    sizes, counts = [], {"exp": 0, "at": 0, "steps": 0, "refined": 0, "laid out": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def exp(self, x):
+            counts["exp"] += np.size(x)
+            return np.exp(x)
+
+    def layout(*args):
+        size, ok, brackets = scenarios_layout(*args)
+        sizes.append(size)
+
+        def laid_out(cell, i):
+            counts["laid out"] += cell.size
+            return brackets(cell, i)
+
+        return size, ok, laid_out
+
+    def at(self, t):
+        counts["at"] += np.size(t)
+        return basis_at(self, t)
+
+    def newton(dipole, lo, *rest):
+        def counted(x, c):
+            counts["steps"] += x.size
+            return dipole(x, c)
+
+        counts["refined"] += lo.size
+        return scenarios_newton(counted, lo, *rest)
+
+    scenarios_layout, basis_at, scenarios_newton = scenarios._layout, dynamics._Basis.at, scenarios._newton
+    monkeypatch.setattr(scenarios, "_layout", layout)
+    monkeypatch.setattr(dynamics._Basis, "at", at)
+    monkeypatch.setattr(scenarios, "_newton", newton)
+    monkeypatch.setattr(scenarios, "np", CountingNumpy())
+    monkeypatch.setattr(scenarios, "_BLOCK_CELLS", rabi.size)  # one block: the groups below
+    ef.optimal_square_work(p, theta, rabi, 1.0)
+    monkeypatch.undo()
+
+    laid = np.zeros(rabi.size, dtype=np.intp)
+    groups = dynamics._basis_groups(dynamics._coefficients(p, theta, rabi, 1.0), 0.75)
+    for (cells, _, _), size in zip(groups, sizes, strict=True):
+        laid[cells] = size
+    assert np.array_equal(laid, want)
+    assert counts["laid out"] == want.sum()
+    if name == "bound scan":
+        assert want.sum() == 218163
+    # the exps and basis evaluations of the layout: all of them but the refinement's steps and its work at each root
+    exps = counts["exp"] + counts["at"] - counts["steps"] - counts["refined"]
+    assert exps <= want.sum() + 2 * rabi.size
 
 
 @given(active_preparations, st.floats(min_value=1e-3, max_value=3e4), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
@@ -655,7 +836,13 @@ def test_batched_searches_keep_memory_bounded():
         axis1=ef.SweepAxis(name="theta", values=np.linspace(0.0, math.pi, 61)),
         axis2=ef.SweepAxis(name="ndot", values=np.logspace(-2, 4, 61)),
     )
-    for run in (lambda: ef.sweep(grid), lambda: ef.ergotropy_bound_scan(50)):
+    runs = (
+        lambda: ef.sweep(grid),
+        lambda: ef.ergotropy_bound_scan(50),
+        # about 10^6 positive maxima in one cell
+        lambda: ef.optimal_square_work(0.0, math.pi, 2.0 * math.sqrt(3e10), 1.0),
+    )
+    for run in runs:
         tracemalloc.start()
         try:
             run()
