@@ -161,10 +161,10 @@ class SquarePulse(DriveProfile):
     duration: float
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
 
     def rabi(self, t):
         t = np.asarray(t, dtype=float)
@@ -191,12 +191,9 @@ class ExponentialPulse(DriveProfile):
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.n_bar <= 0.0:
-            raise ValueError("n_bar must be positive")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        for name in ("n_bar", "tau", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def amplitude(self) -> float:
@@ -229,6 +226,9 @@ class TabulatedPulse(DriveProfile):
             raise ValueError("times and values must be 1-D arrays of equal length")
         if len(self.times) < 2:
             raise ValueError("need at least two nodes")
+        for name in ("times", "values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
         if self.times[0] < 0.0:

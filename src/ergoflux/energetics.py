@@ -35,7 +35,7 @@ from .dynamics import (
 # grid-level residual allowed between the integrated fluxes and the energy drop
 RESIDUAL_TOL = 1e-6
 
-# default error budget of the trapezoid integral of a flux, see `suggested_grid_step`
+# error budget of the trapezoid integral of a flux, see `suggested_grid_step`
 _TRAPEZOID_BUDGET = 3e-7
 
 
@@ -178,10 +178,8 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     )
 
 
-def suggested_grid_step(
-    rabi_peak: float, gamma: float, window: float, budget: float = _TRAPEZOID_BUDGET
-) -> float:
-    """Sampling step keeping the trapezoid error of flux integrals under ``budget``.
+def suggested_grid_step(rabi_peak: float, gamma: float, window: float) -> float:
+    """Sampling step keeping the trapezoid error of flux integrals under `_TRAPEZOID_BUDGET`.
 
     The fluxes oscillate at rate ~ hypot(rabi, gamma) and are damped within a
     few 1/gamma, so the error scales like h^2 * rate^3 * effective_window / 12.
@@ -191,7 +189,7 @@ def suggested_grid_step(
     if rate == 0.0:
         return window
     eff = min(window, 4.0 / (3.0 * gamma)) if gamma > 0.0 else window
-    h = math.sqrt(12.0 * budget / (rate**3 * max(eff, 1e-300)))
+    h = math.sqrt(12.0 * _TRAPEZOID_BUDGET / (rate**3 * max(eff, 1e-300)))
     h_rk4 = _RK4_BOUND / rate
     return min(h, h_rk4, window)
 

@@ -64,7 +64,6 @@ __all__ = [
     "ExponentialTauResult",
     "optimize_exponential_tau",
     "ControlProblem",
-    "control_times",
     "control_work_and_gradient",
     "control_work",
     "project_to_budget",
@@ -131,23 +130,24 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     return np.add.reduceat(flux, np.append(0, ends[:-1] + 1)) + s[ends] ** 2
 
 
-def _scan_exponential_tau(prep, n_bar, gamma, tau_range=(1e-3, 10.0), n_grid=25):
+# the exponential scan: _N_GRID time constants log-spaced over _TAU_RANGE / gamma
+_TAU_RANGE = (1e-3, 10.0)
+_N_GRID = 25
+
+
+def _scan_exponential_tau(prep, n_bar, gamma):
     """The scan and refinement of `optimize_exponential_tau` without its strict
     evaluation: returns (tau_star, at_boundary, taus, works)."""
     if not (math.isfinite(n_bar) and n_bar > 0.0):
         raise ValueError(f"n_bar must be positive and finite, got {n_bar}")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    lo, hi = tau_range
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"tau_range must satisfy 0 < lo < hi < inf, got {tau_range}")
-    if n_grid < 5:
-        raise ValueError("n_grid must be at least 5")
-    taus = np.geomspace(lo / gamma, hi / gamma, n_grid)
+    lo, hi = _TAU_RANGE
+    taus = np.geomspace(lo / gamma, hi / gamma, _N_GRID)
     works = _exponential_works(prep, n_bar, taus, gamma)
 
     best = int(np.argmax(works))
-    at_boundary = best in (0, n_grid - 1)
+    at_boundary = best in (0, len(taus) - 1)
     tau_star = float(taus[best])
     if not at_boundary:
         from scipy.optimize import minimize_scalar
@@ -162,22 +162,17 @@ def _scan_exponential_tau(prep, n_bar, gamma, tau_range=(1e-3, 10.0), n_grid=25)
     return tau_star, at_boundary, taus, works
 
 
-def optimize_exponential_tau(
-    prep: Preparation,
-    n_bar: float,
-    gamma: float = 1.0,
-    tau_range: tuple[float, float] = (1e-3, 10.0),
-    n_grid: int = 25,
-) -> ExponentialTauResult:
+def optimize_exponential_tau(prep: Preparation, n_bar: float, gamma: float = 1.0) -> ExponentialTauResult:
     """Scan the pulse time constant on a log grid, then refine around the best point.
 
-    ``tau_range`` is in units of 1/gamma.  ``at_boundary`` flags a maximum
-    pinned to the scan edge, in which case the range should be widened.
+    The grid holds `_N_GRID` time constants over `_TAU_RANGE` in units of
+    1/gamma.  ``at_boundary`` flags a maximum at an edge of that fixed
+    range, where the best time constant may lie outside it.
     ``works`` are the RK4/Simpson functional of the scan; ``work`` is
     recomputed at the refined time constant through the strict pipeline,
     on a step that also resolves the pulse's decay (at most tau/64).
     """
-    tau_star, at_boundary, taus, works = _scan_exponential_tau(prep, n_bar, gamma, tau_range, n_grid)
+    tau_star, at_boundary, taus, works = _scan_exponential_tau(prep, n_bar, gamma)
     pulse = ExponentialPulse(n_bar=n_bar, tau=tau_star, gamma=gamma)
     window = pulse.support_end()
     # the step resolves the pulse's decay as well as its Rabi and decay rates
@@ -225,11 +220,6 @@ class ControlProblem:
             raise ValueError("horizon must be at least 5/gamma")
         if self.n_nodes < 32:
             raise ValueError("need at least 32 control nodes")
-
-
-def control_times(horizon: float, n_nodes: int) -> np.ndarray:
-    """Uniform control grid on [0, horizon]."""
-    return np.linspace(0.0, horizon, n_nodes)
 
 
 def _check_grid(controls: np.ndarray, times: np.ndarray) -> float:
@@ -298,11 +288,6 @@ def _default_n_sub(delta: float, gamma: float, peak: float) -> int:
     return max(2, math.ceil(delta * max(gamma, 1.5 * peak, 1e-12) / _STEP_BOUND))
 
 
-def _check_n_sub(n_sub) -> None:
-    if isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
-        raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
-
-
 def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     """One forward scan of the RK4/Simpson work functional.
 
@@ -316,8 +301,8 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     delta = _check_grid(c, np.asarray(times, dtype=float))
     if n_sub is None:
         n_sub = _default_n_sub(delta, gamma, float(np.abs(c).max()))
-    else:
-        _check_n_sub(n_sub)
+    elif isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
+        raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
     tables = n, jn, un, jm, um, w = _gather_tables(len(c), n_sub)
     h = delta / n_sub
     on = (1.0 - un) * c[jn] + un * c[jn + 1]
@@ -479,7 +464,7 @@ class OptimalPulse:
     start_objectives: tuple
 
 
-def _shape(c0, times, prep, gamma, n_bar, n_sub, max_iter):
+def _shape(c0, times, prep, gamma, n_bar, n_sub):
     """L-BFGS-B from one start over v >= 0, with the waveform c(v) = a*v on the budget.
 
     a = sqrt(4*gamma*n_bar / q(v)) with q the exact integral of the squared
@@ -505,7 +490,7 @@ def _shape(c0, times, prep, gamma, n_bar, n_sub, max_iter):
         jac=True,
         method="L-BFGS-B",
         bounds=Bounds(0.0, np.inf),
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-9},
+        options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-9},
     )
     return project_to_budget(res.x, times, n_bar, gamma), -float(res.fun), res
 
@@ -532,57 +517,42 @@ def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> floa
     return accumulate(_integrate(prepare_initial(prep), pulse, fine, h, gamma)).total_work
 
 
-def solve_optimal_control(
-    problem: ControlProblem,
-    n_starts: int = 1,
-    seed: int = 0,
-    max_iter: int = 5000,
-    n_sub: int | None = None,
-    init: np.ndarray | None = None,
-) -> OptimalPulse:
+# L-BFGS-B iterations per start
+_MAX_ITER = 5000
+
+
+def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int = 0) -> OptimalPulse:
     """Maximize the extracted work over nonnegative waveforms at fixed photon number.
 
     Start 0 is the best exponential ansatz sampled on the control grid; the
     remaining starts are seeded multiplicative perturbations of it.  Each
-    start is one L-BFGS-B run of at most ``max_iter`` iterations.  One start
+    start is one L-BFGS-B run of at most `_MAX_ITER` iterations.  One start
     is the default: from n_bar = 1e-4 to 80, no extra start gained more than
     1e-12 over start 0, far below the functional's discretisation error
     (about 1e-8).  The returned ``work`` is recomputed through the
     strict trajectory pipeline, stepped per control interval by that
     interval's peak (`_strict_work`); ``objective`` is the internal discrete
-    value the solver maximized.  The default ``n_sub`` (RK4 steps per
-    control interval) comes from start 0 alone, so the functional does not
-    depend on ``n_starts`` or ``seed``.
+    value the solver maximized.  The RK4 steps per control interval come
+    from start 0 alone, so the functional does not depend on ``n_starts``
+    or ``seed``.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if n_sub is not None:
-        _check_n_sub(n_sub)
-    times = control_times(problem.horizon, problem.n_nodes)
-    delta = float(times[1] - times[0])
+    times = np.linspace(0.0, problem.horizon, problem.n_nodes)
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
 
-    if init is None:
-        # start 0 needs only the ansatz's time constant, not its strict work
-        tau = _scan_exponential_tau(prep, n_bar, gamma)[0]
-        init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
-    else:
-        init = np.asarray(init, dtype=float)
-        if init.shape != times.shape:
-            raise ValueError("init must match the control grid")
-
-    if n_sub is None:
-        peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
-        n_sub = _default_n_sub(delta, gamma, peak)
+    # start 0 needs only the ansatz's time constant, not its strict work
+    tau = _scan_exponential_tau(prep, n_bar, gamma)[0]
+    init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
+    peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
+    n_sub = _default_n_sub(float(times[1] - times[0]), gamma, peak)
 
     rng = np.random.default_rng(seed)
     starts = [init]
     for _ in range(n_starts - 1):
         starts.append(init * (1.0 + 0.25 * rng.standard_normal(len(init))))
 
-    results = [_shape(s, times, prep, gamma, n_bar, n_sub, max_iter) for s in starts]
+    results = [_shape(s, times, prep, gamma, n_bar, n_sub) for s in starts]
     objs = tuple(r[1] for r in results)
     c_best, j_best, res = max(results, key=lambda r: r[1])
     pgrad = res.x - np.clip(res.x - res.jac, 0.0, None)
@@ -606,11 +576,18 @@ def solve_optimal_control(
     )
 
 
-def pulse_distance(drive_a, drive_b, t_end: float | None = None, num: int = 4001) -> float:
-    """Relative L2 distance between two waveforms (normalized by the second)."""
-    if t_end is None:
-        t_end = max(drive_a.support_end(), drive_b.support_end())
-    t = np.linspace(0.0, t_end, num)
+# samples of `pulse_distance`
+_DISTANCE_SAMPLES = 4001
+
+
+def pulse_distance(drive_a, drive_b) -> float:
+    """Relative L2 distance between two waveforms (normalized by the second).
+
+    Both are sampled at `_DISTANCE_SAMPLES` points from 0 to the larger of
+    their two `support_end` times.
+    """
+    t_end = max(drive_a.support_end(), drive_b.support_end())
+    t = np.linspace(0.0, t_end, _DISTANCE_SAMPLES)
     a = np.asarray(drive_a.rabi(t), dtype=float)
     b = np.asarray(drive_b.rabi(t), dtype=float)
     num2 = float(np.sum((a - b) ** 2))

@@ -284,20 +284,31 @@ def _search_group(rabi, gamma, t_max, co, basis):
     return tau, work, ok
 
 
+def _search_horizon(rabi, gamma: float):
+    """The end t_max of the window (0, t_max] the stopping-time search looks over.
+
+    With decay the dipole has settled long before 20/gamma.  At gamma = 0
+    the work W(tau) repeats every Rabi period 2 pi / rabi, so one period
+    holds each of its values, the earliest optimal stop among them.
+    """
+    return np.full(rabi.shape, 20.0 / gamma) if gamma > 0.0 else 2.0 * math.pi / rabi
+
+
 def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     """Best stopping time and work of a constant drive with coupling cut at stop.
 
     ``p``, ``theta`` (as in `Preparation`) and the Rabi frequency ``rabi``
     broadcast against each other, one cell per entry; ``gamma`` is shared.
     Candidates are tau = 0 and the downward zero crossings of the dipole on
-    (0, 20/gamma].  Their brackets are laid out in closed form (`_layout`):
-    from 0 to the first extremum, and from each positive maximum to the next
-    extremum.  The dipole at the extrema of an oscillating drive falls
-    geometrically towards its settled value, so its positive maxima follow
-    from one evaluation per cell and one exp per maximum.  The
-    brackets are refined by `_newton`, a safeguarded Newton iteration on the
-    closed-form dipole and slope; the dipole settles to a strictly negative
-    value, so the work decreases at late times.  A bracket [lo, hi] is
+    (0, 20/gamma], or on one Rabi period at gamma = 0 (`_search_horizon`).
+    Their brackets are laid out in closed form (`_layout`): from 0 to the
+    first extremum, and from each positive maximum to the next extremum.
+    The dipole at the extrema of an oscillating drive falls geometrically
+    towards its settled value, so its positive maxima follow from one
+    evaluation per cell and one exp per maximum.  The brackets are refined
+    by `_newton`, a safeguarded Newton iteration on the closed-form dipole
+    and slope; the dipole settles to a strictly negative value, so the work
+    decreases at late times.  A bracket [lo, hi] is
     refined only if its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo))
     on the work at its root reaches the cell's floor, the best of 0, the
     work of earlier windows and every W(lo), less `_PRUNE_TOL`; the result
@@ -320,8 +331,7 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
         co = _coefficients(p[block], theta[block], rabi[block], gamma)
         for cells, part, basis in _basis_groups(co, 0.75 * gamma):
             g = block[cells]
-            t_max = np.full(g.size, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi[g]
-            t, w, ok = _search_group(rabi[g], gamma, t_max, part, basis)
+            t, w, ok = _search_group(rabi[g], gamma, _search_horizon(rabi[g], gamma), part, basis)
             tau[g], work[g] = np.where(ok, t, np.nan), np.where(ok, w, np.nan)
     return tau.reshape(shape), work.reshape(shape)
 

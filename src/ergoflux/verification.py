@@ -37,6 +37,9 @@ from .scenarios import optimal_square_work, scenario_continuous
 
 # --------------------------- conservation audit ---------------------------
 
+# worst residual either conservation report passes
+_CONSERVATION_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ConservationReport:
@@ -66,8 +69,9 @@ class ConservationReport:
         )
 
 
-def conservation_audit(traj: Trajectory, tolerance: float = 1e-6) -> ConservationReport:
-    """Derivative-level check of the energy bookkeeping on one trajectory.
+def conservation_audit(traj: Trajectory) -> ConservationReport:
+    """Derivative-level check of the energy bookkeeping on one trajectory,
+    against `_CONSERVATION_TOL`.
 
     The trajectory grid must be uniform (as produced by `evolve_numeric`)
     and the drive smooth inside the window, otherwise the centered
@@ -93,7 +97,7 @@ def conservation_audit(traj: Trajectory, tolerance: float = 1e-6) -> Conservatio
         max_flux_residual=float(np.abs(trace.output_flux[sl] - trace.input_flux[sl] + de).max()),
         max_integral_residual=trace.residual,
         min_heat_rate=float(trace.heat_flux.min()),
-        tolerance=tolerance,
+        tolerance=_CONSERVATION_TOL,
     )
 
 
@@ -119,25 +123,27 @@ def _random_trajectory(rng: np.random.Generator) -> Trajectory:
     return evolve_numeric(prepare_initial(prep), drive, t_end=t_end, dt=dt, gamma=gamma)
 
 
-def conservation_suite(
-    n_cases: int = 20, seed: int = 0, tolerance: float = 1e-6
-) -> ConservationReport:
+def conservation_suite(n_cases: int = 20, seed: int = 0) -> ConservationReport:
     """Run `conservation_audit` over randomized drives and preparations."""
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
     rng = np.random.default_rng(seed)
-    reps = [conservation_audit(_random_trajectory(rng), tolerance=tolerance) for _ in range(n_cases)]
+    reps = [conservation_audit(_random_trajectory(rng)) for _ in range(n_cases)]
     return ConservationReport(
         n_cases=n_cases,
         max_rate_residual=max(rep.max_rate_residual for rep in reps),
         max_flux_residual=max(rep.max_flux_residual for rep in reps),
         max_integral_residual=max(rep.max_integral_residual for rep in reps),
         min_heat_rate=min(rep.min_heat_rate for rep in reps),
-        tolerance=tolerance,
+        tolerance=_CONSERVATION_TOL,
     )
 
 
 # --------------------------- ergotropy bound scan ---------------------------
+
+# the scanned range of epsilon = gamma/rabi, and the gap below zero a cell may reach
+_EPSILON_RANGE = (0.05, 50.0)
+_BOUND_SCAN_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,23 +182,20 @@ class BoundScanReport:
         return self.n_violations == 0
 
 
-def ergotropy_bound_scan(
-    resolution: int = 50,
-    epsilon_range: tuple[float, float] = (0.05, 50.0),
-    tolerance: float = 1e-6,
-) -> BoundScanReport:
+def ergotropy_bound_scan(resolution: int = 50) -> BoundScanReport:
     """Scan preparations and drive strengths for ergotropy-bound violations.
 
-    ``epsilon`` is the ratio gamma/rabi, scanned logarithmically across both
-    damping regimes; p and theta cover their full ranges linearly, all three
-    axes at ``resolution`` points.  Work comes from the closed-form
-    stopping-time search at gamma = 1, run on all cells as one batch.
+    ``epsilon`` is the ratio gamma/rabi, scanned logarithmically over
+    `_EPSILON_RANGE` across both damping regimes; p and theta cover their
+    full ranges linearly, all three axes at ``resolution`` points.  Work
+    comes from the closed-form stopping-time search at gamma = 1, run on
+    all cells as one batch.  A gap below -`_BOUND_SCAN_TOL` is a violation.
     """
     if resolution < 20:
         raise ValueError("resolution must be at least 20 per axis")
     p_values = np.linspace(0.0, 0.5, resolution)
     theta_values = np.linspace(0.0, math.pi, resolution)
-    epsilon_values = np.geomspace(epsilon_range[0], epsilon_range[1], resolution)
+    epsilon_values = np.geomspace(*_EPSILON_RANGE, resolution)
 
     eps, p, theta = np.meshgrid(epsilon_values, p_values, theta_values, indexing="ij")
     _, work = optimal_square_work(p, theta, 1.0 / eps, 1.0)
@@ -204,11 +207,15 @@ def ergotropy_bound_scan(
         p_values=p_values,
         theta_values=theta_values,
         gap=_ergotropy(p, theta) - work,
-        tolerance=tolerance,
+        tolerance=_BOUND_SCAN_TOL,
     )
 
 
 # --------------------------- scale invariance ---------------------------
+
+# the rate factors rerun, and the deviation they may reach
+_SCALE_FACTORS = (0.1, 10.0)
+_SCALE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +243,8 @@ class ScaleInvarianceReport:
         )
 
 
-def scale_invariance_check(
-    prep: Preparation,
-    epsilon: float,
-    factors=(0.1, 10.0),
-    tolerance: float = 1e-9,
-) -> ScaleInvarianceReport:
-    """Rerun the continuous protocol with all rates scaled by each factor.
+def scale_invariance_check(prep: Preparation, epsilon: float) -> ScaleInvarianceReport:
+    """Rerun the continuous protocol with all rates scaled by each of `_SCALE_FACTORS`.
 
     ``epsilon`` = gamma/rabi fixes the dimensionless drive strength, i.e. a
     photon rate ratio of 1/(4 epsilon^2); scaling gamma and rabi together
@@ -252,7 +254,7 @@ def scale_invariance_check(
     if not (0.0 < epsilon < math.inf and 0.0 < ratio < math.inf):
         raise ValueError(f"epsilon must be positive with 1/(4 epsilon^2) positive and finite, got {epsilon}")
     base = scenario_continuous(prep, ratio, gamma=1.0)
-    factors = np.asarray(factors, dtype=float)
+    factors = np.asarray(_SCALE_FACTORS, dtype=float)
     dw = np.empty_like(factors)
     ds = np.empty_like(factors)
     for i, k in enumerate(factors):
@@ -263,5 +265,5 @@ def scale_invariance_check(
         factors=factors,
         work_deviation=dw,
         stopping_deviation=ds,
-        tolerance=tolerance,
+        tolerance=_SCALE_TOL,
     )

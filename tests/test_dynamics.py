@@ -131,6 +131,24 @@ def test_tabulated_pulse_charge_matches_quadrature():
     assert d.rabi(-0.1) == 0.0 and d.rabi(4.1) == 0.0
 
 
+@pytest.mark.parametrize(
+    "drive, args, name",
+    [
+        ("SquarePulse", (math.nan, 1.0), "amplitude"),
+        ("SquarePulse", (1.0, math.inf), "duration"),
+        ("ExponentialPulse", (math.nan, 1.0), "n_bar"),
+        ("ExponentialPulse", (1.0, math.nan), "tau"),
+        ("ExponentialPulse", (1.0, 1.0, math.inf), "gamma"),
+        ("TabulatedPulse", ([0.0, 1.0], [math.nan, 1.0]), "values"),
+        ("TabulatedPulse", ([0.0, math.inf], [1.0, 1.0]), "times"),
+    ],
+)
+def test_drives_reject_non_finite_input_by_name(drive, args, name):
+    # a NaN drive would otherwise fail later, inside the integrator, as a numerical failure
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        getattr(ef, drive)(*args)
+
+
 def test_off_drive_is_null():
     d = ef.OffDrive()
     assert d.rabi(1.23) == 0.0

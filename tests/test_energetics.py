@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from scipy.integrate import quad
 
 import ergoflux as ef
+from ergoflux import energetics
 from ergoflux.energetics import RESIDUAL_TOL
 
 preparations = st.builds(
@@ -229,9 +230,10 @@ def test_accumulated_work_matches_closed_form():
     assert tr.work[-1] == pytest.approx(ef.square_drive_work(prep, rabi, gamma, tau), abs=2e-8)
 
 
-def test_suggested_grid_step_budget_scaling():
+def test_suggested_grid_step_budget_scaling(monkeypatch):
     h1 = ef.suggested_grid_step(1.0, 1.0, 10.0)
-    h2 = ef.suggested_grid_step(1.0, 1.0, 10.0, budget=3e-9)
+    monkeypatch.setattr(energetics, "_TRAPEZOID_BUDGET", energetics._TRAPEZOID_BUDGET / 100.0)
+    h2 = ef.suggested_grid_step(1.0, 1.0, 10.0)
     assert h2 == pytest.approx(h1 / 10.0, rel=1e-12)
     # never coarser than 0.01 of the fastest rate
     assert ef.suggested_grid_step(100.0, 1.0, 1e-6) <= 0.01 / 100.0

@@ -135,7 +135,7 @@ def test_evolve_numeric_memory_stays_bounded():
 @pytest.mark.parametrize("gamma", [1.0, 0.0])
 @pytest.mark.parametrize("m,n_sub", [(2, n) for n in STEP_COUNTS] + [(5, 4), (4, 11)])
 def test_control_work_and_gradient_match_sequential_rk4(m, n_sub, gamma):
-    times = ef.control_times(0.001 * (m - 1) * n_sub, m)  # fine step 0.001, as in `optimize`
+    times = np.linspace(0.0, 0.001 * (m - 1) * n_sub, m)  # fine step 0.001, as in `optimize`
     controls = 1.0 + 0.8 * np.sin(np.arange(m) + 0.5)
     prep = ef.Preparation(p=0.1, theta=2.0)
 

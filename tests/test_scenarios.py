@@ -232,7 +232,7 @@ def _every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
     p, theta, rabi = (np.ravel(v).astype(float) for v in np.broadcast_arrays(p, theta, rabi))
     out, ok = {}, np.ones(p.size, dtype=bool)
     for cells, part, basis in _basis_groups(_coefficients(p, theta, rabi, gamma), 0.75 * gamma):
-        t_max = np.full(cells.size, 20.0 / gamma) if gamma > 0.0 else 8.0 * math.pi / rabi[cells]
+        t_max = scenarios._search_horizon(rabi[cells], gamma)
         c, lo, hi, ec, es, ec_hi, es_hi, ok_part = layout(gamma, t_max, part, basis)
         f_lo = part.a[c] * ec + part.b[c] * es + part.c[c]
         f_hi = part.a[c] * ec_hi + part.b[c] * es_hi + part.c[c]
@@ -352,14 +352,26 @@ def test_search_matches_the_knot_layout(name):
     ok = ~np.isnan(work)
     assert ok.any()
     assert np.abs(work - want_work)[ok].max() <= 1e-15
-    gap = tau - want_tau
-    if gamma == 0.0:
-        # undamped, W is periodic in tau with period 2 pi / rabi: its equal
-        # maxima repeat, and the rounding of W picks one of them in either layout
-        period = 2.0 * math.pi / rabi
-        gap -= np.round(gap / period) * period
+    # undamped, both layouts look over one Rabi period, which holds no two equal maxima
     tol = 2.0 * (scenarios._XTOL + scenarios._RTOL * want_tau)
-    assert (np.abs(gap) <= tol)[ok].all()
+    assert (np.abs(tau - want_tau) <= tol)[ok].all()
+
+
+def test_undamped_search_reports_the_earliest_optimal_stop(monkeypatch):
+    # at gamma = 0, W(tau) repeats every Rabi period, so the search looks over
+    # one period; a window of four periods finds the same work, but rounding
+    # lets it report some stops whole periods late
+    rng = np.random.default_rng(0)
+    p, theta = rng.uniform(0.0, 0.5, 4000), rng.uniform(0.0, math.pi, 4000)
+    rabi = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 4000))
+    period = 2.0 * math.pi / rabi
+    tau, work = ef.optimal_square_work(p, theta, rabi, 0.0)
+    assert not np.isnan(work).any()
+    assert (tau <= period).all()
+    monkeypatch.setattr(scenarios, "_search_horizon", lambda rabi, gamma: 8.0 * math.pi / rabi)
+    wide_tau, wide_work = ef.optimal_square_work(p, theta, rabi, 0.0)
+    assert np.abs(work - wide_work).max() <= 4.4e-16
+    assert (wide_tau > period).any()
 
 
 @pytest.mark.parametrize("name", ["bound scan", "case-i map"])

@@ -109,9 +109,10 @@ def test_bound_scan_rejects_coarse_grids():
         ef.ergotropy_bound_scan(resolution=10)
 
 
-def test_scale_invariance_trivial_factor():
+def test_scale_invariance_trivial_factor(monkeypatch):
+    monkeypatch.setattr(verification, "_SCALE_FACTORS", (1.0,))
     prep = ef.Preparation(p=0.0, theta=2.0)
-    rep = ef.scale_invariance_check(prep, epsilon=1.0, factors=(1.0,))
+    rep = ef.scale_invariance_check(prep, epsilon=1.0)
     assert rep.max_work_deviation == 0.0
     assert rep.max_stopping_deviation == 0.0
 
@@ -119,7 +120,7 @@ def test_scale_invariance_trivial_factor():
 def test_scale_invariance_across_decades():
     prep = ef.Preparation(p=0.0, theta=math.pi / 2.0)
     for eps in (1.0, 8.0):  # oscillatory and overdamped
-        rep = ef.scale_invariance_check(prep, epsilon=eps, factors=(0.1, 10.0))
+        rep = ef.scale_invariance_check(prep, epsilon=eps)
         assert rep.passed, (eps, rep.max_work_deviation, rep.max_stopping_deviation)
         assert rep.max_work_deviation <= 1e-9
         assert rep.max_stopping_deviation <= 1e-9

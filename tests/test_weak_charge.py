@@ -51,7 +51,7 @@ def test_shaped_optimum_approaches_the_exponential_as_sqrt_n_bar():
         sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar))
         assert sol.converged, sol.message
         target = ef.ExponentialPulse(n_bar, 2.0 / 3.0)
-        d = ef.pulse_distance(sol.pulse, target, t_end=sol.problem.horizon)
+        d = ef.pulse_distance(sol.pulse, target)
         assert d <= math.sqrt(n_bar), (n_bar, d)
         dists.append(d)
     # each tenfold drop of the charge shrinks the distance by about sqrt(10)
