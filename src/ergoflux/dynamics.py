@@ -194,6 +194,10 @@ class ExponentialPulse(DriveProfile):
         for name in ("n_bar", "tau", "gamma"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(
+                f"n_bar {self.n_bar} in tau {self.tau} needs an amplitude past the float range"
+            )
 
     @property
     def amplitude(self) -> float:

@@ -85,6 +85,9 @@ _PRUNE_TOL = 1e-12
 # maxima; far above the rounding of the exponent (a few 1e-15), so no maximum
 # whose computed dipole is positive lies past the reach
 _REACH_TOL = 1e-12
+# `_tail_cut` runs on cells with more candidates than this; on fewer it
+# costs about as much as it saves
+_CUT_MIN = 8
 
 
 def _newton(dipole, lo, hi, flo, fhi, cell):
@@ -145,6 +148,8 @@ def _layout(gamma, t_max, co, basis):
     (lo, hi) of candidate i of each ``cell`` and the damped basis there
     (ec, es at lo, then at hi), for k > 0 from one exp per candidate.  A
     candidate is a bracket when the dipole falls from s(lo) > 0 to s(hi) < 0.
+    For k > 0 every candidate i >= 1 starts at a maximum, one period before
+    its next extremum and two after the maximum of candidate i - 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         # the slope exp(-alpha t) * (pc C + ps S) vanishes where S / C = -pc / ps
@@ -223,14 +228,71 @@ def _work_bound(w_lo, lo, hi, s_lo, rabi, gamma):
     return w_lo + (hi - lo) * s_lo * (rabi + gamma * s_lo)
 
 
+def _tail_cut(size, brackets, rabi, gamma: float, co, basis, start):
+    """How many leading candidates of `_layout` can hold each cell's best work.
+
+    At candidate 1 + n the damped basis is v = rho^(2n) times its value at
+    candidate 1, at t = t_1 + 2 n period.  The state there is affine in v,
+    so the dipole is s = c + S v and `_drive_work` is W(t, v) = W0 + K_t t +
+    K_1 v + K_2 v^2, with K_t = c (rabi + gamma c) < 0 the settled work rate;
+    W0, K_1 and K_2 follow from W(0, v) at v = 0 and +-1.  A bracket is at
+    most one period long, so its bound (`_work_bound`) is at most E(n) = W0 + K_t (t + period) + L_1+ v + L_2+ v^2, where
+    L_1 = K_1 + period S (rabi + 2 gamma c), L_2 = K_2 + period gamma S^2
+    and x+ = max(x, 0); E falls strictly as n grows.  The floor
+    F = max(0, W(t_1, 1)) lies below the cell's best: W(lo) < W(root) on a
+    bracket, and if candidate 1 holds none no later maximum is positive.  A
+    bisection finds the first n where E(n) lies below F by more than
+    4 _PRUNE_TOL max(1, F); the candidates from there on would be pruned,
+    and cannot raise the floor, since W(lo) <= bound.  Every candidate is
+    kept for k <= 0 (no train of maxima), for gamma = 0 (maxima that do not
+    decay), in cells with at most `_CUT_MIN` candidates, and where the
+    envelope or the floor is not finite.
+    """
+    cut = np.flatnonzero(size > _CUT_MIN)
+    if not (cut.size and gamma > 0.0 and np.isfinite(basis.period[0])):
+        return size
+    part, r, period = co.take(cut), rabi[cut], basis.period[cut]
+    t1, _, ec, es, _, _ = brackets(cut, np.ones(cut.size, dtype=np.intp))
+
+    def work(v):
+        """W(0, v): with tau = 0, `_drive_work` leaves out the term K_t t."""
+        return _drive_work(0.0, r, gamma, part, None, (start[0][cut], start[1][cut]), at=(v * ec, v * es))[0]
+
+    w0, w_up, w_down = work(0.0), work(1.0), work(-1.0)
+    rate, transient = part.c * (r + gamma * part.c), part.a * ec + part.b * es
+    l1 = np.maximum(0.5 * (w_up - w_down) + period * transient * (r + 2.0 * gamma * part.c), 0.0)
+    l2 = np.maximum(0.5 * (w_up + w_down) - w0 + period * gamma * transient * transient, 0.0)
+    floor = np.maximum(w_up + rate * t1, 0.0)
+    # a NaN envelope or floor keeps every candidate
+    finite = np.isfinite(w0 + l1 + l2 + floor)
+    least = np.where(finite, floor - 4.0 * _PRUNE_TOL * np.maximum(floor, 1.0), -np.inf)
+    log_v = -2.0 * basis.decay[cut] * period
+
+    def envelope(n):
+        v = np.exp(n * log_v)
+        return w0 + rate * (t1 + (2 * n + 1) * period) + (l1 + l2 * v) * v
+
+    # the first n in [0, size - 1) with E(n) below `least`, else size - 1
+    lo, hi = np.zeros(cut.size, dtype=np.intp), size[cut] - 1
+    for _ in range(int(hi.max()).bit_length()):
+        mid = (lo + hi) // 2
+        below = envelope(mid) < least
+        lo, hi = np.where(below, lo, np.minimum(mid + 1, hi)), np.where(below, mid, hi)
+    size = size.copy()
+    size[cut] = 1 + lo
+    return size
+
+
 def _search_group(rabi, gamma, t_max, co, basis):
     """The search of `optimal_square_work` on cells that share the sign of k.
 
-    Returns (tau, work, ok) per cell.
+    Of the candidates of `_layout`, only the leading ones `_tail_cut`
+    keeps are laid out.  Returns (tau, work, ok) per cell.
     """
     m = rabi.size
     size, ok, brackets = _layout(gamma, t_max, co, basis)
     start = _drive_start(rabi, gamma, co)
+    size = _tail_cut(size, brackets, rabi, gamma, co, basis, start)
 
     ends = np.cumsum(size)
     starts = ends - size
@@ -311,8 +373,12 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     decreases at late times.  A bracket [lo, hi] is
     refined only if its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo))
     on the work at its root reaches the cell's floor, the best of 0, the
-    work of earlier windows and every W(lo), less `_PRUNE_TOL`; the result
-    is the one refining every bracket gives.  Returns arrays (tau, work) of
+    work of earlier windows and every W(lo), less `_PRUNE_TOL`.  With decay,
+    the bounds of an oscillating drive's whole tail of maxima lie under a
+    closed-form envelope falling with time (`_tail_cut`), so a cell with
+    more than `_CUT_MIN` candidates lays out only those before the envelope
+    drops below its floor.  The result is the one refining every bracket
+    gives.  Returns arrays (tau, work) of
     the broadcast shape.  A cell holds NaN when p or theta is out of range,
     rabi is not positive with a finite square, a bracket did not converge,
     or the cell has more than 2^52 extrema to search.

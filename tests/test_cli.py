@@ -153,6 +153,12 @@ def test_scenario_pulsed_drive_past_the_float_range_exits_2(capsys):
     assert "Rabi frequency 2*sqrt(gamma*n_bar/tau) = inf" in err
 
 
+def test_optimize_charge_past_the_float_range_exits_1(capsys):
+    # the exponential scan's shortest pulses would need an infinite amplitude
+    assert run("optimize", "--theta", "1", "--nbar", "1e308") == 1
+    assert "needs an amplitude past the float range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -149,6 +149,12 @@ def test_drives_reject_non_finite_input_by_name(drive, args, name):
         getattr(ef, drive)(*args)
 
 
+def test_exponential_pulse_rejects_an_amplitude_past_the_float_range():
+    # finite n_bar and tau whose amplitude 2 sqrt(2 gamma n_bar / tau) overflows
+    with pytest.raises(ValueError, match="^n_bar 1e[+]300 in tau 1e-300 needs an amplitude"):
+        ef.ExponentialPulse(1e300, 1e-300)
+
+
 def test_off_drive_is_null():
     d = ef.OffDrive()
     assert d.rabi(1.23) == 0.0

@@ -223,8 +223,8 @@ def _every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
 
     ``layout`` is `_search_brackets` (the search's own brackets) or
     `_knot_brackets`.  Returns the bracket cells, ends, s(lo), W(lo), roots
-    and W(root), and per cell whether its search can be trusted.  Cells must
-    be valid.
+    and W(root), the rank of each bracket among its cell's candidates, and
+    per cell whether its search can be trusted.  Cells must be valid.
     """
     from ergoflux.dynamics import _basis_groups, _coefficients
     from ergoflux.energetics import _drive_work
@@ -234,10 +234,11 @@ def _every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
     for cells, part, basis in _basis_groups(_coefficients(p, theta, rabi, gamma), 0.75 * gamma):
         t_max = scenarios._search_horizon(rabi[cells], gamma)
         c, lo, hi, ec, es, ec_hi, es_hi, ok_part = layout(gamma, t_max, part, basis)
+        index = np.arange(c.size) - np.searchsorted(c, c)  # the layouts list a cell's candidates in order
         f_lo = part.a[c] * ec + part.b[c] * es + part.c[c]
         f_hi = part.a[c] * ec_hi + part.b[c] * es_hi + part.c[c]
         b = np.flatnonzero((f_lo > 0.0) & (f_hi < 0.0))
-        c, lo, hi, ec, es, f_lo, f_hi = (v[b] for v in (c, lo, hi, ec, es, f_lo, f_hi))
+        c, index, lo, hi, ec, es, f_lo, f_hi = (v[b] for v in (c, index, lo, hi, ec, es, f_lo, f_hi))
 
         def dipole(x, c):
             ec, es = basis.take(c).at(x)
@@ -246,7 +247,7 @@ def _every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
         roots = _in_chunks(lambda *v: (scenarios._newton(dipole, *v),), lo, hi, f_lo, f_hi, c)[0]
         r, co, bc = rabi[cells][c], part.take(c), basis.take(c)
         new = {
-            "cell": cells[c], "lo": lo, "hi": hi, "s_lo": f_lo, "rabi": r, "root": roots,
+            "cell": cells[c], "index": index, "lo": lo, "hi": hi, "s_lo": f_lo, "rabi": r, "root": roots,
             "w_lo": _drive_work(lo, r, gamma, co, None, at=(ec, es))[0],
             "w": _drive_work(roots, r, gamma, co, bc)[0],
         }
@@ -254,7 +255,7 @@ def _every_bracket(p, theta, rabi, gamma, layout=_search_brackets):
             out[key] = np.concatenate([out.get(key, []), v])
         ok_part[c[np.isnan(roots)]] = False
         ok[cells] = ok_part
-    out["cell"] = out["cell"].astype(np.intp)
+    out["cell"], out["index"] = out["cell"].astype(np.intp), out["index"].astype(np.intp)
     return out, ok
 
 
@@ -290,6 +291,9 @@ _SEARCH_CASES = {
     "passive": (np.array([0.5, 0.5, 0.0, 0.2]), np.array([2.0, 0.3, 0.0, 0.0]), np.array([0.1, 200.0, 3.0, 20.0]), 1.0),
     "strong": (*_random_cells(4, 60, (3.9, 4.1)), 1.0),
     "other gamma": (*_random_cells(5, 300, (-1.0, 3.0)), 2.5),
+    # photon rates of 1e5 to 1e6 gamma, where `scenarios._tail_cut` drops most candidates
+    "strong charge": (*_random_cells(11, 40, (5.6, 6.6)), 1.0),
+    "strong charge, gamma 0.3": (*_random_cells(12, 40, (4.6, 5.6)), 0.3),
 }
 
 
@@ -376,8 +380,9 @@ def test_undamped_search_reports_the_earliest_optimal_stop(monkeypatch):
 
 @pytest.mark.parametrize("name", ["bound scan", "case-i map"])
 def test_search_lays_out_exactly_the_knot_brackets(monkeypatch, name):
-    # per cell the search lays out as many candidates as the knot layout has
-    # brackets, and takes one exp per candidate on top of two per cell
+    # per cell `scenarios._layout` gives as many candidates as the knot layout
+    # has brackets, and the search takes one exp per candidate it lays out
+    # on top of two per cell and one per bisection step of the tail cut
     from ergoflux import dynamics
 
     cells = _bound_scan_cells() if name == "bound scan" else _case_i_map()
@@ -430,12 +435,16 @@ def test_search_lays_out_exactly_the_knot_brackets(monkeypatch, name):
     for (cells, _, _), size in zip(groups, sizes, strict=True):
         laid[cells] = size
     assert np.array_equal(laid, want)
-    assert counts["laid out"] == want.sum()
     if name == "bound scan":
         assert want.sum() == 218163
-    # the exps and basis evaluations of the layout: all of them but the refinement's steps and its work at each root
+    # `scenarios._tail_cut` keeps a prefix of each cell's candidates, and
+    # lays out candidate 1 of each cell it runs on to find it
+    cut = int((want > scenarios._CUT_MIN).sum())
+    assert counts["laid out"] == {"bound scan": 195415, "case-i map": 26193}[name]
+    # the exps and basis evaluations of the layout and of the cut's bisection:
+    # all of them but the refinement's steps and its work at each root
     exps = counts["exp"] + counts["at"] - counts["steps"] - counts["refined"]
-    assert exps <= want.sum() + 2 * rabi.size
+    assert exps <= counts["laid out"] + 2 * rabi.size + cut * int(want.max()).bit_length()
 
 
 @given(active_preparations, st.floats(min_value=1e-3, max_value=3e4), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
@@ -456,6 +465,37 @@ def test_a_nan_bound_prunes_nothing(monkeypatch):
     monkeypatch.setattr(scenarios, "_drive_start", lambda rabi, gamma, co: (np.nan * rabi, np.nan * rabi))
     tau, work = ef.optimal_square_work(0.0, np.array([1.0, 2.5]), np.array([3.0, 30.0]), 1.0)
     assert np.isnan(tau).all() and np.isnan(work).all()
+
+
+def _tail_cut_sizes(p, theta, rabi, gamma):
+    """Per cell, the candidates `scenarios._layout` gives and how many of them the search keeps."""
+    from ergoflux.dynamics import _basis_groups, _coefficients
+    from ergoflux.energetics import _drive_start
+
+    full, kept = np.zeros(p.size, dtype=np.intp), np.zeros(p.size, dtype=np.intp)
+    for cells, part, basis in _basis_groups(_coefficients(p, theta, rabi, gamma), 0.75 * gamma):
+        r = rabi[cells]
+        size, _, brackets = scenarios._layout(gamma, scenarios._search_horizon(r, gamma), part, basis)
+        full[cells] = size
+        kept[cells] = scenarios._tail_cut(size, brackets, r, gamma, part, basis, _drive_start(r, gamma, part))
+    return full, kept
+
+
+@pytest.mark.parametrize("name", [*_SEARCH_CASES, "case-i map"])
+def test_tail_cut_keeps_every_bracket_that_can_reach_the_best(name):
+    # a bracket whose work bound reaches the cell's best, less the pruning
+    # margin, could hold the best, so it must lie in the prefix the search keeps
+    p, theta, rabi, gamma = _SEARCH_CASES[name] if name in _SEARCH_CASES else (*_case_i_map(), 1.0)
+    p, theta, rabi = (np.ravel(v).astype(float) for v in np.broadcast_arrays(p, theta, rabi))
+    br, _ = _every_bracket(p, theta, rabi, gamma)
+    best = ef.optimal_square_work(p, theta, rabi, gamma)[1][br["cell"]]
+    bound = scenarios._work_bound(br["w_lo"], br["lo"], br["hi"], br["s_lo"], br["rabi"], gamma)
+    full, kept = _tail_cut_sizes(p, theta, rabi, gamma)
+    assert (kept <= full).all()
+    reach = bound >= best - scenarios._PRUNE_TOL * np.maximum(best, 1.0)
+    assert (br["index"] < kept[br["cell"]])[reach].all()
+    if name.startswith("strong charge") or name == "case-i map":
+        assert kept.sum() < 0.3 * full.sum()
 
 
 def test_most_brackets_are_pruned_on_the_case_i_map(monkeypatch):
