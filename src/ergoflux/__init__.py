@@ -19,8 +19,6 @@ from .dynamics import (
     Trajectory,
     analytic_square_trajectory,
     evolve_numeric,
-    evolve_square_analytic,
-    free_decay_trajectory,
     prepare_initial,
     square_pulse_coefficients,
 )
@@ -53,7 +51,6 @@ from .optimizer import (
     control_work_and_gradient,
     optimize_exponential_tau,
     project_to_budget,
-    pulse_distance,
     solve_optimal_control,
 )
 from .emitted_field import (
@@ -108,9 +105,7 @@ __all__ = [
     "ergotropy",
     "ergotropy_bound_scan",
     "evolve_numeric",
-    "evolve_square_analytic",
     "extraction_yield",
-    "free_decay_trajectory",
     "heat_rate",
     "husimi",
     "mean_photon_number",
@@ -119,7 +114,6 @@ __all__ = [
     "output_state",
     "prepare_initial",
     "project_to_budget",
-    "pulse_distance",
     "scale_invariance_check",
     "scenario_continuous",
     "scenario_pulsed",

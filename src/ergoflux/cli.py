@@ -86,35 +86,43 @@ _KINDS = {
     "a list of numbers": lambda x: isinstance(x, list) and all(map(_is_number, x)),
     "a number or a list of numbers": lambda x: _is_number(x) or _KINDS["a list of numbers"](x),
 }
-# config keys that do not take a number
-_CONFIG_KINDS = {
-    **dict.fromkeys(("case", "suite", "out"), "a string"),
-    **dict.fromkeys(("nodes", "starts", "seed", "resolution", "cases"), "an integer"),
-    **dict.fromkeys(("re", "im", "ndot_log", "nbar_log"), "a list of numbers"),
-}
 
 
-def _merge(args: argparse.Namespace, defaults: dict, axes=()) -> dict:
+def _kind(spec: dict) -> str:
+    """The JSON type a config value must have, as the flag of argparse settings ``spec`` takes it."""
+    if spec.get("nargs") == "+":
+        return "a number or a list of numbers"
+    if "nargs" in spec:
+        return "a list of numbers"
+    return {int: "an integer", float: "a number"}.get(spec.get("type"), "a string")
+
+
+def _flags(command: str) -> dict:
+    """The flags of a command as key -> (argparse settings, default), with the --out every command takes."""
+    return {**_COMMANDS[command][2], "out": ({}, None)}
+
+
+def _merge(args: argparse.Namespace) -> dict:
     """Fold config-file values under explicit flags; flags win, defaults last.
 
-    Each config value must have the JSON type its flag takes; the keys in
-    ``axes`` are sweep axes, which take a number or a list of numbers.
+    Each config value must have the JSON type its flag takes (`_kind`).
     """
+    flags = _flags(args.command)
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise _CliError("config file must hold a JSON object")
-        unknown = set(cfg) - set(defaults)
+        unknown = set(cfg) - set(flags)
         if unknown:
             raise _CliError(f"unknown config keys: {sorted(unknown)}")
         for key, value in cfg.items():
-            kind = "a number or a list of numbers" if key in axes else _CONFIG_KINDS.get(key, "a number")
+            kind = _kind(flags[key][0])
             if not _KINDS[kind](value):
                 raise _CliError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
     out = {}
-    for key, default in defaults.items():
+    for key, (_, default) in flags.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             out[key] = flag_value
@@ -155,19 +163,9 @@ def _require(params: dict, keys: list[str], context: str) -> None:
 
 # --------------------------- scenario ---------------------------
 
-_SCENARIO_DEFAULTS = {
-    "case": None,
-    "p": 0.0,
-    "theta": None,
-    "ndot": None,
-    "nbar": None,
-    "tau": None,
-    "out": None,
-}
-
 
 def _cmd_scenario(args) -> int:
-    par = _merge(args, _SCENARIO_DEFAULTS)
+    par = _merge(args)
     _require(par, ["case", "theta"], "scenario")
     case = SCENARIO_ALIASES.get(par["case"], par["case"])
     prep = Preparation(p=float(par["p"]), theta=float(par["theta"]))
@@ -206,18 +204,6 @@ def _cmd_scenario(args) -> int:
 
 # --------------------------- sweep ---------------------------
 
-_SWEEP_DEFAULTS = {
-    "case": None,
-    "theta": None,
-    "p": None,
-    "ndot": None,
-    "ndot_log": None,
-    "nbar": None,
-    "nbar_log": None,
-    "tau": None,
-    "out": None,
-}
-
 # axis1 in the CSV is the earliest swept name in this order
 _AXIS_PRIORITY = ("theta", "p", "ndot", "nbar", "tau")
 
@@ -244,7 +230,7 @@ def _axis_or_fixed(name: str, spec, log: bool, label: str):
 
 
 def _cmd_sweep(args) -> int:
-    par = _merge(args, _SWEEP_DEFAULTS, axes=_AXIS_PRIORITY)
+    par = _merge(args)
     _require(par, ["case", "out"], "sweep")
     case = SCENARIO_ALIASES.get(par["case"], par["case"])
 
@@ -278,20 +264,9 @@ def _cmd_sweep(args) -> int:
 
 # --------------------------- optimize ---------------------------
 
-_OPTIMIZE_DEFAULTS = {
-    "p": 0.0,
-    "theta": None,
-    "nbar": None,
-    "horizon": 10.0,
-    "nodes": 400,
-    "starts": 1,
-    "seed": 0,
-    "out": None,
-}
-
 
 def _cmd_optimize(args) -> int:
-    par = _merge(args, _OPTIMIZE_DEFAULTS)
+    par = _merge(args)
     _require(par, ["theta", "nbar"], "optimize")
     problem = ControlProblem(
         prep=Preparation(p=float(par["p"]), theta=float(par["theta"])),
@@ -326,16 +301,9 @@ def _cmd_optimize(args) -> int:
 
 # --------------------------- husimi ---------------------------
 
-_HUSIMI_DEFAULTS = {
-    "theta": None,
-    "re": [-2.5, 2.5, 101],
-    "im": [-2.5, 2.5, 101],
-    "out": None,
-}
-
 
 def _cmd_husimi(args) -> int:
-    par = _merge(args, _HUSIMI_DEFAULTS)
+    par = _merge(args)
     _require(par, ["theta"], "husimi")
     axes = []
     for name in ("re", "im"):
@@ -357,17 +325,6 @@ def _cmd_husimi(args) -> int:
 
 
 # --------------------------- verify ---------------------------
-
-_VERIFY_DEFAULTS = {
-    "suite": "all",
-    "resolution": 50,
-    "cases": 20,
-    "seed": 0,
-    "p": 0.0,
-    "theta": math.pi / 2.0,
-    "epsilon": 1.0,
-    "out": None,
-}
 
 
 def _verify_bound_scan(par) -> dict:
@@ -408,7 +365,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    par = _merge(args, _VERIFY_DEFAULTS)
+    par = _merge(args)
     suite = par["suite"]
     if suite == "all":
         report = {name: fn(par) for name, fn in _SUITES.items()}
@@ -427,6 +384,54 @@ def _cmd_verify(args) -> int:
 # --------------------------- wiring ---------------------------
 
 
+# Each command's help, handler and flags.  A flag maps its key to its argparse
+# settings and its default; `_flags` adds the --out every command takes.
+_FLOAT = {"type": float}
+_COMMANDS = {
+    "scenario": ("run one extraction protocol", _cmd_scenario, {
+        "case": ({"choices": ["i", "ii", "iii"]}, None),
+        "p": (_FLOAT, 0.0),
+        "theta": (_FLOAT, None),
+        "ndot": ({"type": float, "help": "photon rate over gamma (case i)"}, None),
+        "nbar": ({"type": float, "help": "wave-packet charge (case iii)"}, None),
+        "tau": ({"type": float, "help": "wave-packet duration (case iii)"}, None),
+    }),
+    "sweep": ("map a protocol over a 2-D grid", _cmd_sweep, {
+        "case": ({"choices": ["i", "ii", "iii"]}, None),
+        **dict.fromkeys(_AXIS_PRIORITY, ({"type": float, "nargs": "+", "metavar": "V"}, None)),
+        "ndot_log": ({"type": float, "nargs": 3, "metavar": ("E0", "E1", "NUM")}, None),
+        "nbar_log": ({"type": float, "nargs": 3, "metavar": ("E0", "E1", "NUM")}, None),
+    }),
+    "optimize": ("shape the work-maximizing pulse", _cmd_optimize, {
+        "p": (_FLOAT, 0.0),
+        "theta": (_FLOAT, None),
+        "nbar": (_FLOAT, None),
+        "horizon": (_FLOAT, 10.0),
+        "nodes": ({"type": int}, 400),
+        "starts": ({
+            "type": int,
+            "help": "L-BFGS-B starts (default 1): start 0 is the best exponential; "
+            "seeded perturbations of it never gained more than 1e-12 in W from n_bar = 1e-4 to 80",
+        }, 1),
+        "seed": ({"type": int}, 0),
+    }),
+    "husimi": ("phase-space grid of the emitted field", _cmd_husimi, {
+        "theta": (_FLOAT, None),
+        "re": ({"type": float, "nargs": 3, "metavar": ("MIN", "MAX", "NUM")}, [-2.5, 2.5, 101]),
+        "im": ({"type": float, "nargs": 3, "metavar": ("MIN", "MAX", "NUM")}, [-2.5, 2.5, 101]),
+    }),
+    "verify": ("run the self-check suites", _cmd_verify, {
+        "suite": ({"choices": [*sorted(_SUITES), "all"]}, "all"),
+        "resolution": ({"type": int}, 50),
+        "cases": ({"type": int}, 20),
+        "seed": ({"type": int}, 0),
+        "p": (_FLOAT, 0.0),
+        "theta": (_FLOAT, math.pi / 2.0),
+        "epsilon": (_FLOAT, 1.0),
+    }),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ergoflux",
@@ -434,65 +439,12 @@ def _build_parser() -> _Parser:
         epilog="Sweeps and scans run as batched numpy array code in one process.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sc = sub.add_parser("scenario", help="run one extraction protocol")
-    sc.add_argument("--case", choices=["i", "ii", "iii"])
-    sc.add_argument("--p", type=float)
-    sc.add_argument("--theta", type=float)
-    sc.add_argument("--ndot", type=float, help="photon rate over gamma (case i)")
-    sc.add_argument("--nbar", type=float, help="wave-packet charge (case iii)")
-    sc.add_argument("--tau", type=float, help="wave-packet duration (case iii)")
-    sc.add_argument("--out")
-    sc.add_argument("--config")
-    sc.set_defaults(fn=_cmd_scenario)
-
-    sw = sub.add_parser("sweep", help="map a protocol over a 2-D grid")
-    sw.add_argument("--case", choices=["i", "ii", "iii"])
-    for name in ("theta", "p", "ndot", "nbar", "tau"):
-        sw.add_argument(f"--{name}", type=float, nargs="+", metavar="V")
-    sw.add_argument("--ndot-log", type=float, nargs=3, metavar=("E0", "E1", "NUM"))
-    sw.add_argument("--nbar-log", type=float, nargs=3, metavar=("E0", "E1", "NUM"))
-    sw.add_argument("--out")
-    sw.add_argument("--config")
-    sw.set_defaults(fn=_cmd_sweep)
-
-    op = sub.add_parser("optimize", help="shape the work-maximizing pulse")
-    op.add_argument("--p", type=float)
-    op.add_argument("--theta", type=float)
-    op.add_argument("--nbar", type=float)
-    op.add_argument("--horizon", type=float)
-    op.add_argument("--nodes", type=int)
-    op.add_argument(
-        "--starts",
-        type=int,
-        help="L-BFGS-B starts (default 1): start 0 is the best exponential; "
-        "seeded perturbations of it never gained more than 1e-12 in W from n_bar = 1e-4 to 80",
-    )
-    op.add_argument("--seed", type=int)
-    op.add_argument("--out")
-    op.add_argument("--config")
-    op.set_defaults(fn=_cmd_optimize)
-
-    hu = sub.add_parser("husimi", help="phase-space grid of the emitted field")
-    hu.add_argument("--theta", type=float)
-    hu.add_argument("--re", type=float, nargs=3, metavar=("MIN", "MAX", "NUM"))
-    hu.add_argument("--im", type=float, nargs=3, metavar=("MIN", "MAX", "NUM"))
-    hu.add_argument("--out")
-    hu.add_argument("--config")
-    hu.set_defaults(fn=_cmd_husimi)
-
-    ve = sub.add_parser("verify", help="run the self-check suites")
-    ve.add_argument("--suite", choices=[*sorted(_SUITES), "all"])
-    ve.add_argument("--resolution", type=int)
-    ve.add_argument("--cases", type=int)
-    ve.add_argument("--seed", type=int)
-    ve.add_argument("--p", type=float)
-    ve.add_argument("--theta", type=float)
-    ve.add_argument("--epsilon", type=float)
-    ve.add_argument("--out")
-    ve.add_argument("--config")
-    ve.set_defaults(fn=_cmd_verify)
-
+    for command, (text, fn, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for key, (spec, _) in _flags(command).items():
+            sp.add_argument("--" + key.replace("_", "-"), **spec)
+        sp.add_argument("--config")
+        sp.set_defaults(fn=fn)
     return parser
 
 

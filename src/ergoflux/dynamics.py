@@ -12,8 +12,7 @@ Conventions used throughout the package:
 
 Under a constant drive the dipole has one closed form for every damping,
 s(t) = exp(-3 gamma t / 4) * (a C(t) + b S(t)) + c, whose basis C, S is
-entire in k = rabi^2 - gamma^2/16 (`evolve_square_analytic`,
-`analytic_square_trajectory`).
+entire in k = rabi^2 - gamma^2/16 (`analytic_square_trajectory`).
 """
 from __future__ import annotations
 
@@ -296,7 +295,7 @@ def _check_span(t_end: float, gamma: float) -> None:
 _CHUNK = 16
 _BLOCK = 1 << 13
 
-# Rows p and s of the homogeneous columns (e_p, e_s, 1) that `_rk4_maps`
+# Rows p and s of the homogeneous columns (e_p, e_s, 1) that `_drive_scan`
 # steps, and half the homogeneous coordinate, which carries the drive offset.
 _COLUMNS = np.eye(3)[:2, :, None]
 _HALF = np.array([[0.0], [0.0], [0.5]])
@@ -309,25 +308,6 @@ def _rhs(p, s, rabi, gamma, half=0.5):
     map columns, 0 for the linear part alone.
     """
     return -gamma * p - rabi * s, rabi * (p - half) - 0.5 * gamma * s
-
-
-def _rk4_maps(oa, ob, oc, gamma, h):
-    """Affine maps x -> M x + v of RK4 steps, one per element of the samples.
-
-    The Bloch equations are affine in x = (p_e, s), so one RK4 step is too.
-    ``oa``/``ob``/``oc`` are the drive at step start, middle and end, and
-    ``gamma`` the decay rate.  Stepping the homogeneous columns e_p, e_s
-    and 1 gives the (2, 3, n) array whose row i holds (M_i0, M_i1, v_i).
-    """
-    p, s = _COLUMNS
-    k1p, k1s = _rhs(p, s, oa, gamma, _HALF)
-    k2p, k2s = _rhs(p + 0.5 * h * k1p, s + 0.5 * h * k1s, ob, gamma, _HALF)
-    k3p, k3s = _rhs(p + 0.5 * h * k2p, s + 0.5 * h * k2s, ob, gamma, _HALF)
-    k4p, k4s = _rhs(p + h * k3p, s + h * k3s, oc, gamma, _HALF)
-    return np.stack((
-        p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
-        s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s),
-    ))
 
 
 def _scan_block(maps, x0):
@@ -361,7 +341,7 @@ def _affine_scan(maps, n: int, x0, reverse: bool = False) -> np.ndarray:
     """All states x_0..x_n of x_{k+1} = M_k x_k + v_k as a (2, n + 1) array.
 
     ``maps(lo, hi)`` returns the (2, 3, hi - lo) maps of steps lo..hi-1
-    (see `_rk4_maps`); they are requested and scanned in blocks of `_BLOCK`
+    (see `_drive_scan`); they are requested and scanned in blocks of `_BLOCK`
     steps.  With ``reverse`` the transposed recurrence y_k = M_k^T y_{k+1} + v_k
     runs from y_n = ``x0`` down to y_0: the adjoint of the forward scan.  A
     non-finite state raises `IntegrationAccuracyError`.
@@ -387,6 +367,41 @@ def _affine_scan(maps, n: int, x0, reverse: bool = False) -> np.ndarray:
             "integration produced a non-finite state; shrink the step or the drive"
         )
     return out
+
+
+def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None) -> np.ndarray:
+    """Node states (2, n + 1) of n RK4 steps from the state ``x0``, by `_affine_scan`.
+
+    Step k runs from node k over ``h`` (a float, or one length per step)
+    under the drive ``on[k]`` at its start, ``om[k]`` at its middle and
+    ``on[k + 1]`` at its end, and ``gamma`` is the decay rate.  The Bloch
+    equations are affine in x = (p_e, s), so one RK4 step is too: stepping
+    the homogeneous columns e_p, e_s and 1 gives its (2, 3) map, whose row i
+    holds (M_i0, M_i1, v_i).  The step at each index in ``restarts`` is a
+    restart map instead (M = 0, offset ``x0``), which puts the state back at
+    ``x0``.  ``kept``, a (2, 3, n) array, receives the maps of all steps.
+    """
+    restarts = np.asarray(restarts, dtype=np.intp)
+    restart = np.array([[0.0, 0.0, x0[0]], [0.0, 0.0, x0[1]]])[..., None] if restarts.size else None
+    p, s = _COLUMNS
+
+    def maps(lo, hi):
+        hk = h if np.ndim(h) == 0 else h[lo:hi]
+        k1p, k1s = _rhs(p, s, on[lo:hi], gamma, _HALF)
+        k2p, k2s = _rhs(p + 0.5 * hk * k1p, s + 0.5 * hk * k1s, om[lo:hi], gamma, _HALF)
+        k3p, k3s = _rhs(p + 0.5 * hk * k2p, s + 0.5 * hk * k2s, om[lo:hi], gamma, _HALF)
+        k4p, k4s = _rhs(p + hk * k3p, s + hk * k3s, on[lo + 1 : hi + 1], gamma, _HALF)
+        m = np.stack((
+            p + hk / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
+            s + hk / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s),
+        ))
+        if restart is not None:
+            m[..., restarts[(restarts >= lo) & (restarts < hi)] - lo] = restart
+        if kept is not None:
+            kept[..., lo:hi] = m
+        return m
+
+    return _affine_scan(maps, len(on) - 1, x0)
 
 
 def evolve_numeric(
@@ -438,12 +453,8 @@ def _integrate(state0: QubitState, drive: DriveProfile, times, h, gamma: float) 
     om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
     _check_steps(times, h, om_g, om_m, gamma)
 
-    def maps(lo, hi):
-        hk = h if np.ndim(h) == 0 else h[lo:hi]
-        return _rk4_maps(om_g[lo:hi], om_m[lo:hi], om_g[lo + 1 : hi + 1], gamma, hk)
-
+    p, s = _drive_scan(om_g, om_m, h, gamma, (state0.p_e, state0.s_bar))
     n = len(times) - 1
-    p, s = _affine_scan(maps, n, (state0.p_e, state0.s_bar))
     for lo in range(0, n + 1, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         p[block], s[block] = _clamped_samples(p[block], s[block])
@@ -591,17 +602,6 @@ def _square_states(prep: Preparation, rabi: float, gamma: float, t):
     return _drive_state(*_transient_basis(co.k, 0.75 * gamma).at(t), rabi, gamma, co)
 
 
-def evolve_square_analytic(prep: Preparation, rabi: float, gamma: float, t: float) -> QubitState:
-    """State at time ``t`` under a constant drive switched on at t = 0."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    p, s = _clamped_samples(*_square_states(prep, rabi, gamma, float(t)))
-    return QubitState(p_e=float(p), s_bar=float(s))
-
-
-# --------------------------- exact trajectory builders ---------------------------
-
-
 def analytic_square_trajectory(
     prep: Preparation,
     rabi: float,
@@ -618,14 +618,3 @@ def analytic_square_trajectory(
     return Trajectory(
         times=times, p_e=p, s_bar=s, drive=SquarePulse(amplitude=rabi, duration=t_end), gamma=gamma
     )
-
-
-def free_decay_trajectory(state0: QubitState, gamma: float, t_end: float, num: int) -> Trajectory:
-    """Undriven decay sampled exactly on a uniform grid."""
-    _check_span(t_end, gamma)
-    if num < 2:
-        raise ValueError("num must be at least 2")
-    times = np.linspace(0.0, t_end, num)
-    p = state0.p_e * np.exp(-gamma * times)
-    s = state0.s_bar * np.exp(-0.5 * gamma * times)
-    return Trajectory(times=times, p_e=p, s_bar=s, drive=OffDrive(), gamma=gamma)

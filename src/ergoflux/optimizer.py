@@ -14,7 +14,7 @@ Two layers:
   against finite differences of the same objective.
 
 The work functional runs the RK4 steps as affine maps through one forward
-`dynamics._affine_scan` and integrates the work flux on the same fine grid,
+`dynamics._drive_scan` and integrates the work flux on the same fine grid,
 over each control interval by composite Simpson closed by a 3/8 panel when
 the interval's step count is odd, so quadrature and integrator are both
 fourth order.  Its adjoint is the same
@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,9 @@ from .dynamics import (
     _RK4_BOUND,
     _affine_scan,
     _clamped_samples,
+    _drive_scan,
     _integrate,
     _rhs,
-    _rk4_maps,
     evolve_numeric,
     prepare_initial,
 )
@@ -69,7 +70,6 @@ __all__ = [
     "project_to_budget",
     "solve_optimal_control",
     "OptimalPulse",
-    "pulse_distance",
 ]
 
 
@@ -96,7 +96,7 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     its `ExponentialPulse.support_end` window in n steps with
     h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its work flux is
     integrated by `_quadrature_weights` on that grid, and the tail adds the
-    exact s(end)^2.  All drives share one `_affine_scan`: the step after each
+    exact s(end)^2.  All drives share one `_drive_scan`: the step after each
     drive's last node is a restart map (M = 0, offset x0) that puts the state
     back at the preparation for the next drive.
     """
@@ -115,15 +115,7 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     on, om, hs, wq = (np.concatenate(a) for a in (on, om, hs, wq))
 
     state0 = prepare_initial(prep)
-    x0 = (state0.p_e, state0.s_bar)
-    restart = np.array([[0.0, 0.0, x0[0]], [0.0, 0.0, x0[1]]])[..., None]
-
-    def maps(lo, hi):
-        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, hs[lo:hi])
-        m[..., ends[(ends >= lo) & (ends < hi)] - lo] = restart
-        return m
-
-    x = _affine_scan(maps, len(on) - 1, x0)
+    x = _drive_scan(on, om, hs, gamma, (state0.p_e, state0.s_bar), restarts=ends[:-1])
     _clamped_samples(*x)  # raises past BLOCH_TOL
     s = x[1]
     flux = wq * (on * s + gamma * s * s)
@@ -309,15 +301,8 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
 
     kept = np.empty((2, 3, n)) if keep_maps else None
-
-    def maps(lo, hi):
-        m = _rk4_maps(on[lo:hi], om[lo:hi], on[lo + 1 : hi + 1], gamma, h)
-        if keep_maps:
-            kept[..., lo:hi] = m
-        return m
-
     state0 = prepare_initial(prep)
-    x = _affine_scan(maps, n, (state0.p_e, state0.s_bar))
+    x = _drive_scan(on, om, h, gamma, (state0.p_e, state0.s_bar), kept=kept)
     s = x[1]
     with np.errstate(over="ignore", invalid="ignore"):  # huge states are reported below
         wv = on * s + gamma * s * s
@@ -519,6 +504,8 @@ def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> floa
 
 # L-BFGS-B iterations per start
 _MAX_ITER = 5000
+# fine RK4 steps of the work functional: past them its float64 arrays cannot be indexed
+_MAX_FINE_STEPS = sys.maxsize // 8
 
 
 def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int = 0) -> OptimalPulse:
@@ -538,6 +525,8 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     times = np.linspace(0.0, problem.horizon, problem.n_nodes)
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
 
@@ -546,6 +535,11 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
     peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
     n_sub = _default_n_sub(float(times[1] - times[0]), gamma, peak)
+    if (problem.n_nodes - 1) * n_sub >= _MAX_FINE_STEPS:
+        raise ValueError(
+            f"horizon must be shorter: {problem.horizon:g} over {problem.n_nodes} nodes "
+            "needs more RK4 steps than an array can hold"
+        )
 
     rng = np.random.default_rng(seed)
     starts = [init]
@@ -574,24 +568,3 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
         message=str(res.message),
         start_objectives=objs,
     )
-
-
-# samples of `pulse_distance`
-_DISTANCE_SAMPLES = 4001
-
-
-def pulse_distance(drive_a, drive_b) -> float:
-    """Relative L2 distance between two waveforms (normalized by the second).
-
-    Both are sampled at `_DISTANCE_SAMPLES` points from 0 to the larger of
-    their two `support_end` times.
-    """
-    t_end = max(drive_a.support_end(), drive_b.support_end())
-    t = np.linspace(0.0, t_end, _DISTANCE_SAMPLES)
-    a = np.asarray(drive_a.rabi(t), dtype=float)
-    b = np.asarray(drive_b.rabi(t), dtype=float)
-    num2 = float(np.sum((a - b) ** 2))
-    den2 = float(np.sum(b * b))
-    if den2 == 0.0:
-        return math.inf if num2 > 0.0 else 0.0
-    return math.sqrt(num2 / den2)

@@ -127,6 +127,8 @@ def conservation_suite(n_cases: int = 20, seed: int = 0) -> ConservationReport:
     """Run `conservation_audit` over randomized drives and preparations."""
     if n_cases < 1:
         raise ValueError("n_cases must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     reps = [conservation_audit(_random_trajectory(rng)) for _ in range(n_cases)]
     return ConservationReport(

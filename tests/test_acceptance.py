@@ -23,6 +23,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import ergoflux as ef
+from oracles import free_decay_trajectory, pulse_distance
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -90,7 +91,7 @@ def test_criterion_02_spontaneous_work_closed_form():
     for i, p in enumerate((0.0, 0.25, 0.5)):
         for j, th in enumerate(thetas):
             prep = ef.Preparation(p=p, theta=float(th))
-            traj = ef.free_decay_trajectory(ef.prepare_initial(prep), 1.0, t_end=16.0, num=16001)
+            traj = free_decay_trajectory(ef.prepare_initial(prep), 1.0, t_end=16.0, num=16001)
             w = ef.accumulate(traj).total_work
             w_grid[i, j] = w
             worst = max(worst, abs(w - (0.5 - p) ** 2 * math.sin(th) ** 2))
@@ -151,7 +152,7 @@ def test_criterion_05_pulse_shaping():
     # (c): the free-form optimum stays close to the exponential ansatz
     prob_a = ef.ControlProblem(prep=ef.Preparation(p=0.0, theta=math.pi / 2), n_bar=0.1)
     sol_a = ef.solve_optimal_control(prob_a, n_starts=4, seed=0)
-    l2 = ef.pulse_distance(sol_a.pulse, res_a.pulse)
+    l2 = pulse_distance(sol_a.pulse, res_a.pulse)
     l2_ok = l2 <= 0.05
 
     # (d): maximize over theta at n_bar = 1.64 (exponential scan locates the

@@ -476,6 +476,8 @@ def test_optimize_numerical_failure_exit_code(monkeypatch, capsys):
         (["--nbar", "nan"], "n_bar"),
         (["--nbar", "inf"], "n_bar"),
         (["--horizon", "inf"], "horizon"),
+        (["--horizon", "1e308"], "horizon"),
+        (["--seed", "-1"], "seed"),
     ],
 )
 def test_optimize_bad_input_names_the_parameter(flags, name, capsys):
@@ -521,6 +523,11 @@ def test_verify_scale_suite(capsys):
 def test_verify_scale_rejects_epsilon_out_of_range(epsilon, capsys):
     assert run("verify", "--suite", "scale-invariance", "--epsilon", epsilon) == 1
     assert "error: epsilon must be" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_names_it(capsys):
+    assert run("verify", "--suite", "conservation", "--seed", "-5") == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -5\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

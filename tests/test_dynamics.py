@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 
 import ergoflux as ef
 from ergoflux.dynamics import BLOCH_TOL, _rhs
+from oracles import evolve_square_analytic, free_decay_trajectory
 
 # ---------------------------------------------------------------- strategies
 
@@ -44,7 +45,7 @@ def test_steady_coherence_at_equal_rates():
 
 def _free_decay(state, gamma, dt):
     """The end state of an exact free decay over ``dt``."""
-    return ef.free_decay_trajectory(state, gamma, t_end=dt, num=2).state(-1)
+    return free_decay_trajectory(state, gamma, t_end=dt, num=2).state(-1)
 
 
 def test_free_decay_hand_computed_point():
@@ -57,7 +58,7 @@ def test_free_decay_hand_computed_point():
 def test_pi_pulse_without_damping():
     # gamma=0, theta=pi (excited): after t = pi/rabi the qubit reaches ground
     prep = ef.Preparation(p=0.0, theta=math.pi)
-    state = ef.evolve_square_analytic(prep, rabi=2.0, gamma=0.0, t=math.pi / 2.0)
+    state = evolve_square_analytic(prep, rabi=2.0, gamma=0.0, t=math.pi / 2.0)
     assert abs(state.s_bar) < 1e-12
     assert state.p_e < 1e-12
 
@@ -182,7 +183,7 @@ def _evolve(t_end=1.0, gamma=1.0, dt=0.001):
 
 
 def _decay(t_end=1.0, gamma=1.0):
-    return ef.free_decay_trajectory(_STATE, gamma=gamma, t_end=t_end, num=11)
+    return free_decay_trajectory(_STATE, gamma=gamma, t_end=t_end, num=11)
 
 
 def _square(t_end=1.0, gamma=1.0):
@@ -313,7 +314,7 @@ def test_long_overdamped_drive_settles_without_overflow():
     rabi = 0.01
     denom = 2.0 * rabi * rabi + 1.0
     for t in (3000.0, 1e5):
-        state = ef.evolve_square_analytic(ef.Preparation(p=0.0, theta=2.0), rabi, 1.0, t)
+        state = evolve_square_analytic(ef.Preparation(p=0.0, theta=2.0), rabi, 1.0, t)
         assert abs(state.s_bar + rabi / denom) <= 1e-15
         assert abs(state.p_e - rabi * rabi / denom) <= 1e-15
 
@@ -321,7 +322,7 @@ def test_long_overdamped_drive_settles_without_overflow():
 def test_analytic_solution_starts_at_preparation():
     prep = ef.Preparation(p=0.3, theta=0.7)
     state0 = ef.prepare_initial(prep)
-    got = ef.evolve_square_analytic(prep, rabi=1.7, gamma=1.0, t=0.0)
+    got = evolve_square_analytic(prep, rabi=1.7, gamma=1.0, t=0.0)
     assert got.p_e == pytest.approx(state0.p_e, abs=1e-12)
     assert got.s_bar == pytest.approx(state0.s_bar, abs=1e-12)
 
@@ -344,7 +345,7 @@ def test_free_decay_semigroup(prep, t1, t2):
 
 def test_free_decay_trajectory_matches_pointwise():
     state = ef.prepare_initial(ef.Preparation(p=0.0, theta=1.2))
-    traj = ef.free_decay_trajectory(state, gamma=1.0, t_end=6.0, num=301)
+    traj = free_decay_trajectory(state, gamma=1.0, t_end=6.0, num=301)
     expect = np.exp(-0.5 * traj.times) * state.s_bar
     assert np.abs(traj.s_bar - expect).max() < 1e-14
     assert np.abs(traj.p_e - state.p_e * np.exp(-traj.times)).max() < 1e-14

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 import ergoflux as ef
 from ergoflux import energetics
 from ergoflux.energetics import RESIDUAL_TOL
+from oracles import evolve_square_analytic, free_decay_trajectory
 
 preparations = st.builds(
     ef.Preparation,
@@ -57,7 +58,7 @@ def test_square_drive_work_matches_quadrature(eps, tau, p, theta):
     prep = ef.Preparation(p=p, theta=theta)
 
     def flux(t):
-        s = ef.evolve_square_analytic(prep, rabi, gamma, t).s_bar
+        s = evolve_square_analytic(prep, rabi, gamma, t).s_bar
         return gamma * s * s + rabi * s
 
     expected, err = quad(flux, 0.0, tau, limit=2000, epsabs=1e-13, epsrel=1e-13)
@@ -117,7 +118,7 @@ def test_heat_rate_is_nonnegative_on_the_ball(state):
 def test_accumulate_excited_state_free_decay():
     # pure |e>: no coherence, so no work; all energy leaves as heat
     st0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi))
-    traj = ef.free_decay_trajectory(st0, gamma=1.0, t_end=40.0, num=16001)
+    traj = free_decay_trajectory(st0, gamma=1.0, t_end=40.0, num=16001)
     tr = ef.accumulate(traj)
     assert tr.total_work == pytest.approx(0.0, abs=1e-12)
     assert tr.total_heat == pytest.approx(1.0, abs=1e-6)
@@ -125,7 +126,7 @@ def test_accumulate_excited_state_free_decay():
 
 def test_accumulate_spontaneous_half_coherence():
     st0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
-    traj = ef.free_decay_trajectory(st0, gamma=1.0, t_end=40.0, num=16001)
+    traj = free_decay_trajectory(st0, gamma=1.0, t_end=40.0, num=16001)
     tr = ef.accumulate(traj)
     assert tr.total_work == pytest.approx(0.25, abs=1e-6)
     assert tr.total_heat == pytest.approx(0.25, abs=1e-6)
@@ -133,7 +134,7 @@ def test_accumulate_spontaneous_half_coherence():
 
 def test_accumulate_ground_state_is_null():
     st0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=0.0))
-    traj = ef.free_decay_trajectory(st0, gamma=1.0, t_end=10.0, num=101)
+    traj = free_decay_trajectory(st0, gamma=1.0, t_end=10.0, num=101)
     tr = ef.accumulate(traj)
     assert tr.total_work == 0.0
     assert tr.total_heat == 0.0
@@ -257,7 +258,7 @@ def test_split_sums_to_total_work():
 
 def test_split_off_drive_has_no_stimulated_part():
     st0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=1.0))
-    traj = ef.free_decay_trajectory(st0, gamma=1.0, t_end=30.0, num=8001)
+    traj = free_decay_trajectory(st0, gamma=1.0, t_end=30.0, num=8001)
     tr = ef.accumulate(traj)
     assert tr.stimulated_work == 0.0
     assert tr.spontaneous_work == pytest.approx(st0.s_bar**2, abs=1e-6)

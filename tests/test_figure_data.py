@@ -31,7 +31,8 @@ def test_fast_family_writes_its_files(family, written, tmp_path, monkeypatch, ca
 
 
 def test_pulses_family_writes_shaped_and_exponential_waveforms(tmp_path, monkeypatch, capsys):
-    argv = [str(SCRIPT), "--only", "pulses", "--outdir", str(tmp_path)]
+    # the one panel that reaches every caller of the RK4 drive scan; --fast leaves it as it is
+    argv = [str(SCRIPT), "--fast", "--only", "pulses", "--outdir", str(tmp_path)]
     monkeypatch.setattr(sys, "argv", argv)
     runpy.run_path(str(SCRIPT), run_name="__main__")
     printed = capsys.readouterr().out.splitlines()

@@ -3,8 +3,10 @@
 `evolve_numeric`, `control_work` and `control_work_and_gradient` compose
 each RK4 step as an affine map and scan them in chunks and blocks; these
 tests pin them to a step-by-step loop at the chunk and block edges, for a
-drive that stops before the end of the run and without decay.  The
-gradient reference is the complex-step derivative of the same loop.
+drive that stops before the end of the run and without decay.  The kernel
+under all three, `_drive_scan`, is pinned to the same loop with restart
+maps at those edges and with one step length per step.  The gradient
+reference is the complex-step derivative of the same loop.
 """
 import tracemalloc
 
@@ -12,32 +14,37 @@ import numpy as np
 import pytest
 
 import ergoflux as ef
-from ergoflux.dynamics import _BLOCK, _CHUNK
+from ergoflux.dynamics import _BLOCK, _CHUNK, _drive_scan, _integrate
 
 STEP_COUNTS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + 1]
 TOL = 1e-13
 
 
-def _rk4_reference(p, s, on, om, gamma, h):
+def _rk4_reference(p, s, on, om, gamma, h, restarts=()):
     """Sequential RK4 of the real Bloch channel; returns the node states.
 
-    ``on`` is the drive at the nodes and ``om`` at the step midpoints.
-    Every operation is analytic, so complex drives give complex-step
-    derivatives.
+    ``on`` is the drive at the nodes and ``om`` at the step midpoints; ``h``
+    is one step length or one per step.  Each step index in ``restarts``
+    puts the state back at the first node instead of stepping.  Every
+    operation is analytic, so complex drives give complex-step derivatives.
     """
 
     def f(p, s, o):
         return -gamma * p - o * s, o * (p - 0.5) - 0.5 * gamma * s
 
     on, om = np.asarray(on).tolist(), np.asarray(om).tolist()
+    hs = np.broadcast_to(h, len(om)).tolist()
     ps, ss = [p], [s]
-    for k in range(len(om)):
-        k1p, k1s = f(p, s, on[k])
-        k2p, k2s = f(p + 0.5 * h * k1p, s + 0.5 * h * k1s, om[k])
-        k3p, k3s = f(p + 0.5 * h * k2p, s + 0.5 * h * k2s, om[k])
-        k4p, k4s = f(p + h * k3p, s + h * k3s, on[k + 1])
-        p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        s = s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
+    for k, h in enumerate(hs):
+        if k in restarts:
+            p, s = ps[0], ss[0]
+        else:
+            k1p, k1s = f(p, s, on[k])
+            k2p, k2s = f(p + 0.5 * h * k1p, s + 0.5 * h * k1s, om[k])
+            k3p, k3s = f(p + 0.5 * h * k2p, s + 0.5 * h * k2s, om[k])
+            k4p, k4s = f(p + h * k3p, s + h * k3s, on[k + 1])
+            p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
+            s = s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
         ps.append(p)
         ss.append(s)
     return np.array(ps), np.array(ss)
@@ -127,6 +134,42 @@ def test_evolve_numeric_memory_stays_bounded():
     assert len(traj.times) == 200_001
     returned = traj.times.nbytes + traj.p_e.nbytes + traj.s_bar.nbytes
     assert peak <= 2 * returned + 4_000_000
+
+
+def test_drive_scan_restarts_at_chunk_and_block_edges():
+    # restart maps on both sides of a chunk edge and of a block edge, under a
+    # step length that changes from step to step, as in the exponential scan
+    n = _BLOCK + 8
+    k = np.arange(2 * n + 1)
+    drive = 1.0 + 0.5 * np.sin(0.003 * k)
+    on, om = drive[::2], drive[1::2]
+    h = 0.002 + 0.001 * np.cos(0.01 * np.arange(n))
+    x0 = (0.7, -0.2)
+    restarts = [_CHUNK - 1, _CHUNK, _BLOCK - 1, _BLOCK]
+    p, s = _drive_scan(on, om, h, 1.0, x0, restarts=restarts)
+    ref_p, ref_s = _rk4_reference(*x0, on, om, 1.0, h, restarts)
+    assert np.abs(p - ref_p).max() <= TOL
+    assert np.abs(s - ref_s).max() <= TOL
+    assert (p[[r + 1 for r in restarts]] == x0[0]).all()
+
+
+def test_integrate_with_one_step_length_per_step():
+    # the strict re-evaluation of a shaped pulse steps each control interval
+    # by its own length; the grid crosses a block edge
+    times = np.array([0.0, 0.01, 0.2, 9.0, 16.0])
+    drive = ef.TabulatedPulse(times=times, values=[0.5, 2.0, 1.5, 0.3, 0.0])
+    counts = np.array([3, 40, 4400, 3900])
+    h = np.repeat(np.diff(times) / counts, counts)
+    within = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)  # step in its interval
+    fine = np.append(np.repeat(times[:-1], counts) + within * h, times[-1])
+    assert len(h) > _BLOCK
+    state = ef.QubitState(p_e=0.8, s_bar=0.3)
+    traj = _integrate(state, drive, fine, h, 1.0)
+    ref_p, ref_s = _rk4_reference(
+        state.p_e, state.s_bar, drive.rabi(fine), drive.rabi(fine[:-1] + 0.5 * h), 1.0, h
+    )
+    assert np.abs(traj.p_e - ref_p).max() <= TOL
+    assert np.abs(traj.s_bar - ref_s).max() <= TOL
 
 
 # ------------------------------------------------------- control functional

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import ergoflux as ef
 from ergoflux import scenarios
 from ergoflux.scenarios import SCENARIO_ALIASES
+from oracles import evolve_square_analytic, free_decay_trajectory
 
 preparations = st.builds(
     ef.Preparation,
@@ -38,7 +39,7 @@ def _square_trace(prep, rabi, tau):
 
 def _decay_trace(state):
     """The first-law-checked trace of the free decay from ``state``, with its exact tail."""
-    return ef.accumulate(ef.free_decay_trajectory(state, 1.0, t_end=40.0, num=16001))
+    return ef.accumulate(free_decay_trajectory(state, 1.0, t_end=40.0, num=16001))
 
 
 # ----------------------------------------------------------- continuous drive
@@ -544,7 +545,7 @@ def test_refined_roots_match_brentq(name):
         prep = ef.Preparation(p=float(p[c]), theta=float(theta[c]))
 
         def dipole(t):
-            return ef.evolve_square_analytic(prep, r, gamma, t).s_bar
+            return evolve_square_analytic(prep, r, gamma, t).s_bar
 
         want = brentq(dipole, lo, hi, xtol=1e-300, rtol=4.0 * eps)
         tol = scenarios._XTOL + scenarios._RTOL * want
@@ -650,7 +651,7 @@ def test_continuous_stop_certificate(prep, ratio):
     res = ef.scenario_continuous(prep, ratio)
     if res.tau_opt > 0.0:
         rabi = 2.0 * math.sqrt(ratio)
-        state = ef.evolve_square_analytic(prep, rabi, 1.0, res.tau_opt)
+        state = evolve_square_analytic(prep, rabi, 1.0, res.tau_opt)
         assert abs(state.s_bar) <= 1e-6
 
 
@@ -730,7 +731,7 @@ def test_pulsed_work_formula():
     n_bar, tau = 1.64, 1.0
     rabi = 2.0 * math.sqrt(n_bar / tau)
     res = ef.scenario_pulsed(prep, n_bar, tau)
-    s_end = ef.evolve_square_analytic(prep, rabi, 1.0, tau).s_bar
+    s_end = evolve_square_analytic(prep, rabi, 1.0, tau).s_bar
     expect = ef.square_drive_work(prep, rabi, 1.0, tau) + s_end**2
     assert res.work == pytest.approx(expect, abs=1e-12)
     assert res.n_interacted == pytest.approx(n_bar)
@@ -754,7 +755,7 @@ def test_pulsed_trace_splices_the_pulse_edge():
     res = ef.scenario_pulsed(prep, n_bar=1.64, tau=1.0)
     rabi = 2.0 * math.sqrt(1.64)
     pulse = _square_trace(prep, rabi, 1.0)
-    decay = _decay_trace(ef.evolve_square_analytic(prep, rabi, 1.0, 1.0))
+    decay = _decay_trace(evolve_square_analytic(prep, rabi, 1.0, 1.0))
     # the decay picks up the pulse's end state at the edge
     assert decay.energy[0] == pytest.approx(pulse.energy[-1], abs=1e-12)
     assert pulse.work[-1] + decay.total_work == pytest.approx(res.work, abs=1e-6)
