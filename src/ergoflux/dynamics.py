@@ -36,6 +36,15 @@ class IntegrationAccuracyError(RuntimeError):
     """A numerical trajectory or quadrature failed its accuracy contract."""
 
 
+def _check_params(low: str, **values) -> None:
+    """Reject, by name, a parameter that is not finite or not ``low``: "positive" or "nonnegative"."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0.0 or (value == 0.0 and low == "positive"):
+            raise ValueError(f"{name} must be {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Preparation:
     """Initial qubit state: mixing weight ``p`` and Bloch angle ``theta``.
@@ -160,10 +169,8 @@ class SquarePulse(DriveProfile):
     duration: float
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be nonnegative and finite, got {self.amplitude}")
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        _check_params("nonnegative", amplitude=self.amplitude)
+        _check_params("positive", duration=self.duration)
 
     def rabi(self, t):
         t = np.asarray(t, dtype=float)
@@ -190,9 +197,7 @@ class ExponentialPulse(DriveProfile):
     gamma: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_bar", "tau", "gamma"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        _check_params("positive", n_bar=self.n_bar, tau=self.tau, gamma=self.gamma)
         if not math.isfinite(self.amplitude):
             raise ValueError(
                 f"n_bar {self.n_bar} in tau {self.tau} needs an amplitude past the float range"
@@ -248,11 +253,13 @@ class TabulatedPulse(DriveProfile):
         return float(self.times[-1])
 
     def charge(self, gamma: float = 1.0) -> float:
-        # exact integral of the piecewise-quadratic rabi^2
-        dt = np.diff(self.times)
-        v0 = self.values[:-1]
-        v1 = self.values[1:]
-        return float(np.sum(dt * (v0 * v0 + v0 * v1 + v1 * v1) / 3.0) / (4.0 * gamma))
+        return _squared_area(np.diff(self.times), self.values) / (4.0 * gamma)
+
+
+def _squared_area(dt, v) -> float:
+    """Exact integral of the squared piecewise-linear waveform: node values ``v``, interval lengths ``dt``."""
+    v0, v1 = v[:-1], v[1:]
+    return float(np.sum(dt * (v0 * v0 + v0 * v1 + v1 * v1) / 3.0))
 
 
 # --------------------------- trajectories ---------------------------
@@ -283,10 +290,8 @@ class Trajectory:
 
 def _check_span(t_end: float, gamma: float) -> None:
     """Reject a trace length or decay rate that no trajectory builder can sample."""
-    if not 0.0 < t_end < _INF:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not 0.0 <= gamma < _INF:
-        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    _check_params("positive", t_end=t_end)
+    _check_params("nonnegative", gamma=gamma)
 
 
 # Steps composed per chunk and per block of the scan.  Both are fixed, so a
@@ -387,13 +392,14 @@ def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None) -> np.ndarray:
 
     def maps(lo, hi):
         hk = h if np.ndim(h) == 0 else h[lo:hi]
+        h2, h6 = 0.5 * hk, hk / 6.0
         k1p, k1s = _rhs(p, s, on[lo:hi], gamma, _HALF)
-        k2p, k2s = _rhs(p + 0.5 * hk * k1p, s + 0.5 * hk * k1s, om[lo:hi], gamma, _HALF)
-        k3p, k3s = _rhs(p + 0.5 * hk * k2p, s + 0.5 * hk * k2s, om[lo:hi], gamma, _HALF)
+        k2p, k2s = _rhs(p + h2 * k1p, s + h2 * k1s, om[lo:hi], gamma, _HALF)
+        k3p, k3s = _rhs(p + h2 * k2p, s + h2 * k2s, om[lo:hi], gamma, _HALF)
         k4p, k4s = _rhs(p + hk * k3p, s + hk * k3s, on[lo + 1 : hi + 1], gamma, _HALF)
         m = np.stack((
-            p + hk / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p),
-            s + hk / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s),
+            p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p),
+            s + h6 * (k1s + 2.0 * (k2s + k3s) + k4s),
         ))
         if restart is not None:
             m[..., restarts[(restarts >= lo) & (restarts < hi)] - lo] = restart
@@ -422,8 +428,7 @@ def evolve_numeric(
     layout make runs bit-reproducible.
     """
     _check_span(t_end, gamma)
-    if not 0.0 < dt < _INF:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_params("positive", dt=dt)
     n = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
     return _integrate(state0, drive, np.linspace(0.0, t_end, n + 1), t_end / n, gamma)
 
@@ -589,10 +594,8 @@ def _basis_groups(co: AnalyticCoefficients, alpha: float):
 
 def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> AnalyticCoefficients:
     """Solve for the constant-drive dipole coefficients from the initial state."""
-    if not 0.0 <= gamma < _INF:
-        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
-    if not 0.0 < rabi < _INF:
-        raise ValueError(f"rabi must be positive and finite, got {rabi}")
+    _check_params("nonnegative", gamma=gamma)
+    _check_params("positive", rabi=rabi)
     return _coefficients(prep.p, prep.theta, rabi, gamma, math)
 
 

@@ -13,18 +13,20 @@ Two layers:
   adjoint of the RK4-discretized work functional, so it can be checked
   against finite differences of the same objective.
 
-The work functional runs the RK4 steps as affine maps through one forward
-`dynamics._drive_scan` and integrates the work flux on the same fine grid,
-over each control interval by composite Simpson closed by a 3/8 panel when
-the interval's step count is odd, so quadrature and integrator are both
-fourth order.  Its adjoint is the same
-scan transposed and run backwards, and the sensitivity of each step to its
-three drive samples is evaluated elementwise from the adjoint after the
-step and the state before it.  The exponential scan runs the same
-functional over each drive's own window, with h * max(gamma, amplitude,
-1/tau) <= `_STEP_BOUND`, and all time constants of the grid share one
-forward scan: a restart map between two drives puts the state back at the
-preparation.
+A control grid is any strictly increasing array of node times from t = 0,
+and interval j takes ``n_sub`` RK4 steps of dt_j / n_sub.  The work
+functional, `_work_functional`, runs the RK4 steps as affine maps through
+one forward `dynamics._drive_scan` and integrates the work flux on the same
+fine grid, over each control interval by composite Simpson closed by a 3/8
+panel when the interval's step count is odd, so quadrature and integrator
+are both fourth order; the exact free-decay tail after the last node makes
+any horizon valid.  Its adjoint is the same scan transposed and run
+backwards, and the sensitivity of each step to its three drive samples is
+evaluated elementwise from the adjoint after the step and the state before
+it.  The exponential scan runs the same functional over each drive's own
+window, with h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, and all
+time constants of the grid share one forward scan: a restart map between
+two drives puts the state back at the preparation.
 
 The solver reports the converged waveform together with the work recomputed
 through the strict integration pipeline (`dynamics` RK4 trajectory plus
@@ -52,10 +54,12 @@ from .dynamics import (
     TabulatedPulse,
     _RK4_BOUND,
     _affine_scan,
+    _check_params,
     _clamped_samples,
     _drive_scan,
     _integrate,
     _rhs,
+    _squared_area,
     evolve_numeric,
     prepare_initial,
 )
@@ -89,16 +93,29 @@ class ExponentialTauResult:
     works: np.ndarray
 
 
+def _work_functional(on, om, h, wq, gamma, prep, ends, kept=None):
+    """Work of drives laid end to end on one fine RK4 grid, and its node states.
+
+    ``on``, ``om``, ``h`` and ``kept`` are as in `_drive_scan`.  ``ends`` holds
+    each drive's last node; the step after it restarts at the preparation.  A
+    drive's work is its flux on * s + gamma * s^2 against the quadrature
+    weights ``wq``, plus the exact free-decay tail s(end)^2.
+    """
+    state0 = prepare_initial(prep)
+    x = _drive_scan(on, om, h, gamma, (state0.p_e, state0.s_bar), restarts=ends[:-1], kept=kept)
+    s = x[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge states are the callers' to report
+        flux = wq * (on * s + gamma * s * s)
+        return np.add.reduceat(flux, np.append(0, ends[:-1] + 1)) + s[ends] ** 2, x
+
+
 def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> np.ndarray:
     """Work of the exponential drive, pulse plus free-decay tail, at each time constant.
 
-    The same RK4/Simpson functional as `control_work`: each drive runs over
-    its `ExponentialPulse.support_end` window in n steps with
-    h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its work flux is
-    integrated by `_quadrature_weights` on that grid, and the tail adds the
-    exact s(end)^2.  All drives share one `_drive_scan`: the step after each
-    drive's last node is a restart map (M = 0, offset x0) that puts the state
-    back at the preparation for the next drive.
+    All drives share one `_work_functional`.  Each runs over its
+    `ExponentialPulse.support_end` window in n steps with
+    h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its flux weighted by
+    `_quadrature_weights`.
     """
     on, om, hs, wq = [], [], [], []
     for tau in taus:
@@ -113,13 +130,9 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
         wq.append(h * _quadrature_weights(n))
     ends = np.cumsum([len(a) for a in on]) - 1  # last node of each drive
     on, om, hs, wq = (np.concatenate(a) for a in (on, om, hs, wq))
-
-    state0 = prepare_initial(prep)
-    x = _drive_scan(on, om, hs, gamma, (state0.p_e, state0.s_bar), restarts=ends[:-1])
+    works, x = _work_functional(on, om, hs, wq, gamma, prep, ends)
     _clamped_samples(*x)  # raises past BLOCH_TOL
-    s = x[1]
-    flux = wq * (on * s + gamma * s * s)
-    return np.add.reduceat(flux, np.append(0, ends[:-1] + 1)) + s[ends] ** 2
+    return works
 
 
 # the exponential scan: _N_GRID time constants log-spaced over _TAU_RANGE / gamma
@@ -130,10 +143,7 @@ _N_GRID = 25
 def _scan_exponential_tau(prep, n_bar, gamma):
     """The scan and refinement of `optimize_exponential_tau` without its strict
     evaluation: returns (tau_star, at_boundary, taus, works)."""
-    if not (math.isfinite(n_bar) and n_bar > 0.0):
-        raise ValueError(f"n_bar must be positive and finite, got {n_bar}")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_params("positive", n_bar=n_bar, gamma=gamma)
     lo, hi = _TAU_RANGE
     taus = np.geomspace(lo / gamma, hi / gamma, _N_GRID)
     works = _exponential_works(prep, n_bar, taus, gamma)
@@ -189,9 +199,10 @@ def optimize_exponential_tau(prep: Preparation, n_bar: float, gamma: float = 1.0
 class ControlProblem:
     """Waveform optimization setup: preparation, photon budget, horizon, grid size.
 
-    The horizon must leave a few lifetimes after the pulse (>= 5/gamma) so the
-    free-decay tail term is meaningful, and the control grid must resolve the
-    dynamics (>= 32 nodes).
+    The solver lays ``n_nodes`` nodes uniformly over [0, horizon].  Any
+    positive horizon is valid: the functional books the exact free-decay
+    tail after the last node, where the tabulated drive is zero.  The control
+    grid must resolve the dynamics (>= 32 nodes).
     """
 
     prep: Preparation
@@ -201,29 +212,24 @@ class ControlProblem:
     gamma: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_bar", "horizon", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_bar <= 0.0:
-            raise ValueError("n_bar must be positive")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.horizon < 5.0 / self.gamma:
-            raise ValueError("horizon must be at least 5/gamma")
+        _check_params("positive", n_bar=self.n_bar, horizon=self.horizon, gamma=self.gamma)
         if self.n_nodes < 32:
             raise ValueError("need at least 32 control nodes")
 
 
-def _check_grid(controls: np.ndarray, times: np.ndarray) -> float:
+def _check_grid(controls: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Interval lengths of a control grid: strictly increasing times from t = 0."""
     if controls.shape != times.shape or controls.ndim != 1 or len(controls) < 2:
         raise ValueError("controls and times must be 1-D arrays of equal length >= 2")
-    if not np.isfinite(controls).all():
-        raise ValueError("controls must be finite")
-    steps = np.diff(times)
-    delta = float(steps[0])
-    if delta <= 0.0 or not np.allclose(steps, delta, rtol=1e-12, atol=0.0):
-        raise ValueError("control grid must be uniform")
-    return delta
+    for name, a in (("controls", controls), ("times", times)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+    if times[0] != 0.0:
+        raise ValueError(f"times must start at t = 0, got {times[0]}")
+    dt = np.diff(times)
+    if not (dt > 0.0).all():
+        raise ValueError("times must be strictly increasing")
+    return dt
 
 
 def _quadrature_weights(n: int) -> np.ndarray:
@@ -245,26 +251,30 @@ def _quadrature_weights(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _gather_tables(m: int, n_sub: int):
-    """Interpolation indices/weights of the fine RK4 grid into the control nodes,
-    and the unit-step quadrature weights of the fine grid.
+def _fine_grid(times: bytes, n_sub: int):
+    """``n_sub`` equal RK4 steps over each interval of the control nodes ``times`` (float64 bytes).
 
-    Cached per (m, n_sub), so the arrays are read-only.
+    Returns the step count n, the interval and position in it of each fine
+    node and midpoint, the step lengths and the quadrature weights; each
+    interval has its own `_quadrature_weights`, so no panel straddles a kink
+    of the drive.  Cached per grid, so the arrays are read-only.
     """
+    dt = np.diff(np.frombuffer(times))
+    m = len(dt) + 1
     n = (m - 1) * n_sub
     k = np.arange(n + 1)
     jn = np.minimum(k // n_sub, m - 2)
     un = k / n_sub - jn
-    km = np.arange(n)
-    jm = np.minimum(km // n_sub, m - 2)
-    um = (km + 0.5) / n_sub - jm
-    # per control interval, so no panel straddles a kink of the drive
-    u = _quadrature_weights(n_sub)
-    w = np.append(np.tile(u[:-1], m - 1), 0.0)
-    w[n_sub::n_sub] += u[-1]
-    for a in (jn, un, jm, um, w):
+    jm = jn[:-1]  # the midpoint of step k lies in the interval of node k
+    um = (k[:-1] + 0.5) / n_sub - jm
+    hj, u = dt / n_sub, _quadrature_weights(n_sub)
+    wq = np.zeros(n + 1)
+    wq[:-1] = np.outer(hj, u[:-1]).ravel()
+    wq[n_sub::n_sub] += hj * u[-1]
+    h = np.repeat(hj, n_sub)
+    for a in (jn, un, jm, um, h, wq):
         a.setflags(write=False)
-    return n, jn, un, jm, um, w
+    return n, jn, un, jm, um, h, wq
 
 
 # bound on h * max(gamma, drive scale) for the default fine step and the exponential scan
@@ -272,7 +282,8 @@ _STEP_BOUND = 0.04
 
 
 def _default_n_sub(delta: float, gamma: float, peak: float) -> int:
-    """RK4 steps per control interval for controls of the given peak.
+    """RK4 steps per control interval, the longest of length ``delta``, for
+    controls of the given peak.
 
     The drive scale is 1.5 times the peak, a margin for L-BFGS-B to raise
     the peak above that of its start.
@@ -285,33 +296,30 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
 
     Returns the work, the fine-grid drive at nodes and midpoints, the step
     maps as a (2, 3, n) array if ``keep_maps`` (else None), the node states
-    (2, n + 1), the fine step and the gather tables.  The maps are built
-    block by block; only the gradient keeps them, for its reverse scan,
-    because storing them costs more than rebuilding a block.
+    (2, n + 1) and the `_fine_grid` tables.  The maps are built block by
+    block; only the gradient keeps them, for its reverse scan, because
+    storing them costs more than rebuilding a block.
     """
     c = np.asarray(controls, dtype=float)
-    delta = _check_grid(c, np.asarray(times, dtype=float))
+    t = np.asarray(times, dtype=float)
+    dt = _check_grid(c, t)
+    _check_params("nonnegative", gamma=gamma)
     if n_sub is None:
-        n_sub = _default_n_sub(delta, gamma, float(np.abs(c).max()))
+        n_sub = _default_n_sub(float(dt.max()), gamma, float(np.abs(c).max()))
     elif isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
         raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
-    tables = n, jn, un, jm, um, w = _gather_tables(len(c), n_sub)
-    h = delta / n_sub
+    grid = n, jn, un, jm, um, h, wq = _fine_grid(t.tobytes(), n_sub)
     on = (1.0 - un) * c[jn] + un * c[jn + 1]
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
 
     kept = np.empty((2, 3, n)) if keep_maps else None
-    state0 = prepare_initial(prep)
-    x = _drive_scan(on, om, h, gamma, (state0.p_e, state0.s_bar), kept=kept)
-    s = x[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge states are reported below
-        wv = on * s + gamma * s * s
-        work = float(h * (w * wv).sum() + s[-1] ** 2)
+    works, x = _work_functional(on, om, h, wq, gamma, prep, np.array([n]), kept)
+    work = float(works[0])
     if not math.isfinite(work):
         raise IntegrationAccuracyError(
             "forward pass produced a non-finite work; shrink the step or the controls"
         )
-    return work, on, om, kept, x, h, tables
+    return work, on, om, kept, x, grid
 
 
 def control_work(
@@ -340,12 +348,12 @@ def control_work_and_gradient(
     differences, because the default substep count depends on the control
     amplitude.
     """
-    work, on, om, maps, x, h, (n, jn, un, jm, um, w) = _forward(
+    work, on, om, maps, x, (n, jn, un, jm, um, h, wq) = _forward(
         controls, times, prep, gamma, n_sub, keep_maps=True
     )
     g = gamma
     p, s = x
-    wq = h * w
+    h2, h3, h6 = 0.5 * h, h / 3.0, h / 6.0
 
     # adjoint lam_k = dJ/dx_k = M_k^T lam_{k+1} + (0, d_k): the transposed scan
     d = wq * (on + 2.0 * g * s)
@@ -358,19 +366,20 @@ def control_work_and_gradient(
     p0, s0 = p[:-1], s[:-1]
     oa, oc = on[:-1], on[1:]
     k1p, k1s = _rhs(p0, s0, oa, g)
-    p1, s1 = p0 + 0.5 * h * k1p, s0 + 0.5 * h * k1s
+    p1, s1 = p0 + h2 * k1p, s0 + h2 * k1s
     k2p, k2s = _rhs(p1, s1, om, g)
-    p2, s2 = p0 + 0.5 * h * k2p, s0 + 0.5 * h * k2s
+    p2, s2 = p0 + h2 * k2p, s0 + h2 * k2s
     k3p, k3s = _rhs(p2, s2, om, g)
     p3, s3 = p0 + h * k3p, s0 + h * k3s
     # ... and the cotangents of its stage slopes from lam_{k+1}; A(rabi)^T = A(-rabi)
-    u4p, u4s = h / 6.0 * lp, h / 6.0 * ls
+    u4p, u4s = h6 * lp, h6 * ls
     ap, as_ = _rhs(u4p, u4s, -oc, g, 0.0)
-    u3p, u3s = h / 3.0 * lp + h * ap, h / 3.0 * ls + h * as_
-    ap, as_ = _rhs(u3p, u3s, -om, g, 0.0)
-    u2p, u2s = h / 3.0 * lp + 0.5 * h * ap, h / 3.0 * ls + 0.5 * h * as_
-    ap, as_ = _rhs(u2p, u2s, -om, g, 0.0)
-    u1p, u1s = h / 6.0 * lp + 0.5 * h * ap, h / 6.0 * ls + 0.5 * h * as_
+    l3p, l3s, om_t = h3 * lp, h3 * ls, -om  # shared by stages 3 and 2
+    u3p, u3s = l3p + h * ap, l3s + h * as_
+    ap, as_ = _rhs(u3p, u3s, om_t, g, 0.0)
+    u2p, u2s = l3p + h2 * ap, l3s + h2 * as_
+    ap, as_ = _rhs(u2p, u2s, om_t, g, 0.0)
+    u1p, u1s = u4p + h2 * ap, u4s + h2 * as_
 
     # a stage's slope moves with its drive sample by (-s, p - 1/2)
     gn = wq * s
@@ -390,17 +399,12 @@ def control_work_and_gradient(
 # --------------------------- budget geometry ---------------------------
 
 
-def _budget_quadratic(c: np.ndarray, delta: float) -> float:
-    """Exact integral of the squared piecewise-linear waveform."""
-    v0 = c[:-1]
-    v1 = c[1:]
-    return float(delta / 3.0 * np.sum(v0 * v0 + v0 * v1 + v1 * v1))
-
-
-def _budget_gradient(c: np.ndarray, delta: float) -> np.ndarray:
+def _budget_gradient(c: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Gradient of `dynamics._squared_area` with respect to the node values."""
+    a = dt / 3.0
     g = np.zeros_like(c)
-    g[:-1] += delta / 3.0 * (2.0 * c[:-1] + c[1:])
-    g[1:] += delta / 3.0 * (2.0 * c[1:] + c[:-1])
+    g[:-1] += a * (2.0 * c[:-1] + c[1:])
+    g[1:] += a * (2.0 * c[1:] + c[:-1])
     return g
 
 
@@ -408,12 +412,12 @@ def project_to_budget(controls, times, n_bar: float, gamma: float = 1.0) -> np.n
     """Clamp the waveform nonnegative and rescale its photon content to ``n_bar``."""
     c = np.clip(np.asarray(controls, dtype=float), 0.0, None)
     t = np.asarray(times, dtype=float)
-    delta = _check_grid(c, t)
+    dt = _check_grid(c, t)
+    _check_params("nonnegative", n_bar=n_bar, gamma=gamma)
     target = 4.0 * gamma * n_bar
-    q = _budget_quadratic(c, delta)
+    q = _squared_area(dt, c)
     if q <= 0.0:
-        c = np.full_like(c, math.sqrt(target / (delta * (len(c) - 1))))
-        return c
+        return np.full_like(c, math.sqrt(target / t[-1]))
     return c * math.sqrt(target / q)
 
 
@@ -459,14 +463,14 @@ def _shape(c0, times, prep, gamma, n_bar, n_sub):
     """
     from scipy.optimize import Bounds, minimize
 
-    delta = float(times[1] - times[0])
+    dt = np.diff(times)
     target = 4.0 * gamma * n_bar
 
     def negative_work(v):
-        q = _budget_quadratic(v, delta)
+        q = _squared_area(dt, v)
         a = math.sqrt(target / q)
         work, g = control_work_and_gradient(v * a, times, prep, gamma, n_sub)
-        grad = a * g - (a * float(g @ v) / (2.0 * q)) * _budget_gradient(v, delta)
+        grad = a * g - (a * float(g @ v) / (2.0 * q)) * _budget_gradient(v, dt)
         return -work, -grad
 
     res = minimize(
@@ -488,15 +492,15 @@ def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> floa
     With rate = hypot(r_k, gamma), the step keeps h * rate <= 0.01 (RK4) and
     h^2 * rate^3 * horizon / 12 <= `_TRAPEZOID_BUDGET`: the trapezoid error
     budget of `suggested_grid_step`, spread over the horizon, so that
-    interval k adds at most budget * delta / horizon.  `accumulate` then
+    interval k adds at most budget * dt_k / horizon.  `accumulate` then
     books the work and the exact free-decay tail, and checks the first law.
     """
     t, c = pulse.times, pulse.values
-    delta, horizon = float(t[1] - t[0]), float(t[-1])
+    dt, horizon = np.diff(t), float(t[-1])
     rate = np.hypot(np.maximum(c[:-1], c[1:]), gamma)
     step = np.minimum(np.sqrt(12.0 * _TRAPEZOID_BUDGET / (rate**3 * horizon)), _RK4_BOUND / rate)
-    n = np.ceil(delta / step * (1.0 - 1e-12)).astype(np.intp)
-    h = np.repeat(delta / n, n)
+    n = np.ceil(dt / step * (1.0 - 1e-12)).astype(np.intp)
+    h = np.repeat(dt / n, n)
     k = np.arange(len(h)) - np.repeat(np.cumsum(n) - n, n)  # step within its interval
     fine = np.append(np.repeat(t[:-1], n) + k * h, horizon)
     return accumulate(_integrate(prepare_initial(prep), pulse, fine, h, gamma)).total_work
@@ -534,7 +538,7 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     tau = _scan_exponential_tau(prep, n_bar, gamma)[0]
     init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
     peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
-    n_sub = _default_n_sub(float(times[1] - times[0]), gamma, peak)
+    n_sub = _default_n_sub(float(np.diff(times).max()), gamma, peak)
     if (problem.n_nodes - 1) * n_sub >= _MAX_FINE_STEPS:
         raise ValueError(
             f"horizon must be shorter: {problem.horizon:g} over {problem.n_nodes} nodes "

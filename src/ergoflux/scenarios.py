@@ -23,6 +23,7 @@ from .dynamics import (
     IntegrationAccuracyError,
     Preparation,
     _basis_groups,
+    _check_params,
     _coefficients,
     prepare_initial,
 )
@@ -383,8 +384,7 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     rabi is not positive with a finite square, a bracket did not converge,
     or the cell has more than 2^52 extrema to search.
     """
-    if not 0.0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
+    _check_params("nonnegative", gamma=gamma)
     p, theta, rabi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, theta, rabi)))
     shape = p.shape
     p, theta, rabi = p.ravel(), theta.ravel(), rabi.ravel()
@@ -433,10 +433,7 @@ def scenario_continuous(
     `optimal_square_work`.  ``n_interacted`` counts the photons that arrived
     during the interaction.
     """
-    if not 0.0 < photon_rate_ratio < math.inf:
-        raise ValueError(f"photon_rate_ratio must be positive and finite, got {photon_rate_ratio}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_params("positive", photon_rate_ratio=photon_rate_ratio, gamma=gamma)
     rabi = 2.0 * gamma * math.sqrt(photon_rate_ratio)
     tau, work = (float(v) for v in optimal_square_work(prep.p, prep.theta, rabi, gamma))
     if math.isnan(work):
@@ -476,12 +473,8 @@ def scenario_pulsed(
     The coupling stays on throughout, so the free-decay tail after the pulse
     also counts.  ``n_bar = 0`` reduces exactly to the spontaneous protocol.
     """
-    if not 0.0 <= n_bar < math.inf:
-        raise ValueError(f"n_bar must be nonnegative and finite, got {n_bar}")
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_params("nonnegative", n_bar=n_bar)
+    _check_params("positive", tau=tau, gamma=gamma)
     if n_bar == 0.0:
         return scenario_spontaneous(prep)
 
@@ -555,8 +548,7 @@ class SweepGrid:
         for key in self.fixed:
             if key not in _AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_params("positive", gamma=self.gamma)
         given = {self.axis1.name, self.axis2.name, *self.fixed}
         missing = [key for key in _REQUIRED[name] if key not in given]
         if missing:

@@ -478,6 +478,8 @@ def test_optimize_numerical_failure_exit_code(monkeypatch, capsys):
         (["--horizon", "inf"], "horizon"),
         (["--horizon", "1e308"], "horizon"),
         (["--seed", "-1"], "seed"),
+        (["--horizon", "0"], "horizon"),
+        (["--horizon", "-1"], "horizon"),
     ],
 )
 def test_optimize_bad_input_names_the_parameter(flags, name, capsys):

@@ -5,8 +5,9 @@ each RK4 step as an affine map and scan them in chunks and blocks; these
 tests pin them to a step-by-step loop at the chunk and block edges, for a
 drive that stops before the end of the run and without decay.  The kernel
 under all three, `_drive_scan`, is pinned to the same loop with restart
-maps at those edges and with one step length per step.  The gradient
-reference is the complex-step derivative of the same loop.
+maps at those edges and with one step length per step, and the control
+functional also on a grid of unequal intervals.  The gradient reference is
+the complex-step derivative of the same loop.
 """
 import tracemalloc
 
@@ -65,19 +66,20 @@ def _panel_integral(f, h):
 
 
 def _reference_work(controls, times, prep, n_sub, gamma):
-    """RK4/Simpson work of a piecewise-linear waveform, step by step; the flux
-    is integrated over each control interval separately."""
+    """RK4/Simpson work of a piecewise-linear waveform, step by step; control
+    interval j takes n_sub steps of its own length / n_sub, and the flux is
+    integrated over each control interval separately."""
     c = np.asarray(controls)
     m = len(c)
-    x = np.arange(2 * (m - 1) * n_sub + 1) / (2 * n_sub)  # nodes and midpoints, in control steps
+    x = np.arange(2 * (m - 1) * n_sub + 1) / (2 * n_sub)  # nodes and midpoints, in control intervals
     j = np.minimum(x.astype(int), m - 2)
     drive = (1.0 - (x - j)) * c[j] + (x - j) * c[j + 1]
     on, om = drive[::2], drive[1::2]
-    h = (times[1] - times[0]) / n_sub
+    h = np.diff(times) / n_sub
     state0 = ef.prepare_initial(prep)
-    _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, gamma, h)
+    _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, gamma, np.repeat(h, n_sub))
     w = on * s + gamma * s * s
-    flux = sum(_panel_integral(w[j * n_sub : (j + 1) * n_sub + 1], h) for j in range(m - 1))
+    flux = sum(_panel_integral(w[j * n_sub : (j + 1) * n_sub + 1], h[j]) for j in range(m - 1))
     return flux + s[-1] ** 2
 
 
@@ -175,10 +177,8 @@ def test_integrate_with_one_step_length_per_step():
 # ------------------------------------------------------- control functional
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.0])
-@pytest.mark.parametrize("m,n_sub", [(2, n) for n in STEP_COUNTS] + [(5, 4), (4, 11)])
-def test_control_work_and_gradient_match_sequential_rk4(m, n_sub, gamma):
-    times = np.linspace(0.0, 0.001 * (m - 1) * n_sub, m)  # fine step 0.001, as in `optimize`
+def _check_against_reference(times, n_sub, gamma):
+    m = len(times)
     controls = 1.0 + 0.8 * np.sin(np.arange(m) + 0.5)
     prep = ef.Preparation(p=0.1, theta=2.0)
 
@@ -189,3 +189,18 @@ def test_control_work_and_gradient_match_sequential_rk4(m, n_sub, gamma):
     assert abs(work_g - ref) <= TOL
     ref_grad = _complex_step_gradient(controls, times, prep, n_sub, gamma)
     assert np.abs(grad - ref_grad).max() <= TOL
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+@pytest.mark.parametrize("m,n_sub", [(2, n) for n in STEP_COUNTS] + [(5, 4), (4, 11)])
+def test_control_work_and_gradient_match_sequential_rk4(m, n_sub, gamma):
+    times = np.linspace(0.0, 0.001 * (m - 1) * n_sub, m)  # fine step 0.001, as in `optimize`
+    _check_against_reference(times, n_sub, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+def test_control_work_and_gradient_match_sequential_rk4_on_an_uneven_grid(gamma):
+    # each control interval steps by its own length / n_sub: here 0.0005 to 0.002
+    n_sub = 3
+    times = np.append(0.0, np.cumsum(np.random.default_rng(3).uniform(0.5, 2.0, 8))) * 0.001 * n_sub
+    _check_against_reference(times, n_sub, gamma)

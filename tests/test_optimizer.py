@@ -8,10 +8,10 @@ import hypothesis.strategies as st
 
 import ergoflux as ef
 from ergoflux import optimizer
+from ergoflux.energetics import _TRAPEZOID_BUDGET
 from ergoflux.optimizer import (
-    _budget_quadratic,
     _exponential_works,
-    _gather_tables,
+    _fine_grid,
     _quadrature_weights,
     _scan_exponential_tau,
 )
@@ -19,8 +19,7 @@ from oracles import pulse_distance
 
 
 def _charge(controls, times, gamma=1.0):
-    delta = float(times[1] - times[0])
-    return _budget_quadratic(np.asarray(controls, float), delta) / (4.0 * gamma)
+    return ef.TabulatedPulse(times, controls).charge(gamma)
 
 
 # --------------------------------------------------------- budget projection
@@ -30,7 +29,7 @@ def _charge(controls, times, gamma=1.0):
 @settings(max_examples=60)
 def test_projection_hits_budget_exactly(seed, n_bar):
     rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, 6.0, 40)
+    times = np.append(0.0, np.cumsum(rng.uniform(0.01, 1.0, 39)))  # any increasing grid from 0
     raw = rng.standard_normal(40) * rng.uniform(0.1, 20.0)
     c = ef.project_to_budget(raw, times, n_bar)
     assert (c >= 0.0).all()
@@ -111,8 +110,17 @@ def test_unstable_forward_pass_raises():
 
 def test_grid_validation():
     prep = ef.Preparation(p=0.0, theta=1.0)
-    with pytest.raises(ValueError):
-        ef.control_work(np.ones(4), np.array([0.0, 1.0, 2.5, 3.0]), prep)
+    calls = (
+        lambda c, t: ef.control_work(c, t, prep),
+        lambda c, t: ef.control_work_and_gradient(c, t, prep),
+        lambda c, t: ef.project_to_budget(c, t, n_bar=1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            call(np.ones(4), np.array([0.0, 1.0, 1.0, 3.0]))
+        # a grid from t = 1 would be a drive after 1/gamma of free decay
+        with pytest.raises(ValueError, match="times must start at t = 0"):
+            call(np.ones(8), np.linspace(0.0, 5.0, 8) + 1.0)
     with pytest.raises(ValueError):
         ef.control_work(np.ones(3), np.linspace(0, 1, 4), prep)
     for bad in (math.nan, math.inf):
@@ -122,6 +130,30 @@ def test_grid_validation():
             ef.control_work(controls, np.linspace(0.0, 5.0, 8), prep, n_sub=2)
         with pytest.raises(ValueError, match="controls must be finite"):
             ef.control_work_and_gradient(controls, np.linspace(0.0, 5.0, 8), prep, n_sub=2)
+
+
+@pytest.mark.parametrize(
+    "call, kwargs, name",
+    [
+        ("control_work", dict(gamma=-1.0), "gamma"),
+        ("control_work", dict(gamma=math.nan), "gamma"),
+        ("control_work_and_gradient", dict(gamma=math.inf), "gamma"),
+        ("project_to_budget", dict(n_bar=math.nan), "n_bar"),
+        ("project_to_budget", dict(n_bar=math.inf), "n_bar"),
+        ("project_to_budget", dict(n_bar=-1.0), "n_bar"),
+        ("project_to_budget", dict(gamma=math.nan), "gamma"),
+        ("project_to_budget", dict(gamma=-1.0), "gamma"),
+    ],
+)
+def test_bad_rate_or_budget_is_rejected_by_name(call, kwargs, name):
+    # gamma = 0 stays valid: the work functional runs without decay
+    times = np.linspace(0.0, 5.0, 8)
+    if call == "project_to_budget":
+        args = dict(controls=np.ones(8), times=times, n_bar=1.0) | kwargs
+    else:
+        args = dict(controls=np.ones(8), times=times, prep=ef.Preparation(p=0.0, theta=2.0), n_sub=2) | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        getattr(ef, call)(**args)
 
 
 @pytest.mark.parametrize("n_sub", [0, -2, 2.5, True])
@@ -155,15 +187,14 @@ def test_quadrature_weights_integrate_cubics_exactly(n):
 def test_fine_grid_weights_are_exact_across_drive_kinks(n_sub):
     # the work flux has kinks at the control nodes, where the drive does; a
     # continuous piecewise cubic with a kink at every node is integrated
-    # exactly, so no panel straddles a node
-    m = 5
-    w = _gather_tables(m, n_sub)[-1]
-    x = np.arange((m - 1) * n_sub + 1.0) / n_sub  # in control steps
-    j = np.minimum(x.astype(int), m - 2)
-    u = x - j
-    f = (j + 1.0) * u * (1.0 - u) * (1.0 + 2.0 * u)  # 0 at every node
-    exact = sum(k + 1.0 for k in range(m - 1)) / 3.0
-    assert float((w * f).sum()) / n_sub == pytest.approx(exact, rel=1e-13)
+    # exactly, so no panel straddles a node, on intervals of unequal length
+    times = np.array([0.0, 0.3, 1.5, 1.7, 4.0])
+    dt = np.diff(times)
+    n, jn, un, _, _, h, w = _fine_grid(times.tobytes(), n_sub)
+    assert np.allclose(np.append(0.0, np.cumsum(h)), times[jn] + un * dt[jn], rtol=0.0, atol=1e-15)
+    f = (jn + 1.0) * un * (1.0 - un) * (1.0 + 2.0 * un)  # 0 at every node
+    exact = float(((np.arange(len(dt)) + 1.0) * dt).sum()) / 3.0
+    assert float((w * f).sum()) == pytest.approx(exact, rel=1e-13)
 
 
 # the weak-charge, criterion-05 and strong-charge points
@@ -339,17 +370,23 @@ def test_control_problem_validation():
     with pytest.raises(ValueError):
         ef.ControlProblem(prep=prep, n_bar=-1.0)
     with pytest.raises(ValueError):
-        ef.ControlProblem(prep=prep, n_bar=1.0, horizon=2.0)
-    with pytest.raises(ValueError):
         ef.ControlProblem(prep=prep, n_bar=1.0, n_nodes=8)
     with pytest.raises(ValueError):
         ef.ControlProblem(prep=prep, n_bar=1.0, gamma=0.0)
     for name in ("n_bar", "horizon", "gamma"):
-        for bad in (math.nan, math.inf):
+        for bad, rule in ((math.nan, "finite"), (math.inf, "finite"), (0.0, "positive"), (-1.0, "positive")):
             kwargs = dict(prep=prep, n_bar=1.0, horizon=10.0, gamma=1.0)
             kwargs[name] = bad
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            with pytest.raises(ValueError, match=f"^{name} must be {rule}"):
                 ef.ControlProblem(**kwargs)
+
+    # any positive horizon is valid: the functional books the exact free-decay
+    # tail after the last node, where the tabulated drive is zero
+    sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=1.0, horizon=2.0, n_nodes=32))
+    assert sol.converged, sol.message
+    assert sol.work <= ef.ergotropy(prep)
+    converged = ef.control_work(sol.controls, sol.times, prep, n_sub=512)
+    assert abs(sol.work - converged) <= _TRAPEZOID_BUDGET
 
 
 @pytest.mark.parametrize("n_starts", [0, -3])
