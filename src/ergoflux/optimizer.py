@@ -14,7 +14,8 @@ Two layers:
   against finite differences of the same objective.
 
 A control grid is any strictly increasing array of node times from t = 0,
-and interval j takes ``n_sub`` RK4 steps of dt_j / n_sub.  The work
+and interval j takes its own count n_j of RK4 steps of dt_j / n_j, by
+default from the interval's own peak, so quiet intervals take two.  The work
 functional, `_work_functional`, runs the RK4 steps as affine maps through
 one forward `dynamics._drive_scan` and integrates the work flux on the same
 fine grid, over each control interval by composite Simpson closed by a 3/8
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +115,24 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     All drives share one `_work_functional`.  Each runs over its
     `ExponentialPulse.support_end` window in n steps with
     h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its flux weighted by
-    `_quadrature_weights`.
+    `_quadrature_weights`.  The drives are laid out as arrays, node by node.
     """
-    on, om, hs, wq = [], [], [], []
-    for tau in taus:
-        pulse = ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma)
-        window = pulse.support_end()
-        n = math.ceil(window * max(gamma, pulse.amplitude, 1.0 / pulse.tau) / _STEP_BOUND)
-        h = window / n
-        t = np.linspace(0.0, window, n + 1)
-        on.append(pulse.rabi(t))
-        om.append(np.append(pulse.rabi(t[:-1] + 0.5 * h), 0.0))  # last slot: the restart step
-        hs.append(np.full(n + 1, h))
-        wq.append(h * _quadrature_weights(n))
-    ends = np.cumsum([len(a) for a in on]) - 1  # last node of each drive
-    on, om, hs, wq = (np.concatenate(a) for a in (on, om, hs, wq))
-    works, x = _work_functional(on, om, hs, wq, gamma, prep, ends)
+    pulses = [ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma) for tau in taus]
+    tau = np.array([p.tau for p in pulses])
+    amp = np.array([p.amplitude for p in pulses])
+    window = np.array([p.support_end() for p in pulses])
+    n = np.ceil(window * np.maximum(np.maximum(gamma, amp), 1.0 / tau) / _STEP_BOUND).astype(np.intp)
+    size = n + 1
+    ends = np.cumsum(size) - 1  # last node of each drive
+    hs = np.repeat(window / n, size)
+    t = (np.arange(ends[-1] + 1) - np.repeat(ends - n, size)) * hs  # as np.linspace(0, window, n + 1)
+    tm = t + 0.5 * hs
+    t[ends] = window
+    amp, tau = np.repeat(amp, size), np.repeat(tau, size)
+    on = amp * np.exp(-t / tau)  # ExponentialPulse.rabi, which the window keeps off its cut at 700 tau
+    om = amp * np.exp(-tm / tau)
+    om[ends] = 0.0  # the restart step
+    works, x = _work_functional(on, om, hs, hs * _panel_weights(n), gamma, prep, ends)
     _clamped_samples(*x)  # raises past BLOCH_TOL
     return works
 
@@ -250,28 +252,38 @@ def _quadrature_weights(n: int) -> np.ndarray:
     return w
 
 
+def _panel_weights(counts: np.ndarray) -> np.ndarray:
+    """`_quadrature_weights` of intervals of ``counts`` steps, laid end to end,
+    each with its own end node."""
+    unit = {c: _quadrature_weights(c) for c in set(counts.tolist())}
+    return np.concatenate([unit[c] for c in counts.tolist()])
+
+
 @functools.lru_cache(maxsize=8)
-def _fine_grid(times: bytes, n_sub: int):
-    """``n_sub`` equal RK4 steps over each interval of the control nodes ``times`` (float64 bytes).
+def _fine_grid(times: bytes, counts: bytes):
+    """RK4 steps over the intervals of the control nodes ``times`` (float64
+    bytes): ``counts[j]`` (intp bytes) equal steps over interval j.
 
     Returns the step count n, the interval and position in it of each fine
     node and midpoint, the step lengths and the quadrature weights; each
     interval has its own `_quadrature_weights`, so no panel straddles a kink
-    of the drive.  Cached per grid, so the arrays are read-only.
+    of the drive.  Equal counts give the grid of one count for all intervals
+    bit for bit.  Cached per grid, so the arrays are read-only.
     """
     dt = np.diff(np.frombuffer(times))
-    m = len(dt) + 1
-    n = (m - 1) * n_sub
+    c = np.frombuffer(counts, dtype=np.intp)
+    n = int(c.sum())
+    jm = np.repeat(np.arange(len(dt)), c)  # the midpoint of step k lies in the interval of node k
+    jn = np.append(jm, len(dt) - 1)
     k = np.arange(n + 1)
-    jn = np.minimum(k // n_sub, m - 2)
-    un = k / n_sub - jn
-    jm = jn[:-1]  # the midpoint of step k lies in the interval of node k
-    um = (k[:-1] + 0.5) / n_sub - jm
-    hj, u = dt / n_sub, _quadrature_weights(n_sub)
-    wq = np.zeros(n + 1)
-    wq[:-1] = np.outer(hj, u[:-1]).ravel()
-    wq[n_sub::n_sub] += hj * u[-1]
-    h = np.repeat(hj, n_sub)
+    cn, first = c[jn], (np.cumsum(c) - c)[jn]
+    un = k / cn - first / cn
+    um = (k[:-1] + 0.5) / cn[:-1] - first[:-1] / cn[:-1]
+    hj = dt / c
+    h = np.repeat(hj, c)
+    # the fine node of each panel weight: an interval's end node is the next one's start
+    node = np.arange(n + len(c)) - np.repeat(np.arange(len(c)), c + 1)
+    wq = np.bincount(node, np.repeat(hj, c + 1) * _panel_weights(c))
     for a in (jn, un, jm, um, h, wq):
         a.setflags(write=False)
     return n, jn, un, jm, um, h, wq
@@ -279,20 +291,62 @@ def _fine_grid(times: bytes, n_sub: int):
 
 # bound on h * max(gamma, drive scale) for the default fine step and the exponential scan
 _STEP_BOUND = 0.04
+# drive scale over the local peak: room for L-BFGS-B to raise a peak above that of its start
+_MARGIN = 3.0
+# fine RK4 steps of the work functional: about 1 GB across its work arrays
+_MAX_FINE_STEPS = 2**23
 
 
-def _default_n_sub(delta: float, gamma: float, peak: float) -> int:
-    """RK4 steps per control interval, the longest of length ``delta``, for
-    controls of the given peak.
+def _default_n_sub(dt, gamma, peak):
+    """RK4 steps per control interval of length ``dt`` whose controls peak at
+    ``peak``, as floats, so that a count past any int can still be checked.
 
-    The drive scale is 1.5 times the peak, a margin for L-BFGS-B to raise
-    the peak above that of its start.
+    h * max(gamma, `_MARGIN` * peak) <= `_STEP_BOUND`, and at least two
+    steps, one Simpson panel.  Quiet intervals take two steps, whatever the
+    peak elsewhere.
     """
-    return max(2, math.ceil(delta * max(gamma, 1.5 * peak, 1e-12) / _STEP_BOUND))
+    with np.errstate(over="ignore"):  # an infinite count is `_substeps`'s to reject
+        return np.maximum(np.ceil(dt * np.maximum(gamma, _MARGIN * peak) / _STEP_BOUND), 2.0)
 
 
-def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
-    """One forward scan of the RK4/Simpson work functional.
+def _local_peaks(controls: np.ndarray) -> np.ndarray:
+    """Largest |control| at either end of each control interval."""
+    a = np.abs(controls)
+    return np.maximum(a[:-1], a[1:])
+
+
+def _substeps(counts: np.ndarray, name: str) -> np.ndarray:
+    """Per-interval RK4 step counts as intp, once their float sum is known to
+    fit the work functional's arrays; ``name`` is the parameter to shrink."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(counts))
+    if not total <= _MAX_FINE_STEPS:
+        raise ValueError(
+            f"{name} must be smaller: the work functional would take {total:.3g} RK4 steps, "
+            f"past the {_MAX_FINE_STEPS} its arrays can hold"
+        )
+    return counts.astype(np.intp)
+
+
+def _checked(controls, times, gamma, n_sub):
+    """Controls, times and per-interval RK4 step counts of a public call.
+
+    ``n_sub`` None takes `_default_n_sub` of each interval's own peak.
+    """
+    c = np.asarray(controls, dtype=float)
+    t = np.asarray(times, dtype=float)
+    dt = _check_grid(c, t)
+    _check_params("nonnegative", gamma=gamma)
+    if n_sub is None:
+        return c, t, _substeps(_default_n_sub(dt, gamma, _local_peaks(c)), "times")
+    if isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
+        raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
+    return c, t, _substeps(np.full(len(dt), float(n_sub)), "n_sub")
+
+
+def _forward(c, t, counts, prep, gamma, keep_maps=False):
+    """One forward scan of the RK4/Simpson work functional, ``counts`` RK4
+    steps per control interval.
 
     Returns the work, the fine-grid drive at nodes and midpoints, the step
     maps as a (2, 3, n) array if ``keep_maps`` (else None), the node states
@@ -300,15 +354,7 @@ def _forward(controls, times, prep, gamma, n_sub, keep_maps=False):
     block; only the gradient keeps them, for its reverse scan, because
     storing them costs more than rebuilding a block.
     """
-    c = np.asarray(controls, dtype=float)
-    t = np.asarray(times, dtype=float)
-    dt = _check_grid(c, t)
-    _check_params("nonnegative", gamma=gamma)
-    if n_sub is None:
-        n_sub = _default_n_sub(float(dt.max()), gamma, float(np.abs(c).max()))
-    elif isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
-        raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
-    grid = n, jn, un, jm, um, h, wq = _fine_grid(t.tobytes(), n_sub)
+    grid = n, jn, un, jm, um, h, wq = _fine_grid(t.tobytes(), counts.tobytes())
     on = (1.0 - un) * c[jn] + un * c[jn + 1]
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
 
@@ -329,8 +375,14 @@ def control_work(
     gamma: float = 1.0,
     n_sub: int | None = None,
 ) -> float:
-    """Work functional of a piecewise-linear waveform (RK4 + Simpson + exact tail)."""
-    return _forward(controls, times, prep, gamma, n_sub)[0]
+    """Work functional of a piecewise-linear waveform (RK4 + Simpson + exact tail).
+
+    Control interval j takes ``n_sub`` RK4 steps, or by default
+    `_default_n_sub` of its own peak: the functional `solve_optimal_control`
+    maximizes from these controls.
+    """
+    c, t, counts = _checked(controls, times, gamma, n_sub)
+    return _forward(c, t, counts, prep, gamma)[0]
 
 
 def control_work_and_gradient(
@@ -345,12 +397,16 @@ def control_work_and_gradient(
     The gradient is the discrete adjoint of the same RK4/Simpson scheme
     `control_work` uses, so central finite differences of that function match
     it to roundoff.  Pass an explicit ``n_sub`` when comparing against finite
-    differences, because the default substep count depends on the control
-    amplitude.
+    differences, because the default step count of each interval depends on
+    its control amplitude.
     """
-    work, on, om, maps, x, (n, jn, un, jm, um, h, wq) = _forward(
-        controls, times, prep, gamma, n_sub, keep_maps=True
-    )
+    c, t, counts = _checked(controls, times, gamma, n_sub)
+    return _work_and_gradient(c, t, counts, prep, gamma)
+
+
+def _work_and_gradient(c, t, counts, prep, gamma):
+    """`control_work_and_gradient` on checked arrays and step counts."""
+    work, on, om, maps, x, (n, jn, un, jm, um, h, wq) = _forward(c, t, counts, prep, gamma, keep_maps=True)
     g = gamma
     p, s = x
     h2, h3, h6 = 0.5 * h, h / 3.0, h / 6.0
@@ -387,7 +443,7 @@ def control_work_and_gradient(
     gn[1:] += u4s * (p3 - 0.5) - u4p * s3
     gm = u2s * (p1 - 0.5) - u2p * s1 + u3s * (p2 - 0.5) - u3p * s2
 
-    m = len(controls)
+    m = len(c)
     return work, (
         np.bincount(jn, (1.0 - un) * gn, m)
         + np.bincount(jn + 1, un * gn, m)
@@ -453,35 +509,48 @@ class OptimalPulse:
     start_objectives: tuple
 
 
-def _shape(c0, times, prep, gamma, n_bar, n_sub):
+def _shape(c0, times, prep, gamma, n_bar, counts):
     """L-BFGS-B from one start over v >= 0, with the waveform c(v) = a*v on the budget.
 
     a = sqrt(4*gamma*n_bar / q(v)) with q the exact integral of the squared
     waveform, so every evaluation meets the photon budget and the work is
-    invariant along v; its v-gradient is a*g - a*(g.v)/(2q)*grad q.
-    Returns (controls, objective, scipy result).
+    invariant along v; its v-gradient is a*g - a*(g.v)/(2q)*grad q.  Control
+    interval j takes ``counts[j]`` RK4 steps.  If the converged waveform
+    breaks h * max(gamma, local peak) <= `_STEP_BOUND` on some interval, the
+    counts are taken again from it and the start continues once.
+    Returns (controls, objective, scipy result, iterations of both runs).
     """
     from scipy.optimize import Bounds, minimize
 
     dt = np.diff(times)
     target = 4.0 * gamma * n_bar
 
-    def negative_work(v):
+    def negative_work(v, counts):
         q = _squared_area(dt, v)
         a = math.sqrt(target / q)
-        work, g = control_work_and_gradient(v * a, times, prep, gamma, n_sub)
+        work, g = _work_and_gradient(v * a, times, counts, prep, gamma)
         grad = a * g - (a * float(g @ v) / (2.0 * q)) * _budget_gradient(v, dt)
         return -work, -grad
 
-    res = minimize(
-        negative_work,
-        project_to_budget(c0, times, n_bar, gamma),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=Bounds(0.0, np.inf),
-        options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-9},
-    )
-    return project_to_budget(res.x, times, n_bar, gamma), -float(res.fun), res
+    def ascend(v, counts):
+        res = minimize(
+            negative_work,
+            v,
+            args=(counts,),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=Bounds(0.0, np.inf),
+            options={"maxiter": _MAX_ITER, "ftol": 1e-12, "gtol": 1e-9},
+        )
+        return project_to_budget(res.x, times, n_bar, gamma), res
+
+    c, res = ascend(project_to_budget(c0, times, n_bar, gamma), counts)
+    iterations = res.nit
+    peaks = _local_peaks(c)
+    if (dt * np.maximum(gamma, peaks) > counts * _STEP_BOUND).any():
+        c, res = ascend(res.x, _substeps(_default_n_sub(dt, gamma, peaks), "horizon"))
+        iterations += res.nit
+    return c, -float(res.fun), res, iterations
 
 
 def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> float:
@@ -497,7 +566,7 @@ def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> floa
     """
     t, c = pulse.times, pulse.values
     dt, horizon = np.diff(t), float(t[-1])
-    rate = np.hypot(np.maximum(c[:-1], c[1:]), gamma)
+    rate = np.hypot(_local_peaks(c), gamma)
     step = np.minimum(np.sqrt(12.0 * _TRAPEZOID_BUDGET / (rate**3 * horizon)), _RK4_BOUND / rate)
     n = np.ceil(dt / step * (1.0 - 1e-12)).astype(np.intp)
     h = np.repeat(dt / n, n)
@@ -508,8 +577,6 @@ def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> floa
 
 # L-BFGS-B iterations per start
 _MAX_ITER = 5000
-# fine RK4 steps of the work functional: past them its float64 arrays cannot be indexed
-_MAX_FINE_STEPS = sys.maxsize // 8
 
 
 def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int = 0) -> OptimalPulse:
@@ -523,9 +590,14 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     (about 1e-8).  The returned ``work`` is recomputed through the
     strict trajectory pipeline, stepped per control interval by that
     interval's peak (`_strict_work`); ``objective`` is the internal discrete
-    value the solver maximized.  The RK4 steps per control interval come
-    from start 0 alone, so the functional does not depend on ``n_starts``
-    or ``seed``.
+    value the solver maximized.  Control interval j takes
+    `_default_n_sub` RK4 steps of start 0's peak on it, so the functional
+    does not depend on ``n_starts`` or ``seed``, and ``control_work`` at
+    start 0 is that functional.  A start whose converged controls break
+    h * max(gamma, local peak) <= `_STEP_BOUND` on some interval takes the
+    counts again from them and continues once (`_shape`); ``iterations``
+    counts both runs.  Counts past `_MAX_FINE_STEPS` in all are rejected,
+    naming the horizon, before any array is built.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -537,22 +609,17 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     # start 0 needs only the ansatz's time constant, not its strict work
     tau = _scan_exponential_tau(prep, n_bar, gamma)[0]
     init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
-    peak = float(np.abs(project_to_budget(init, times, n_bar, gamma)).max())
-    n_sub = _default_n_sub(float(np.diff(times).max()), gamma, peak)
-    if (problem.n_nodes - 1) * n_sub >= _MAX_FINE_STEPS:
-        raise ValueError(
-            f"horizon must be shorter: {problem.horizon:g} over {problem.n_nodes} nodes "
-            "needs more RK4 steps than an array can hold"
-        )
+    peaks = _local_peaks(project_to_budget(init, times, n_bar, gamma))
+    counts = _substeps(_default_n_sub(np.diff(times), gamma, peaks), "horizon")
 
     rng = np.random.default_rng(seed)
     starts = [init]
     for _ in range(n_starts - 1):
         starts.append(init * (1.0 + 0.25 * rng.standard_normal(len(init))))
 
-    results = [_shape(s, times, prep, gamma, n_bar, n_sub) for s in starts]
+    results = [_shape(s, times, prep, gamma, n_bar, counts) for s in starts]
     objs = tuple(r[1] for r in results)
-    c_best, j_best, res = max(results, key=lambda r: r[1])
+    c_best, j_best, res, iterations = max(results, key=lambda r: r[1])
     pgrad = res.x - np.clip(res.x - res.jac, 0.0, None)
 
     pulse = TabulatedPulse(times=times, values=c_best)
@@ -567,7 +634,7 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
         eta=extraction_yield(work, prep),
         objective=j_best,
         converged=bool(res.success),
-        iterations=int(res.nit),
+        iterations=int(iterations),
         gradient_norm=float(np.abs(pgrad).max()),
         message=str(res.message),
         start_objectives=objs,

@@ -5,6 +5,8 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -487,6 +489,24 @@ def test_optimize_bad_input_names_the_parameter(flags, name, capsys):
     argv.update(zip(flags[::2], flags[1::2]))
     assert run("optimize", *[v for kv in argv.items() for v in kv]) == 1
     assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
+def test_optimize_past_the_fine_step_limit_exits_1_before_allocating(capsys):
+    # 1e7 over 400 nodes would take about 2.5e8 RK4 steps, 2 GB per float64
+    # array; start 0's step counts are checked, as floats, before any is built
+    import scipy.optimize  # noqa: F401  the scan's lazy import, outside the measurement
+
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = run("optimize", "--theta", "2.0", "--nbar", "1.0", "--horizon", "1e7")
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: horizon must be")
+    assert peak <= 20_000_000 and elapsed <= 5.0
 
 
 def test_husimi_grid_matches_library(capsys):

@@ -183,18 +183,49 @@ def test_quadrature_weights_integrate_cubics_exactly(n):
     assert float((w * _cubic(x)).sum()) == pytest.approx(_cubic_integral(n), rel=1e-13)
 
 
-@pytest.mark.parametrize("n_sub", [2, 3, 4, 5])
-def test_fine_grid_weights_are_exact_across_drive_kinks(n_sub):
+def _grid(times, counts):
+    return _fine_grid(times.tobytes(), np.asarray(counts, dtype=np.intp).tobytes())
+
+
+@pytest.mark.parametrize(
+    "counts", [(2,) * 4, (3,) * 4, (4,) * 4, (5,) * 4, (2, 3, 5, 8)], ids=["2", "3", "4", "5", "mixed"]
+)
+def test_fine_grid_weights_are_exact_across_drive_kinks(counts):
     # the work flux has kinks at the control nodes, where the drive does; a
     # continuous piecewise cubic with a kink at every node is integrated
     # exactly, so no panel straddles a node, on intervals of unequal length
+    # and of unequal step counts
     times = np.array([0.0, 0.3, 1.5, 1.7, 4.0])
     dt = np.diff(times)
-    n, jn, un, _, _, h, w = _fine_grid(times.tobytes(), n_sub)
+    n, jn, un, _, _, h, w = _grid(times, counts)
+    assert n == sum(counts)
     assert np.allclose(np.append(0.0, np.cumsum(h)), times[jn] + un * dt[jn], rtol=0.0, atol=1e-15)
+    starts = np.cumsum((0,) + counts[:-1])  # the fine nodes on control nodes 0 .. m - 2
+    assert (jn[starts] == np.arange(len(dt))).all() and (un[starts] == 0.0).all()
     f = (jn + 1.0) * un * (1.0 - un) * (1.0 + 2.0 * un)  # 0 at every node
     exact = float(((np.arange(len(dt)) + 1.0) * dt).sum()) / 3.0
     assert float((w * f).sum()) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 8])
+def test_fine_grid_of_equal_counts_is_the_uniform_grid(n_sub):
+    # one count for every interval gives, bit for bit, the grid of n_sub equal
+    # steps per interval that the functional had before counts per interval
+    times = np.append(0.0, np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, 39)))
+    dt = np.diff(times)
+    m = len(times)
+    n = (m - 1) * n_sub
+    k = np.arange(n + 1)
+    jn = np.minimum(k // n_sub, m - 2)
+    jm = jn[:-1]
+    hj, u = dt / n_sub, _quadrature_weights(n_sub)
+    wq = np.zeros(n + 1)
+    wq[:-1] = np.outer(hj, u[:-1]).ravel()
+    wq[n_sub::n_sub] += hj * u[-1]
+    uniform = (jn, k / n_sub - jn, jm, (k[:-1] + 0.5) / n_sub - jm, np.repeat(hj, n_sub), wq)
+    grid = _grid(times, np.full(m - 1, n_sub))
+    assert grid[0] == n
+    assert all(np.array_equal(a, b) for a, b in zip(grid[1:], uniform))
 
 
 # the weak-charge, criterion-05 and strong-charge points
@@ -224,22 +255,29 @@ def test_default_substeps_reach_the_converged_functional(n_bar, theta):
 
 
 class _FirstStart(Exception):
-    """Stops the solver at its first ascent, carrying the substep count it got."""
+    """Stops the solver at its first ascent, carrying the step counts it got."""
+
+
+# RK4 steps per evaluation at start 0: a third and a tenth of those that one
+# count for all 399 intervals, from the waveform's global peak, took
+STEP_PINS = {1.64: 3192 / 3, 20.0: 20748 / 10}
 
 
 @pytest.mark.parametrize("n_bar, theta", ANSATZ_POINTS)
 def test_default_substeps_at_start_zero_are_the_solvers(n_bar, theta, monkeypatch):
-    # control_work's default at start 0's controls is the functional the solver maximises
-    def first_start(c0, times, prep, gamma, n_bar, n_sub):
-        raise _FirstStart(n_sub)
+    # control_work's default at start 0's controls is the functional the solver
+    # maximises, with each interval's step count from its own peak
+    def first_start(c0, times, prep, gamma, n_bar, counts):
+        raise _FirstStart(counts)
 
     times = np.linspace(0.0, 10.0, 400)
     prep, controls = _ansatz_controls(n_bar, theta, times)
     monkeypatch.setattr(optimizer, "_shape", first_start)
     with pytest.raises(_FirstStart) as stop:
         ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar), n_starts=1)
-    n_sub = stop.value.args[0]
-    assert ef.control_work(controls, times, prep) == ef.control_work(controls, times, prep, n_sub=n_sub)
+    counts = stop.value.args[0]
+    assert ef.control_work(controls, times, prep) == optimizer._forward(controls, times, counts, prep, 1.0)[0]
+    assert counts.min() == 2 and counts.sum() <= STEP_PINS.get(n_bar, math.inf)
 
 
 @pytest.mark.parametrize("n_sub", [3, 4])
@@ -428,6 +466,27 @@ def test_strict_work_matches_the_converged_functional(n_bar, theta):
     sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar))
     converged = ef.control_work(sol.controls, sol.times, prep, n_sub=512)
     assert abs(sol.work - converged) <= 5e-8
+
+
+def test_converged_controls_meet_the_step_bound_after_a_recount(monkeypatch):
+    # with no margin over start 0's peaks the ascent raises some interval past
+    # the step bound; its counts are taken again from the converged controls
+    # and the start continues once
+    counts = []
+    default_n_sub = optimizer._default_n_sub
+
+    def spy(dt, gamma, peak):
+        counts.append(default_n_sub(dt, gamma, peak))
+        return counts[-1]
+
+    monkeypatch.setattr(optimizer, "_MARGIN", 1.0)
+    monkeypatch.setattr(optimizer, "_default_n_sub", spy)
+    prep = ef.Preparation(p=0.0, theta=0.75 * math.pi)
+    sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=1.64))
+    assert len(counts) == 2  # start 0, then the recount
+    rate = np.maximum(1.0, np.maximum(sol.controls[:-1], sol.controls[1:]))
+    assert (np.diff(sol.times) * rate <= counts[-1] * optimizer._STEP_BOUND).all()
+    assert sol.converged, sol.message
 
 
 # ------------------------------------------------------------- pulse metric
