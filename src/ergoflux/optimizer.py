@@ -115,24 +115,22 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     All drives share one `_work_functional`.  Each runs over its
     `ExponentialPulse.support_end` window in n steps with
     h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its flux weighted by
-    `_quadrature_weights`.  The drives are laid out as arrays, node by node.
+    `_quadrature_weights`.
     """
-    pulses = [ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma) for tau in taus]
-    tau = np.array([p.tau for p in pulses])
-    amp = np.array([p.amplitude for p in pulses])
-    window = np.array([p.support_end() for p in pulses])
-    n = np.ceil(window * np.maximum(np.maximum(gamma, amp), 1.0 / tau) / _STEP_BOUND).astype(np.intp)
-    size = n + 1
-    ends = np.cumsum(size) - 1  # last node of each drive
-    hs = np.repeat(window / n, size)
-    t = (np.arange(ends[-1] + 1) - np.repeat(ends - n, size)) * hs  # as np.linspace(0, window, n + 1)
-    tm = t + 0.5 * hs
-    t[ends] = window
-    amp, tau = np.repeat(amp, size), np.repeat(tau, size)
-    on = amp * np.exp(-t / tau)  # ExponentialPulse.rabi, which the window keeps off its cut at 700 tau
-    om = amp * np.exp(-tm / tau)
-    om[ends] = 0.0  # the restart step
-    works, x = _work_functional(on, om, hs, hs * _panel_weights(n), gamma, prep, ends)
+    on, om, hs, wq = [], [], [], []
+    for tau in taus:
+        pulse = ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma)
+        window = pulse.support_end()
+        n = math.ceil(window * max(gamma, pulse.amplitude, 1.0 / pulse.tau) / _STEP_BOUND)
+        h = window / n
+        t = np.linspace(0.0, window, n + 1)
+        on.append(pulse.rabi(t))
+        om.append(np.append(pulse.rabi(t[:-1] + 0.5 * h), 0.0))  # last slot: the restart step
+        hs.append(np.full(n + 1, h))
+        wq.append(h * _quadrature_weights(n))
+    ends = np.cumsum([len(a) for a in on]) - 1  # last node of each drive
+    on, om, hs, wq = (np.concatenate(a) for a in (on, om, hs, wq))
+    works, x = _work_functional(on, om, hs, wq, gamma, prep, ends)
     _clamped_samples(*x)  # raises past BLOCH_TOL
     return works
 
@@ -252,13 +250,6 @@ def _quadrature_weights(n: int) -> np.ndarray:
     return w
 
 
-def _panel_weights(counts: np.ndarray) -> np.ndarray:
-    """`_quadrature_weights` of intervals of ``counts`` steps, laid end to end,
-    each with its own end node."""
-    unit = {c: _quadrature_weights(c) for c in set(counts.tolist())}
-    return np.concatenate([unit[c] for c in counts.tolist()])
-
-
 @functools.lru_cache(maxsize=8)
 def _fine_grid(times: bytes, counts: bytes):
     """RK4 steps over the intervals of the control nodes ``times`` (float64
@@ -281,9 +272,12 @@ def _fine_grid(times: bytes, counts: bytes):
     um = (k[:-1] + 0.5) / cn[:-1] - first[:-1] / cn[:-1]
     hj = dt / c
     h = np.repeat(hj, c)
-    # the fine node of each panel weight: an interval's end node is the next one's start
+    # each interval's weights with its own end node, laid end to end; that end
+    # node is the next interval's start
+    unit = {size: _quadrature_weights(size) for size in set(c.tolist())}
+    panels = np.concatenate([unit[size] for size in c.tolist()])
     node = np.arange(n + len(c)) - np.repeat(np.arange(len(c)), c + 1)
-    wq = np.bincount(node, np.repeat(hj, c + 1) * _panel_weights(c))
+    wq = np.bincount(node, np.repeat(hj, c + 1) * panels)
     for a in (jn, un, jm, um, h, wq):
         a.setflags(write=False)
     return n, jn, un, jm, um, h, wq
@@ -328,32 +322,35 @@ def _substeps(counts: np.ndarray, name: str) -> np.ndarray:
     return counts.astype(np.intp)
 
 
-def _checked(controls, times, gamma, n_sub):
-    """Controls, times and per-interval RK4 step counts of a public call.
+def _forward(controls, times, prep, gamma, n_sub, steps, keep_maps=False):
+    """One forward scan of the RK4/Simpson work functional.
 
-    ``n_sub`` None takes `_default_n_sub` of each interval's own peak.
+    ``steps`` gives control interval j ``steps[j]`` RK4 steps and ``n_sub``
+    every interval the same count; with neither, each interval takes
+    `_default_n_sub` of its own peak.  Returns the work, the fine-grid drive
+    at nodes and midpoints, the step maps as a (2, 3, n) array if
+    ``keep_maps`` (else None), the node states (2, n + 1) and the
+    `_fine_grid` tables.  The maps are built block by block; only the
+    gradient keeps them, for its reverse scan, because storing them costs
+    more than rebuilding a block.
     """
     c = np.asarray(controls, dtype=float)
     t = np.asarray(times, dtype=float)
     dt = _check_grid(c, t)
     _check_params("nonnegative", gamma=gamma)
-    if n_sub is None:
-        return c, t, _substeps(_default_n_sub(dt, gamma, _local_peaks(c)), "times")
-    if isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
+    if steps is not None:
+        if n_sub is not None:
+            raise ValueError("pass n_sub or steps, not both")
+        k = np.asarray(steps)
+        if k.shape != dt.shape or k.dtype.kind not in "iu" or not (k >= 1).all():
+            raise ValueError("steps must be one positive integer per control interval")
+        counts = _substeps(k.astype(float), "steps")
+    elif n_sub is None:
+        counts = _substeps(_default_n_sub(dt, gamma, _local_peaks(c)), "controls")
+    elif isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
         raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
-    return c, t, _substeps(np.full(len(dt), float(n_sub)), "n_sub")
-
-
-def _forward(c, t, counts, prep, gamma, keep_maps=False):
-    """One forward scan of the RK4/Simpson work functional, ``counts`` RK4
-    steps per control interval.
-
-    Returns the work, the fine-grid drive at nodes and midpoints, the step
-    maps as a (2, 3, n) array if ``keep_maps`` (else None), the node states
-    (2, n + 1) and the `_fine_grid` tables.  The maps are built block by
-    block; only the gradient keeps them, for its reverse scan, because
-    storing them costs more than rebuilding a block.
-    """
+    else:
+        counts = _substeps(np.full(len(dt), float(n_sub)), "n_sub")
     grid = n, jn, un, jm, um, h, wq = _fine_grid(t.tobytes(), counts.tobytes())
     on = (1.0 - un) * c[jn] + un * c[jn + 1]
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
@@ -374,15 +371,18 @@ def control_work(
     prep: Preparation,
     gamma: float = 1.0,
     n_sub: int | None = None,
+    *,
+    steps: np.ndarray | None = None,
 ) -> float:
     """Work functional of a piecewise-linear waveform (RK4 + Simpson + exact tail).
 
-    Control interval j takes ``n_sub`` RK4 steps, or by default
-    `_default_n_sub` of its own peak: the functional `solve_optimal_control`
-    maximizes from these controls.
+    Control interval j takes ``steps[j]`` RK4 steps, or ``n_sub``, or by
+    default `_default_n_sub` of its own peak: the functional
+    `solve_optimal_control` maximizes from these controls.  Past
+    `_MAX_FINE_STEPS` steps in all the call is rejected, naming the
+    parameter that set the counts.
     """
-    c, t, counts = _checked(controls, times, gamma, n_sub)
-    return _forward(c, t, counts, prep, gamma)[0]
+    return _forward(controls, times, prep, gamma, n_sub, steps)[0]
 
 
 def control_work_and_gradient(
@@ -391,6 +391,8 @@ def control_work_and_gradient(
     prep: Preparation,
     gamma: float = 1.0,
     n_sub: int | None = None,
+    *,
+    steps: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Work functional and its exact gradient with respect to the control nodes.
 
@@ -398,15 +400,11 @@ def control_work_and_gradient(
     `control_work` uses, so central finite differences of that function match
     it to roundoff.  Pass an explicit ``n_sub`` when comparing against finite
     differences, because the default step count of each interval depends on
-    its control amplitude.
+    its control amplitude.  ``n_sub`` and ``steps`` are as in `control_work`.
     """
-    c, t, counts = _checked(controls, times, gamma, n_sub)
-    return _work_and_gradient(c, t, counts, prep, gamma)
-
-
-def _work_and_gradient(c, t, counts, prep, gamma):
-    """`control_work_and_gradient` on checked arrays and step counts."""
-    work, on, om, maps, x, (n, jn, un, jm, um, h, wq) = _forward(c, t, counts, prep, gamma, keep_maps=True)
+    work, on, om, maps, x, (n, jn, un, jm, um, h, wq) = _forward(
+        controls, times, prep, gamma, n_sub, steps, keep_maps=True
+    )
     g = gamma
     p, s = x
     h2, h3, h6 = 0.5 * h, h / 3.0, h / 6.0
@@ -443,7 +441,7 @@ def _work_and_gradient(c, t, counts, prep, gamma):
     gn[1:] += u4s * (p3 - 0.5) - u4p * s3
     gm = u2s * (p1 - 0.5) - u2p * s1 + u3s * (p2 - 0.5) - u3p * s2
 
-    m = len(c)
+    m = len(controls)
     return work, (
         np.bincount(jn, (1.0 - un) * gn, m)
         + np.bincount(jn + 1, un * gn, m)
@@ -528,7 +526,7 @@ def _shape(c0, times, prep, gamma, n_bar, counts):
     def negative_work(v, counts):
         q = _squared_area(dt, v)
         a = math.sqrt(target / q)
-        work, g = _work_and_gradient(v * a, times, counts, prep, gamma)
+        work, g = control_work_and_gradient(v * a, times, prep, gamma, steps=counts)
         grad = a * g - (a * float(g @ v) / (2.0 * q)) * _budget_gradient(v, dt)
         return -work, -grad
 
@@ -593,10 +591,11 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     value the solver maximized.  Control interval j takes
     `_default_n_sub` RK4 steps of start 0's peak on it, so the functional
     does not depend on ``n_starts`` or ``seed``, and ``control_work`` at
-    start 0 is that functional.  A start whose converged controls break
-    h * max(gamma, local peak) <= `_STEP_BOUND` on some interval takes the
-    counts again from them and continues once (`_shape`); ``iterations``
-    counts both runs.  Counts past `_MAX_FINE_STEPS` in all are rejected,
+    start 0 is that functional; each evaluation is a
+    `control_work_and_gradient` call with those counts as ``steps``.  A
+    start whose converged controls break h * max(gamma, local peak) <=
+    `_STEP_BOUND` on some interval takes the counts again from them and
+    continues once (`_shape`); ``iterations`` counts both runs.  Counts past `_MAX_FINE_STEPS` in all are rejected,
     naming the horizon, before any array is built.
     """
     if n_starts < 1:

@@ -6,7 +6,8 @@ tests pin them to a step-by-step loop at the chunk and block edges, for a
 drive that stops before the end of the run and without decay.  The kernel
 under all three, `_drive_scan`, is pinned to the same loop with restart
 maps at those edges and with one step length per step, and the control
-functional also on a grid of unequal intervals.  The gradient reference is
+functional also on a grid of unequal intervals and with one step count per
+interval.  The gradient reference is
 the complex-step derivative of the same loop.
 """
 import tracemalloc
@@ -67,19 +68,22 @@ def _panel_integral(f, h):
 
 def _reference_work(controls, times, prep, n_sub, gamma):
     """RK4/Simpson work of a piecewise-linear waveform, step by step; control
-    interval j takes n_sub steps of its own length / n_sub, and the flux is
-    integrated over each control interval separately."""
+    interval j takes n_j steps of its own length / n_j, with ``n_sub`` one
+    count for all intervals or one per interval, and the flux is integrated
+    over each control interval separately."""
     c = np.asarray(controls)
-    m = len(c)
-    x = np.arange(2 * (m - 1) * n_sub + 1) / (2 * n_sub)  # nodes and midpoints, in control intervals
-    j = np.minimum(x.astype(int), m - 2)
+    counts = np.broadcast_to(n_sub, len(c) - 1)
+    # nodes and midpoints, in control intervals
+    x = np.append(np.concatenate([j + np.arange(2 * k) / (2 * k) for j, k in enumerate(counts)]), len(counts))
+    j = np.minimum(x.astype(int), len(c) - 2)
     drive = (1.0 - (x - j)) * c[j] + (x - j) * c[j + 1]
     on, om = drive[::2], drive[1::2]
-    h = np.diff(times) / n_sub
+    h = np.diff(times) / counts
     state0 = ef.prepare_initial(prep)
-    _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, gamma, np.repeat(h, n_sub))
+    _, s = _rk4_reference(state0.p_e, state0.s_bar, on, om, gamma, np.repeat(h, counts))
     w = on * s + gamma * s * s
-    flux = sum(_panel_integral(w[j * n_sub : (j + 1) * n_sub + 1], h[j]) for j in range(m - 1))
+    first = np.cumsum(counts) - counts
+    flux = sum(_panel_integral(w[a : a + k + 1], hj) for a, k, hj in zip(first, counts, h))
     return flux + s[-1] ** 2
 
 
@@ -181,9 +185,10 @@ def _check_against_reference(times, n_sub, gamma):
     m = len(times)
     controls = 1.0 + 0.8 * np.sin(np.arange(m) + 0.5)
     prep = ef.Preparation(p=0.1, theta=2.0)
+    count = dict(n_sub=n_sub) if np.ndim(n_sub) == 0 else dict(steps=n_sub)
 
-    work = ef.control_work(controls, times, prep, gamma=gamma, n_sub=n_sub)
-    work_g, grad = ef.control_work_and_gradient(controls, times, prep, gamma=gamma, n_sub=n_sub)
+    work = ef.control_work(controls, times, prep, gamma=gamma, **count)
+    work_g, grad = ef.control_work_and_gradient(controls, times, prep, gamma=gamma, **count)
     ref = _reference_work(controls, times, prep, n_sub, gamma)
     assert abs(work - ref) <= TOL
     assert abs(work_g - ref) <= TOL
@@ -204,3 +209,12 @@ def test_control_work_and_gradient_match_sequential_rk4_on_an_uneven_grid(gamma)
     n_sub = 3
     times = np.append(0.0, np.cumsum(np.random.default_rng(3).uniform(0.5, 2.0, 8))) * 0.001 * n_sub
     _check_against_reference(times, n_sub, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+def test_control_work_and_gradient_match_sequential_rk4_with_one_count_per_interval(gamma):
+    # the solver's layout: each control interval its own RK4 step count,
+    # a single trapezoid step and odd counts (3/8 panel) among them
+    counts = [2, 3, 5, 8, 1, _CHUNK + 1]
+    times = np.append(0.0, np.cumsum(np.random.default_rng(5).uniform(0.5, 2.0, 6) * 0.001 * np.array(counts)))
+    _check_against_reference(times, counts, gamma)

@@ -156,12 +156,35 @@ def test_bad_rate_or_budget_is_rejected_by_name(call, kwargs, name):
         getattr(ef, call)(**args)
 
 
-@pytest.mark.parametrize("n_sub", [0, -2, 2.5, True])
+# 2**22 steps on each of 7 intervals: past the work functional's 2**23 in all
+@pytest.mark.parametrize("n_sub", [0, -2, 2.5, True, 2**22])
 @pytest.mark.parametrize("call", ["control_work", "control_work_and_gradient"])
 def test_bad_substep_count_is_rejected_by_name(call, n_sub):
     prep = ef.Preparation(p=0.0, theta=2.0)
     with pytest.raises(ValueError, match="n_sub"):
         getattr(ef, call)(np.ones(8), np.linspace(0.0, 5.0, 8), prep, n_sub=n_sub)
+
+
+@pytest.mark.parametrize(
+    "controls, kwargs, message",
+    [
+        # the default counts follow the controls' amplitude
+        (np.full(8, 1e9), {}, "^controls must be smaller"),
+        (np.ones(8), dict(steps=[2] * 6), "^steps must be one positive integer"),
+        (np.ones(8), dict(steps=[2, 2, 2, 0, 2, 2, 2]), "^steps must be one positive integer"),
+        (np.ones(8), dict(steps=[2.0] * 7), "^steps must be one positive integer"),
+        (np.ones(8), dict(steps=[True] * 7), "^steps must be one positive integer"),
+        (np.ones(8), dict(steps=[2**22] * 7), "^steps must be smaller"),
+        # an integer sum would wrap round to a small count
+        (np.ones(8), dict(steps=[2**62] * 7), "^steps must be smaller"),
+        (np.ones(8), dict(steps=[2] * 7, n_sub=2), "^pass n_sub or steps"),
+    ],
+)
+@pytest.mark.parametrize("call", ["control_work", "control_work_and_gradient"])
+def test_bad_step_counts_are_rejected_by_name(call, controls, kwargs, message):
+    prep = ef.Preparation(p=0.0, theta=2.0)
+    with pytest.raises(ValueError, match=message):
+        getattr(ef, call)(controls, np.linspace(0.0, 5.0, 8), prep, **kwargs)
 
 
 # ------------------------------------------------------------- quadrature
@@ -276,7 +299,7 @@ def test_default_substeps_at_start_zero_are_the_solvers(n_bar, theta, monkeypatc
     with pytest.raises(_FirstStart) as stop:
         ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar), n_starts=1)
     counts = stop.value.args[0]
-    assert ef.control_work(controls, times, prep) == optimizer._forward(controls, times, counts, prep, 1.0)[0]
+    assert ef.control_work(controls, times, prep) == ef.control_work(controls, times, prep, steps=counts)
     assert counts.min() == 2 and counts.sum() <= STEP_PINS.get(n_bar, math.inf)
 
 
