@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -432,6 +433,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ergoflux",

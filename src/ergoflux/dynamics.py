@@ -294,9 +294,11 @@ def _check_span(t_end: float, gamma: float) -> None:
     _check_params("nonnegative", gamma=gamma)
 
 
-# Steps composed per chunk and per block of the scan.  Both are fixed, so a
-# run's arithmetic, and with it every digit of its result, is the same on
-# every machine; a block bounds the scan's temporaries to a few MB.
+# Steps composed per chunk and per block of the scan.  Both are fixed, so the
+# arithmetic of `_scan_block`, and with it every digit of `evolve_numeric` and
+# the strict pipeline, is the same on every machine; the pulse shaper's work
+# functional solves its blocks with the installed LAPACK and follows its
+# digits.  A block bounds the scan's temporaries to a few MB.
 _CHUNK = 16
 _BLOCK = 1 << 13
 
@@ -342,31 +344,23 @@ def _scan_block(maps, x0):
     return x.transpose(1, 2, 0).reshape(2, -1)[:, :nb]
 
 
-def _affine_scan(maps, n: int, x0, reverse: bool = False) -> np.ndarray:
+def _affine_scan(maps, n: int, x0, solve=_scan_block) -> np.ndarray:
     """All states x_0..x_n of x_{k+1} = M_k x_k + v_k as a (2, n + 1) array.
 
     ``maps(lo, hi)`` returns the (2, 3, hi - lo) maps of steps lo..hi-1
-    (see `_drive_scan`); they are requested and scanned in blocks of `_BLOCK`
-    steps.  With ``reverse`` the transposed recurrence y_k = M_k^T y_{k+1} + v_k
-    runs from y_n = ``x0`` down to y_0: the adjoint of the forward scan.  A
+    (see `_drive_scan`); they are requested in blocks of `_BLOCK` steps, and
+    ``solve(maps, x)`` returns the states after each step of one block from
+    the state ``x`` before it: `_scan_block`, or a caller's own solver.  A
     non-finite state raises `IntegrationAccuracyError`.
     """
     out = np.empty((2, n + 1))
     x = [float(x0[0]), float(x0[1])]
-    blocks = range(0, n, _BLOCK)
-    out[:, n if reverse else 0] = x
+    out[:, 0] = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in reversed(blocks) if reverse else blocks:
+        for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            if reverse:
-                m = maps(lo, hi)[..., ::-1]
-                m = np.concatenate((m[:, :2].swapaxes(0, 1), m[:, 2:]), axis=1)  # M^T, same offsets
-                states = _scan_block(m, x)
-                out[:, lo:hi] = states[:, ::-1]
-            else:
-                states = _scan_block(maps(lo, hi), x)
-                out[:, lo + 1 : hi + 1] = states
-            x = states[:, -1].tolist()
+            out[:, lo + 1 : hi + 1] = solve(maps(lo, hi), x)
+            x = out[:, hi].tolist()
     if not np.isfinite(out).all():
         raise IntegrationAccuracyError(
             "integration produced a non-finite state; shrink the step or the drive"
@@ -374,7 +368,7 @@ def _affine_scan(maps, n: int, x0, reverse: bool = False) -> np.ndarray:
     return out
 
 
-def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None) -> np.ndarray:
+def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None, solve=_scan_block) -> np.ndarray:
     """Node states (2, n + 1) of n RK4 steps from the state ``x0``, by `_affine_scan`.
 
     Step k runs from node k over ``h`` (a float, or one length per step)
@@ -384,7 +378,8 @@ def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None) -> np.ndarray:
     the homogeneous columns e_p, e_s and 1 gives its (2, 3) map, whose row i
     holds (M_i0, M_i1, v_i).  The step at each index in ``restarts`` is a
     restart map instead (M = 0, offset ``x0``), which puts the state back at
-    ``x0``.  ``kept``, a (2, 3, n) array, receives the maps of all steps.
+    ``x0``.  ``kept``, a (2, 3, n) array, receives the maps of all steps,
+    and ``solve`` is the block solver of `_affine_scan`.
     """
     restarts = np.asarray(restarts, dtype=np.intp)
     restart = np.array([[0.0, 0.0, x0[0]], [0.0, 0.0, x0[1]]])[..., None] if restarts.size else None
@@ -407,7 +402,7 @@ def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None) -> np.ndarray:
             kept[..., lo:hi] = m
         return m
 
-    return _affine_scan(maps, len(on) - 1, x0)
+    return _affine_scan(maps, len(on) - 1, x0, solve)
 
 
 def evolve_numeric(

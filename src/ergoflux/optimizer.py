@@ -21,8 +21,10 @@ one forward `dynamics._drive_scan` and integrates the work flux on the same
 fine grid, over each control interval by composite Simpson closed by a 3/8
 panel when the interval's step count is odd, so quadrature and integrator
 are both fourth order; the exact free-decay tail after the last node makes
-any horizon valid.  Its adjoint is the same scan transposed and run
-backwards, and the sensitivity of each step to its three drive samples is
+any horizon valid.  The forward pass solves each block of steps as one
+banded lower-triangular system (`_band_block`, LAPACK's `dtbtrs`), and the
+adjoint is the transposed solve of the same band, block by block from the
+last step.  The sensitivity of each step to its three drive samples is
 evaluated elementwise from the adjoint after the step and the state before
 it.  The exponential scan runs the same functional over each drive's own
 window, with h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, and all
@@ -34,9 +36,11 @@ through the strict integration pipeline (`dynamics` RK4 trajectory plus
 `energetics.accumulate`), so numbers are comparable with the scenario runs;
 that trajectory steps each control interval by the interval's own peak.
 
-scipy is imported inside the two functions that call it, the refine step of
-`_scan_exponential_tau` and `_shape`, so importing the package loads numpy
-alone.
+scipy is imported inside the functions that call it: `scipy.linalg.lapack`
+in `_band_block`, so `control_work` and `control_work_and_gradient` load
+scipy at their first call, and `scipy.optimize` in the refine step of
+`optimize_exponential_tau` and in `_shape`.  Importing the package loads
+numpy alone, and `evolve_numeric` and the strict pipeline never load scipy.
 """
 from __future__ import annotations
 
@@ -93,16 +97,62 @@ class ExponentialTauResult:
     works: np.ndarray
 
 
+def _band_block(maps, x, trans="N"):
+    """One block of x_{k+1} = M_k x_k + v_k as a banded triangular solve, for `_affine_scan`.
+
+    The block's m steps are one unit lower-triangular system of bandwidth 3
+    in the interleaved unknowns (p_0, s_0, ..., p_m, s_m): x_0 = ``x`` and
+    x_{k+1} - M_k x_k = v_k.  LAPACK's `dtbtrs` (Anderson et al., LAPACK
+    Users' Guide, 3rd ed., 1999) solves it from its (4, 2m + 2)
+    Fortran-order band, -M_k below a unit diagonal.  With ``trans`` "N" it
+    returns x_1..x_m.  With "T" the same band solves the transposed
+    recurrence y_k = M_k^T y_{k+1} + v_k from y_m = ``x`` and returns
+    y_{m-1}..y_0 in the order they are reached, so that blocks taken from
+    the last step backwards scan the adjoint.
+    """
+    from scipy.linalg.lapack import dtbtrs
+
+    m = maps.shape[-1]
+    band = np.zeros((m + 1, 2, 4))  # band[k, i]: column 2k + i, from the diagonal down
+    band[:m, 0, 2:] = -maps[:, 0].T
+    band[:m, 1, 1:3] = -maps[:, 1].T
+    rhs = np.empty((m + 1, 2))
+    if trans == "N":
+        rhs[0], rhs[1:] = x, maps[:, 2].T
+    else:
+        rhs[:m], rhs[m] = maps[:, 2].T, x
+    z, info = dtbtrs(
+        band.reshape(-1, 4).T, rhs.reshape(-1, 1), uplo="L", trans=trans, diag="U", overwrite_b=1
+    )
+    if info != 0:
+        raise IntegrationAccuracyError(f"banded RK4 solve failed: LAPACK dtbtrs info {info}")
+    z = z.reshape(m + 1, 2).T
+    return z[:, 1:] if trans == "N" else z[:, m - 1 :: -1]
+
+
+_band_adjoint = functools.partial(_band_block, trans="T")
+
+
+def _blocks_from_the_end(maps):
+    """``maps(lo, hi)`` for `_affine_scan` with `_band_adjoint`: the kept
+    (2, 3, n) maps of steps n - hi..n - lo - 1, in step order."""
+    n = maps.shape[-1]
+    return lambda lo, hi: maps[..., n - hi : n - lo]
+
+
 def _work_functional(on, om, h, wq, gamma, prep, ends, kept=None):
     """Work of drives laid end to end on one fine RK4 grid, and its node states.
 
-    ``on``, ``om``, ``h`` and ``kept`` are as in `_drive_scan`.  ``ends`` holds
-    each drive's last node; the step after it restarts at the preparation.  A
-    drive's work is its flux on * s + gamma * s^2 against the quadrature
-    weights ``wq``, plus the exact free-decay tail s(end)^2.
+    ``on``, ``om``, ``h`` and ``kept`` are as in `_drive_scan`, whose blocks
+    `_band_block` solves.  ``ends`` holds each drive's last node; the step
+    after it restarts at the preparation.  A drive's work is its flux
+    on * s + gamma * s^2 against the quadrature weights ``wq``, plus the
+    exact free-decay tail s(end)^2.
     """
     state0 = prepare_initial(prep)
-    x = _drive_scan(on, om, h, gamma, (state0.p_e, state0.s_bar), restarts=ends[:-1], kept=kept)
+    x = _drive_scan(
+        on, om, h, gamma, (state0.p_e, state0.s_bar), restarts=ends[:-1], kept=kept, solve=_band_block
+    )
     s = x[1]
     with np.errstate(over="ignore", invalid="ignore"):  # huge states are the callers' to report
         flux = wq * (on * s + gamma * s * s)
@@ -115,13 +165,15 @@ def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> n
     All drives share one `_work_functional`.  Each runs over its
     `ExponentialPulse.support_end` window in n steps with
     h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its flux weighted by
-    `_quadrature_weights`.
+    `_quadrature_weights`.  The steps grow as sqrt(n_bar * tau); past
+    `_MAX_FINE_STEPS` in all the call is rejected, naming ``n_bar``, before
+    any array is built.
     """
+    pulses = [ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma) for tau in taus]
+    steps = [p.support_end() * max(gamma, p.amplitude, 1.0 / p.tau) / _STEP_BOUND for p in pulses]
     on, om, hs, wq = [], [], [], []
-    for tau in taus:
-        pulse = ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma)
+    for pulse, n in zip(pulses, _substeps(np.ceil(steps), "n_bar").tolist()):
         window = pulse.support_end()
-        n = math.ceil(window * max(gamma, pulse.amplitude, 1.0 / pulse.tau) / _STEP_BOUND)
         h = window / n
         t = np.linspace(0.0, window, n + 1)
         on.append(pulse.rabi(t))
@@ -141,27 +193,29 @@ _N_GRID = 25
 
 
 def _scan_exponential_tau(prep, n_bar, gamma):
-    """The scan and refinement of `optimize_exponential_tau` without its strict
-    evaluation: returns (tau_star, at_boundary, taus, works)."""
+    """The exponential scan: (taus, works, index of the best work)."""
     _check_params("positive", n_bar=n_bar, gamma=gamma)
     lo, hi = _TAU_RANGE
     taus = np.geomspace(lo / gamma, hi / gamma, _N_GRID)
     works = _exponential_works(prep, n_bar, taus, gamma)
+    return taus, works, int(np.argmax(works))
 
-    best = int(np.argmax(works))
-    at_boundary = best in (0, len(taus) - 1)
-    tau_star = float(taus[best])
-    if not at_boundary:
-        from scipy.optimize import minimize_scalar
 
-        res = minimize_scalar(
-            lambda lt: -_exponential_works(prep, n_bar, [math.exp(lt)], gamma)[0],
-            bounds=(math.log(taus[best - 1]), math.log(taus[best + 1])),
-            method="bounded",
-            options={"xatol": 1e-4},
-        )
-        tau_star = float(math.exp(res.x))
-    return tau_star, at_boundary, taus, works
+def _start_zero(prep, n_bar, gamma, times) -> np.ndarray:
+    """Start 0 of `solve_optimal_control`: the exponential drive sampled at ``times``.
+
+    Its time constant is the vertex of the parabola in log tau through the
+    scan's best grid point and its two neighbours; at an edge of
+    `_TAU_RANGE`, or where the three works are equal, it is the grid point.
+    """
+    taus, works, best = _scan_exponential_tau(prep, n_bar, gamma)
+    tau = float(taus[best])
+    if 0 < best < len(taus) - 1:
+        w0, w1, w2 = works[best - 1 : best + 2].tolist()
+        curve = w0 - 2.0 * w1 + w2  # <= 0 at the best point
+        if curve < 0.0:
+            tau *= math.exp(0.25 * (w0 - w2) / curve * math.log(taus[best + 1] / taus[best - 1]))
+    return np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
 
 
 def optimize_exponential_tau(prep: Preparation, n_bar: float, gamma: float = 1.0) -> ExponentialTauResult:
@@ -174,7 +228,19 @@ def optimize_exponential_tau(prep: Preparation, n_bar: float, gamma: float = 1.0
     recomputed at the refined time constant through the strict pipeline,
     on a step that also resolves the pulse's decay (at most tau/64).
     """
-    tau_star, at_boundary, taus, works = _scan_exponential_tau(prep, n_bar, gamma)
+    taus, works, best = _scan_exponential_tau(prep, n_bar, gamma)
+    at_boundary = best in (0, len(taus) - 1)
+    tau_star = float(taus[best])
+    if not at_boundary:
+        from scipy.optimize import minimize_scalar
+
+        res = minimize_scalar(
+            lambda lt: -_exponential_works(prep, n_bar, [math.exp(lt)], gamma)[0],
+            bounds=(math.log(taus[best - 1]), math.log(taus[best + 1])),
+            method="bounded",
+            options={"xatol": 1e-4},
+        )
+        tau_star = float(math.exp(res.x))
     pulse = ExponentialPulse(n_bar=n_bar, tau=tau_star, gamma=gamma)
     window = pulse.support_end()
     # the step resolves the pulse's decay as well as its Rabi and decay rates
@@ -409,12 +475,14 @@ def control_work_and_gradient(
     p, s = x
     h2, h3, h6 = 0.5 * h, h / 3.0, h / 6.0
 
-    # adjoint lam_k = dJ/dx_k = M_k^T lam_{k+1} + (0, d_k): the transposed scan
+    # adjoint lam_k = dJ/dx_k = M_k^T lam_{k+1} + (0, d_k): the transposed
+    # solve, over blocks taken from the last step backwards
     d = wq * (on + 2.0 * g * s)
     d[-1] += 2.0 * s[-1]
     maps[0, 2] = 0.0
     maps[1, 2] = d[:-1]
-    lp, ls = _affine_scan(lambda lo, hi: maps[..., lo:hi], n, (0.0, d[-1]), reverse=True)[:, 1:]
+    back = _affine_scan(_blocks_from_the_end(maps), n, (0.0, d[-1]), _band_adjoint)
+    lp, ls = back[:, -2::-1]  # lam_{k+1} of every step k
 
     # stage states of every step k from x_k ...
     p0, s0 = p[:-1], s[:-1]
@@ -580,7 +648,8 @@ _MAX_ITER = 5000
 def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int = 0) -> OptimalPulse:
     """Maximize the extracted work over nonnegative waveforms at fixed photon number.
 
-    Start 0 is the best exponential ansatz sampled on the control grid; the
+    Start 0 is the exponential ansatz at the scan's best time constant,
+    sharpened by a parabola through the grid (`_start_zero`); the
     remaining starts are seeded multiplicative perturbations of it.  Each
     start is one L-BFGS-B run of at most `_MAX_ITER` iterations.  One start
     is the default: from n_bar = 1e-4 to 80, no extra start gained more than
@@ -605,9 +674,7 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     times = np.linspace(0.0, problem.horizon, problem.n_nodes)
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
 
-    # start 0 needs only the ansatz's time constant, not its strict work
-    tau = _scan_exponential_tau(prep, n_bar, gamma)[0]
-    init = np.asarray(ExponentialPulse(n_bar=n_bar, tau=tau, gamma=gamma).rabi(times), dtype=float)
+    init = _start_zero(prep, n_bar, gamma, times)
     peaks = _local_peaks(project_to_budget(init, times, n_bar, gamma))
     counts = _substeps(_default_n_sub(np.diff(times), gamma, peaks), "horizon")
 

@@ -92,6 +92,9 @@ def test_only_the_pulse_shaper_imports_scipy(tmp_path):
         ["sweep", "--case", "i", "--theta", "0.5", "2.5", "3", "--ndot-log", "-1", "1", "3", "--out", out],
         ["husimi", "--theta", "1", "--re", "-1", "1", "3", "--im", "-1", "1", "3", "--out", out],
         ["verify", "--suite", "scale-invariance", "--out", str(tmp_path / "v.json")],
+        # the RK4 path of the audit: evolve_numeric and accumulate
+        ["verify", "--suite", "conservation", "--cases", "2", "--out", str(tmp_path / "v.json")],
+        ["verify", "--suite", "bound-scan", "--resolution", "20", "--out", str(tmp_path / "v.json")],
         ["optimize", "--theta", "1.5708", "--nbar", "0.1", "--nodes", "32", "--horizon", "5",
          "--starts", "1", "--out", out],
     ]
@@ -494,7 +497,7 @@ def test_optimize_bad_input_names_the_parameter(flags, name, capsys):
 def test_optimize_past_the_fine_step_limit_exits_1_before_allocating(capsys):
     # 1e7 over 400 nodes would take about 2.5e8 RK4 steps, 2 GB per float64
     # array; start 0's step counts are checked, as floats, before any is built
-    import scipy.optimize  # noqa: F401  the scan's lazy import, outside the measurement
+    import scipy.linalg.lapack  # noqa: F401  the functional's lazy import, outside the measurement
 
     tracemalloc.start()
     try:
@@ -507,6 +510,20 @@ def test_optimize_past_the_fine_step_limit_exits_1_before_allocating(capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: horizon must be")
     assert peak <= 20_000_000 and elapsed <= 5.0
+
+
+def test_optimize_past_the_scan_step_limit_exits_1_before_allocating(capsys):
+    # the ansatz scan at n_bar = 1e6 would take 2.3e7 RK4 steps over its 25
+    # drives, arrays of about 190 MB each; its counts are checked first
+    tracemalloc.start()
+    try:
+        code = run("optimize", "--theta", "3.14159", "--nbar", "1e6")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: n_bar must be smaller")
+    assert peak <= 5_000_000
 
 
 def test_husimi_grid_matches_library(capsys):
@@ -574,3 +591,29 @@ def test_verify_unknown_suite(capsys):
 def test_help_exits_cleanly(capsys):
     assert run("--help") == 0
     assert "ergoflux" in capsys.readouterr().out
+
+
+def test_cached_parser_gives_a_fresh_parsers_help_and_exit_codes(capsys):
+    # run builds its parser once per process; parsing, errors and help leave it unchanged
+    helps = [[], *([command] for command in cli._COMMANDS)]
+
+    def help_texts():
+        texts = []
+        for argv in helps:
+            assert run(*argv, "--help") == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    fresh = []
+    for argv in helps:
+        cli._build_parser.cache_clear()
+        assert run(*argv, "--help") == 0
+        fresh.append(capsys.readouterr().out)
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        assert run("scenario", "--case", "ii", "--theta", "1.0") == 0
+        assert run("scenario", "--case", "nope", "--theta", "1.0") == 1
+        assert run("sweep", "--bogus") == 1
+        assert run("verify", "--suite", "astrology") == 1
+        capsys.readouterr()
+        assert help_texts() == fresh

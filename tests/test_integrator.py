@@ -8,7 +8,9 @@ under all three, `_drive_scan`, is pinned to the same loop with restart
 maps at those edges and with one step length per step, and the control
 functional also on a grid of unequal intervals and with one step count per
 interval.  The gradient reference is
-the complex-step derivative of the same loop.
+the complex-step derivative of the same loop.  The work functional solves
+its blocks as banded triangular systems (`optimizer._band_block`), forward
+and transposed; both are pinned to the numpy scan and to the adjoint loop.
 """
 import tracemalloc
 
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 import ergoflux as ef
-from ergoflux.dynamics import _BLOCK, _CHUNK, _drive_scan, _integrate
+from ergoflux.dynamics import _BLOCK, _CHUNK, _affine_scan, _drive_scan, _integrate
+from ergoflux.optimizer import _band_adjoint, _band_block, _blocks_from_the_end
 
 STEP_COUNTS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + 1]
 TOL = 1e-13
@@ -176,6 +179,53 @@ def test_integrate_with_one_step_length_per_step():
     )
     assert np.abs(traj.p_e - ref_p).max() <= TOL
     assert np.abs(traj.s_bar - ref_s).max() <= TOL
+
+
+# ------------------------------------------------------------- banded solve
+
+BAND_STEPS = [1, _CHUNK - 1, _CHUNK + 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 5]
+BAND_TOL = 1e-14
+
+
+def _rk4_maps(n):
+    """RK4 maps of n steps under a varying drive and step length, with restart
+    maps on both sides of each chunk and block edge; and their numpy scan."""
+    k = np.arange(2 * n + 1)
+    drive = 1.0 + 0.5 * np.sin(0.003 * k)
+    h = 0.002 + 0.001 * np.cos(0.01 * np.arange(n))
+    restarts = [r for r in (_CHUNK - 1, _CHUNK, _BLOCK - 1, _BLOCK, 2 * _BLOCK) if r < n]
+    maps = np.empty((2, 3, n))
+    x = _drive_scan(drive[::2], drive[1::2], h, 1.0, (0.7, -0.2), restarts=restarts, kept=maps)
+    return maps, x
+
+
+@pytest.mark.parametrize("n", BAND_STEPS)
+def test_banded_solve_matches_the_numpy_scan(n):
+    maps, x = _rk4_maps(n)
+    band = _affine_scan(lambda lo, hi: maps[..., lo:hi], n, (0.7, -0.2), _band_block)
+    assert np.abs(band - x).max() <= BAND_TOL * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", BAND_STEPS)
+def test_transposed_banded_solve_matches_the_adjoint_loop(n):
+    # y_n given, y_k = M_k^T y_{k+1} + v_k, over blocks taken from the last step
+    maps, _ = _rk4_maps(n)
+    y = [np.array([0.3, -0.5])]
+    for k in range(n - 1, -1, -1):
+        y.append(maps[:, :2, k].T @ y[-1] + maps[:, 2, k])
+    ref = np.array(y[::-1]).T
+    back = _affine_scan(_blocks_from_the_end(maps), n, (0.3, -0.5), _band_adjoint)
+    assert np.abs(back[:, ::-1] - ref).max() <= BAND_TOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("solve", [_band_block, _band_adjoint], ids=["forward", "adjoint"])
+def test_overflowing_banded_block_raises(solve):
+    # each step multiplies the state by 1e200: infinite from the second step on
+    n = 5
+    maps = np.zeros((2, 3, n))
+    maps[0, 0] = maps[1, 1] = 1e200
+    with pytest.raises(ef.IntegrationAccuracyError, match="non-finite"):
+        _affine_scan(lambda lo, hi: maps[..., lo:hi], n, (1.0, 1.0), solve)
 
 
 # ------------------------------------------------------- control functional

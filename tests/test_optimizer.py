@@ -1,5 +1,6 @@
 """Pulse-shaping tests: budget geometry, adjoint gradient, solver, ansatz scan."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ergoflux.optimizer import (
     _exponential_works,
     _fine_grid,
     _quadrature_weights,
-    _scan_exponential_tau,
+    _start_zero,
 )
 from oracles import pulse_distance
 
@@ -262,11 +263,9 @@ ANSATZ_POINTS = [
 
 
 def _ansatz_controls(n_bar, theta, times):
-    """Start 0 of the solver: the best exponential on the control grid, on the budget."""
+    """Start 0 of the solver on the control grid, on the budget."""
     prep = ef.Preparation(p=0.0, theta=theta)
-    tau = _scan_exponential_tau(prep, n_bar, 1.0)[0]
-    drive = ef.ExponentialPulse(n_bar=n_bar, tau=tau)
-    return prep, ef.project_to_budget(drive.rabi(times), times, n_bar)
+    return prep, ef.project_to_budget(_start_zero(prep, n_bar, 1.0, times), times, n_bar)
 
 
 @pytest.mark.parametrize("n_bar, theta", ANSATZ_POINTS)
@@ -381,6 +380,22 @@ def test_scan_rejects_states_outside_the_bloch_ball(monkeypatch):
     monkeypatch.setattr(optimizer, "_STEP_BOUND", 5.0)
     with pytest.raises(ef.IntegrationAccuracyError, match="Bloch-ball"):
         _exponential_works(ef.Preparation(p=0.0, theta=2.0), 1.64, [0.2], 1.0)
+
+
+def test_scan_past_the_fine_step_limit_is_rejected_by_n_bar():
+    # 2.3e7 RK4 steps over the 25 drives at n_bar = 1e6, arrays of about 190 MB
+    # each: the counts are checked, as floats, before any array is built
+    prep = ef.Preparation(p=0.0, theta=math.pi)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_bar must be smaller"):
+            _exponential_works(prep, 1e6, TAUS, 1.0)
+        with pytest.raises(ValueError, match="n_bar must be smaller"):
+            ef.optimize_exponential_tau(prep, n_bar=1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 @pytest.mark.parametrize("n_bar", [1e-3, 1e-4])

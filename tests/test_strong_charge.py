@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import ergoflux as ef
-from ergoflux.optimizer import _scan_exponential_tau, _strict_work
+from ergoflux.optimizer import _start_zero, _strict_work
 
 EXCITED = ef.Preparation(p=0.0, theta=math.pi)
 STRONG = (80.0, 320.0, 1280.0, 5120.0)
@@ -96,8 +96,7 @@ def test_strict_work_memory_stays_bounded_at_strong_charge():
     # that peak would take 2.5 M RK4 steps, the per-interval steps take 49 k
     n_bar = 20.0
     times = np.linspace(0.0, 10.0, 400)
-    tau = _scan_exponential_tau(EXCITED, n_bar, 1.0)[0]
-    controls = ef.project_to_budget(ef.ExponentialPulse(n_bar=n_bar, tau=tau).rabi(times), times, n_bar)
+    controls = ef.project_to_budget(_start_zero(EXCITED, n_bar, 1.0, times), times, n_bar)
     pulse = ef.TabulatedPulse(times=times, values=controls)
     tracemalloc.start()
     try:
