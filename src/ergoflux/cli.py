@@ -287,7 +287,6 @@ def _cmd_optimize(args) -> int:
     summary = {
         "work": float(result.work),
         "yield": None if math.isnan(result.eta) else float(result.eta),
-        "objective": float(result.objective),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "gradient_norm": float(result.gradient_norm),

@@ -295,10 +295,10 @@ def _check_span(t_end: float, gamma: float) -> None:
 
 
 # Steps composed per chunk and per block of the scan.  Both are fixed, so the
-# arithmetic of `_scan_block`, and with it every digit of `evolve_numeric` and
-# the strict pipeline, is the same on every machine; the pulse shaper's work
-# functional solves its blocks with the installed LAPACK and follows its
-# digits.  A block bounds the scan's temporaries to a few MB.
+# arithmetic of `_scan_block`, and with it every digit of `evolve_numeric`, is
+# the same on every machine; the pulse shaper's work functional solves its
+# blocks with the installed LAPACK and follows its digits.  A block bounds the
+# scan's temporaries to a few MB.
 _CHUNK = 16
 _BLOCK = 1 << 13
 
@@ -425,10 +425,19 @@ def evolve_numeric(
     _check_span(t_end, gamma)
     _check_params("positive", dt=dt)
     n = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
-    return _integrate(state0, drive, np.linspace(0.0, t_end, n + 1), t_end / n, gamma)
+    times, h = np.linspace(0.0, t_end, n + 1), t_end / n
+    om_g = np.asarray(drive.rabi(times), dtype=float)
+    om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
+    _check_steps(times, h, om_g, om_m, gamma)
+
+    p, s = _drive_scan(om_g, om_m, h, gamma, (state0.p_e, state0.s_bar))
+    for lo in range(0, n + 1, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        p[block], s[block] = _clamped_samples(p[block], s[block])
+    return Trajectory(times=times, p_e=p, s_bar=s, drive=drive, gamma=gamma)
 
 
-def _check_steps(times, h, om_g, om_m, gamma: float) -> None:
+def _check_steps(times, h: float, om_g, om_m, gamma: float) -> None:
     """Raise `ValueError` at the first step with h * max(gamma, its drive samples) above `_RK4_BOUND`."""
     local = np.maximum(om_g[:-1], om_g[1:])
     np.maximum(local, om_m, out=local)
@@ -436,29 +445,10 @@ def _check_steps(times, h, om_g, om_m, gamma: float) -> None:
     local *= h
     worst = int(np.argmax(local))
     if local[worst] > _RK4_BOUND * (1.0 + 1e-9):
-        step = float(np.broadcast_to(h, local.shape)[worst])
         raise ValueError(
-            f"dt={step:.3e} too coarse for the fastest scale at t={times[worst]:.3e}; "
-            f"need dt <= {_RK4_BOUND * step / local[worst]:.3e}"
+            f"dt={h:.3e} too coarse for the fastest scale at t={times[worst]:.3e}; "
+            f"need dt <= {_RK4_BOUND * h / local[worst]:.3e}"
         )
-
-
-def _integrate(state0: QubitState, drive: DriveProfile, times, h, gamma: float) -> Trajectory:
-    """`evolve_numeric` on a given grid: one RK4 step of length ``h`` from each of ``times[:-1]``.
-
-    ``h`` is a float for a uniform grid or an array with one length per
-    step; ``times[k] + h[k]`` is ``times[k + 1]`` up to rounding.
-    """
-    om_g = np.asarray(drive.rabi(times), dtype=float)
-    om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
-    _check_steps(times, h, om_g, om_m, gamma)
-
-    p, s = _drive_scan(om_g, om_m, h, gamma, (state0.p_e, state0.s_bar))
-    n = len(times) - 1
-    for lo in range(0, n + 1, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        p[block], s[block] = _clamped_samples(p[block], s[block])
-    return Trajectory(times=times, p_e=p, s_bar=s, drive=drive, gamma=gamma)
 
 
 # --------------------------- constant-drive closed form ---------------------------

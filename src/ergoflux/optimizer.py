@@ -29,18 +29,14 @@ evaluated elementwise from the adjoint after the step and the state before
 it.  The exponential scan runs the same functional over each drive's own
 window, with h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, and all
 time constants of the grid share one forward scan: a restart map between
-two drives puts the state back at the preparation.
-
-The solver reports the converged waveform together with the work recomputed
-through the strict integration pipeline (`dynamics` RK4 trajectory plus
-`energetics.accumulate`), so numbers are comparable with the scenario runs;
-that trajectory steps each control interval by the interval's own peak.
+two drives puts the state back at the preparation.  Both layers report the
+work of this functional at their optimum, the value they maximised.
 
 scipy is imported inside the functions that call it: `scipy.linalg.lapack`
 in `_band_block`, so `control_work` and `control_work_and_gradient` load
 scipy at their first call, and `scipy.optimize` in the refine step of
 `optimize_exponential_tau` and in `_shape`.  Importing the package loads
-numpy alone, and `evolve_numeric` and the strict pipeline never load scipy.
+numpy alone, and `evolve_numeric` and `accumulate` never load scipy.
 """
 from __future__ import annotations
 
@@ -56,18 +52,15 @@ from .dynamics import (
     IntegrationAccuracyError,
     Preparation,
     TabulatedPulse,
-    _RK4_BOUND,
     _affine_scan,
     _check_params,
     _clamped_samples,
     _drive_scan,
-    _integrate,
     _rhs,
     _squared_area,
-    evolve_numeric,
     prepare_initial,
 )
-from .energetics import _TRAPEZOID_BUDGET, accumulate, extraction_yield, suggested_grid_step
+from .energetics import extraction_yield
 
 __all__ = [
     "ExponentialTauResult",
@@ -224,13 +217,17 @@ def optimize_exponential_tau(prep: Preparation, n_bar: float, gamma: float = 1.0
     The grid holds `_N_GRID` time constants over `_TAU_RANGE` in units of
     1/gamma.  ``at_boundary`` flags a maximum at an edge of that fixed
     range, where the best time constant may lie outside it.
-    ``works`` are the RK4/Simpson functional of the scan; ``work`` is
-    recomputed at the refined time constant through the strict pipeline,
-    on a step that also resolves the pulse's decay (at most tau/64).
+    ``works`` are the RK4/Simpson functional of the scan, and ``work`` is
+    that functional at ``tau_opt``: the bounded Brent refine's maximum, or
+    the grid point's work at an edge.  It lies within 3e-8 of the functional
+    converged in the step at n_bar = 1e-3, 0.1, 1.64, 5 and 20.  The refine
+    is kept over the parabola vertex of `_start_zero`, which would move
+    tau_opt at (n_bar, theta) = (1.64, 3 pi / 4) from 0.2036 to 0.2088, and
+    |tau_opt gamma - 2/3| / sqrt(n_bar) at n_bar = 1e-6 from 0.94 to 0.71.
     """
     taus, works, best = _scan_exponential_tau(prep, n_bar, gamma)
     at_boundary = best in (0, len(taus) - 1)
-    tau_star = float(taus[best])
+    tau_star, work = float(taus[best]), float(works[best])
     if not at_boundary:
         from scipy.optimize import minimize_scalar
 
@@ -240,18 +237,12 @@ def optimize_exponential_tau(prep: Preparation, n_bar: float, gamma: float = 1.0
             method="bounded",
             options={"xatol": 1e-4},
         )
-        tau_star = float(math.exp(res.x))
-    pulse = ExponentialPulse(n_bar=n_bar, tau=tau_star, gamma=gamma)
-    window = pulse.support_end()
-    # the step resolves the pulse's decay as well as its Rabi and decay rates
-    dt = min(suggested_grid_step(pulse.amplitude, gamma, window), tau_star / 64.0)
-    traj = evolve_numeric(prepare_initial(prep), pulse, t_end=window, dt=dt, gamma=gamma)
-    work = accumulate(traj).total_work
+        tau_star, work = float(math.exp(res.x)), -float(res.fun)
     return ExponentialTauResult(
         tau_opt=tau_star,
         work=work,
         eta=extraction_yield(work, prep),
-        pulse=pulse,
+        pulse=ExponentialPulse(n_bar=n_bar, tau=tau_star, gamma=gamma),
         at_boundary=at_boundary,
         taus=taus,
         works=works,
@@ -548,17 +539,14 @@ def project_to_budget(controls, times, n_bar: float, gamma: float = 1.0) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class OptimalPulse:
-    """Converged waveform with its internally and strictly evaluated work.
+    """Converged waveform and the work it extracts.
 
-    ``work`` comes from the strict trajectory pipeline: an RK4 trajectory
-    that steps each control interval uniformly by that interval's own peak,
-    under one trapezoid error budget spread over the horizon, then
-    `accumulate` with its first-law check; at n_bar = 0.1 to 20 it lies
-    within 5e-8 of the converged functional.  ``objective`` is the internal discrete value the
-    solver maximized.  ``converged``,
-    ``iterations``, ``gradient_norm`` and ``message`` are L-BFGS-B's
-    ``success``, ``nit``, projected-gradient infinity norm (in the free
-    coordinates) and stop message for the best start.
+    ``work`` is the RK4/Simpson functional the solver maximised, at the best
+    start: ``max(start_objectives)``.  From n_bar = 1e-3 to 80 it lies
+    within 1e-8 of the functional converged in the step (``n_sub=512``).
+    ``converged``, ``iterations``, ``gradient_norm`` and ``message`` are
+    L-BFGS-B's ``success``, ``nit``, projected-gradient infinity norm (in
+    the free coordinates) and stop message for the best start.
     """
 
     problem: ControlProblem
@@ -567,7 +555,6 @@ class OptimalPulse:
     pulse: TabulatedPulse
     work: float
     eta: float
-    objective: float
     converged: bool
     iterations: int
     gradient_norm: float
@@ -619,28 +606,6 @@ def _shape(c0, times, prep, gamma, n_bar, counts):
     return c, -float(res.fun), res, iterations
 
 
-def _strict_work(pulse: TabulatedPulse, prep: Preparation, gamma: float) -> float:
-    """Work of a waveform on the control grid through the strict pipeline.
-
-    The trajectory steps each control interval k uniformly, by its own peak
-    r_k = max(c_k, c_{k+1}), which is exact for a piecewise-linear drive.
-    With rate = hypot(r_k, gamma), the step keeps h * rate <= 0.01 (RK4) and
-    h^2 * rate^3 * horizon / 12 <= `_TRAPEZOID_BUDGET`: the trapezoid error
-    budget of `suggested_grid_step`, spread over the horizon, so that
-    interval k adds at most budget * dt_k / horizon.  `accumulate` then
-    books the work and the exact free-decay tail, and checks the first law.
-    """
-    t, c = pulse.times, pulse.values
-    dt, horizon = np.diff(t), float(t[-1])
-    rate = np.hypot(_local_peaks(c), gamma)
-    step = np.minimum(np.sqrt(12.0 * _TRAPEZOID_BUDGET / (rate**3 * horizon)), _RK4_BOUND / rate)
-    n = np.ceil(dt / step * (1.0 - 1e-12)).astype(np.intp)
-    h = np.repeat(dt / n, n)
-    k = np.arange(len(h)) - np.repeat(np.cumsum(n) - n, n)  # step within its interval
-    fine = np.append(np.repeat(t[:-1], n) + k * h, horizon)
-    return accumulate(_integrate(prepare_initial(prep), pulse, fine, h, gamma)).total_work
-
-
 # L-BFGS-B iterations per start
 _MAX_ITER = 5000
 
@@ -654,18 +619,17 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     start is one L-BFGS-B run of at most `_MAX_ITER` iterations.  One start
     is the default: from n_bar = 1e-4 to 80, no extra start gained more than
     1e-12 over start 0, far below the functional's discretisation error
-    (about 1e-8).  The returned ``work`` is recomputed through the
-    strict trajectory pipeline, stepped per control interval by that
-    interval's peak (`_strict_work`); ``objective`` is the internal discrete
-    value the solver maximized.  Control interval j takes
-    `_default_n_sub` RK4 steps of start 0's peak on it, so the functional
-    does not depend on ``n_starts`` or ``seed``, and ``control_work`` at
-    start 0 is that functional; each evaluation is a
+    (about 1e-8).  The returned ``work`` is the functional at the best
+    start's converged controls, the value it maximised.  Control interval j
+    takes `_default_n_sub` RK4 steps of start 0's peak on it, so the
+    functional does not depend on ``n_starts`` or ``seed``, and
+    ``control_work`` at start 0 is that functional; each evaluation is a
     `control_work_and_gradient` call with those counts as ``steps``.  A
     start whose converged controls break h * max(gamma, local peak) <=
     `_STEP_BOUND` on some interval takes the counts again from them and
-    continues once (`_shape`); ``iterations`` counts both runs.  Counts past `_MAX_FINE_STEPS` in all are rejected,
-    naming the horizon, before any array is built.
+    continues once (`_shape`); ``iterations`` counts both runs.  Counts
+    past `_MAX_FINE_STEPS` in all are rejected, naming the horizon, before
+    any array is built.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -685,20 +649,16 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
 
     results = [_shape(s, times, prep, gamma, n_bar, counts) for s in starts]
     objs = tuple(r[1] for r in results)
-    c_best, j_best, res, iterations = max(results, key=lambda r: r[1])
+    c_best, work, res, iterations = max(results, key=lambda r: r[1])
     pgrad = res.x - np.clip(res.x - res.jac, 0.0, None)
-
-    pulse = TabulatedPulse(times=times, values=c_best)
-    work = _strict_work(pulse, prep, gamma)
 
     return OptimalPulse(
         problem=problem,
         times=times,
         controls=c_best,
-        pulse=pulse,
+        pulse=TabulatedPulse(times=times, values=c_best),
         work=work,
         eta=extraction_yield(work, prep),
-        objective=j_best,
         converged=bool(res.success),
         iterations=int(iterations),
         gradient_norm=float(np.abs(pgrad).max()),

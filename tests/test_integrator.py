@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ergoflux as ef
-from ergoflux.dynamics import _BLOCK, _CHUNK, _affine_scan, _drive_scan, _integrate
+from ergoflux.dynamics import _BLOCK, _CHUNK, _affine_scan, _drive_scan
 from ergoflux.optimizer import _band_adjoint, _band_block, _blocks_from_the_end
 
 STEP_COUNTS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + 1]
@@ -160,25 +160,6 @@ def test_drive_scan_restarts_at_chunk_and_block_edges():
     assert np.abs(p - ref_p).max() <= TOL
     assert np.abs(s - ref_s).max() <= TOL
     assert (p[[r + 1 for r in restarts]] == x0[0]).all()
-
-
-def test_integrate_with_one_step_length_per_step():
-    # the strict re-evaluation of a shaped pulse steps each control interval
-    # by its own length; the grid crosses a block edge
-    times = np.array([0.0, 0.01, 0.2, 9.0, 16.0])
-    drive = ef.TabulatedPulse(times=times, values=[0.5, 2.0, 1.5, 0.3, 0.0])
-    counts = np.array([3, 40, 4400, 3900])
-    h = np.repeat(np.diff(times) / counts, counts)
-    within = np.arange(len(h)) - np.repeat(np.cumsum(counts) - counts, counts)  # step in its interval
-    fine = np.append(np.repeat(times[:-1], counts) + within * h, times[-1])
-    assert len(h) > _BLOCK
-    state = ef.QubitState(p_e=0.8, s_bar=0.3)
-    traj = _integrate(state, drive, fine, h, 1.0)
-    ref_p, ref_s = _rk4_reference(
-        state.p_e, state.s_bar, drive.rabi(fine), drive.rabi(fine[:-1] + 0.5 * h), 1.0, h
-    )
-    assert np.abs(traj.p_e - ref_p).max() <= TOL
-    assert np.abs(traj.s_bar - ref_s).max() <= TOL
 
 
 # ------------------------------------------------------------- banded solve

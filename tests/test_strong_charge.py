@@ -14,13 +14,11 @@ n_bar (ergotropy - W) -> (theta - sin theta)^2 / 8, and the area-pi
 exponential (tau = pi^2 / (8 gamma n_bar)) leaves 1.28165.
 """
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import ergoflux as ef
-from ergoflux.optimizer import _start_zero, _strict_work
 
 EXCITED = ef.Preparation(p=0.0, theta=math.pi)
 STRONG = (80.0, 320.0, 1280.0, 5120.0)
@@ -89,20 +87,3 @@ def test_shaped_pulse_beats_the_pi_pulse_and_the_exponential():
         assert sol.work <= ef.ergotropy(EXCITED), n_bar
         assert sol.work >= _pi_pulse_work(n_bar), n_bar
         assert sol.work >= ef.optimize_exponential_tau(EXCITED, n_bar).work, n_bar
-
-
-def test_strict_work_memory_stays_bounded_at_strong_charge():
-    # the n_bar = 20 ansatz peaks at 55: one step over the whole horizon at
-    # that peak would take 2.5 M RK4 steps, the per-interval steps take 49 k
-    n_bar = 20.0
-    times = np.linspace(0.0, 10.0, 400)
-    controls = ef.project_to_budget(_start_zero(EXCITED, n_bar, 1.0, times), times, n_bar)
-    pulse = ef.TabulatedPulse(times=times, values=controls)
-    tracemalloc.start()
-    try:
-        work = _strict_work(pulse, EXCITED, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20_000_000
-    assert abs(work - ef.control_work(controls, times, EXCITED, n_sub=512)) <= 5e-8
