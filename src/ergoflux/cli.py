@@ -280,8 +280,7 @@ def _cmd_optimize(args) -> int:
     )
 
     lines = [_UNITS_COMMENT, "time,rabi"]
-    for t, om in zip(result.times, result.controls):
-        lines.append(f"{_fmt(t)},{_fmt(om)}")
+    lines += _rows(np.column_stack([result.times, result.controls]))
     _write_lines(par["out"], lines)
 
     summary = {

@@ -87,22 +87,27 @@ class QubitState:
         return _violation(self.p_e, self.s_bar)
 
 
-def _clamped_samples(p_e, s):
-    """Pull states (floats or arrays) back inside the Bloch ball.
+def _checked_violation(p_e, s) -> float:
+    """Largest Bloch-ball violation of states (floats or arrays).
 
     A state outside by more than BLOCH_TOL, or a non-finite one, raises
     `IntegrationAccuracyError`.
     """
-    m2 = s * s
-    worst = float(np.max(np.maximum(np.maximum(-p_e, p_e - 1.0), m2 - p_e * (1.0 - p_e))))
+    worst = float(np.max(np.maximum(np.maximum(-p_e, p_e - 1.0), s * s - p_e * (1.0 - p_e))))
     if not worst <= BLOCH_TOL:
         raise IntegrationAccuracyError(
             f"Bloch-ball violation {worst:.3e} exceeds tolerance {BLOCH_TOL:.0e}"
         )
-    if worst <= 0.0:
+    return worst
+
+
+def _clamped_samples(p_e, s):
+    """Pull states (floats or arrays) back inside the Bloch ball, after `_checked_violation`."""
+    if _checked_violation(p_e, s) <= 0.0:
         return p_e, s
     p_e = np.clip(p_e, 0.0, 1.0)
     cap = p_e * (1.0 - p_e)
+    m2 = s * s
     out = m2 > cap  # implies m2 > 0
     scale = np.where(out, np.sqrt(cap / np.where(out, m2, 1.0)), 1.0)
     return p_e, s * scale
@@ -368,7 +373,7 @@ def _affine_scan(maps, n: int, x0, solve=_scan_block) -> np.ndarray:
     return out
 
 
-def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None, solve=_scan_block) -> np.ndarray:
+def _drive_scan(on, om, h, gamma, x0, kept=None, solve=_scan_block) -> np.ndarray:
     """Node states (2, n + 1) of n RK4 steps from the state ``x0``, by `_affine_scan`.
 
     Step k runs from node k over ``h`` (a float, or one length per step)
@@ -376,13 +381,9 @@ def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None, solve=_scan_block)
     ``on[k + 1]`` at its end, and ``gamma`` is the decay rate.  The Bloch
     equations are affine in x = (p_e, s), so one RK4 step is too: stepping
     the homogeneous columns e_p, e_s and 1 gives its (2, 3) map, whose row i
-    holds (M_i0, M_i1, v_i).  The step at each index in ``restarts`` is a
-    restart map instead (M = 0, offset ``x0``), which puts the state back at
-    ``x0``.  ``kept``, a (2, 3, n) array, receives the maps of all steps,
-    and ``solve`` is the block solver of `_affine_scan`.
+    holds (M_i0, M_i1, v_i).  ``kept``, a (2, 3, n) array, receives the maps
+    of all steps, and ``solve`` is the block solver of `_affine_scan`.
     """
-    restarts = np.asarray(restarts, dtype=np.intp)
-    restart = np.array([[0.0, 0.0, x0[0]], [0.0, 0.0, x0[1]]])[..., None] if restarts.size else None
     p, s = _COLUMNS
 
     def maps(lo, hi):
@@ -396,8 +397,6 @@ def _drive_scan(on, om, h, gamma, x0, restarts=(), kept=None, solve=_scan_block)
             p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p),
             s + h6 * (k1s + 2.0 * (k2s + k3s) + k4s),
         ))
-        if restart is not None:
-            m[..., restarts[(restarts >= lo) & (restarts < hi)] - lo] = restart
         if kept is not None:
             kept[..., lo:hi] = m
         return m

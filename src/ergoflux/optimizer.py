@@ -16,21 +16,20 @@ Two layers:
 A control grid is any strictly increasing array of node times from t = 0,
 and interval j takes its own count n_j of RK4 steps of dt_j / n_j, by
 default from the interval's own peak, so quiet intervals take two.  The work
-functional, `_work_functional`, runs the RK4 steps as affine maps through
-one forward `dynamics._drive_scan` and integrates the work flux on the same
-fine grid, over each control interval by composite Simpson closed by a 3/8
-panel when the interval's step count is odd, so quadrature and integrator
-are both fourth order; the exact free-decay tail after the last node makes
-any horizon valid.  The forward pass solves each block of steps as one
-banded lower-triangular system (`_band_block`, LAPACK's `dtbtrs`), and the
-adjoint is the transposed solve of the same band, block by block from the
-last step.  The sensitivity of each step to its three drive samples is
+functional, `_work_functional`, runs the RK4 steps of one drive as affine
+maps through one forward `dynamics._drive_scan` and integrates the work flux
+on the same fine grid, over each control interval by composite Simpson
+closed by a 3/8 panel when the interval's step count is odd, so quadrature
+and integrator are both fourth order; the exact free-decay tail after the
+last node makes any horizon valid.  The forward pass solves each block of
+steps as one banded lower-triangular system (`_band_block`, LAPACK's
+`dtbtrs`), and the adjoint is the transposed solve of the same band, block
+by block from the last step.  The sensitivity of each step to its three drive samples is
 evaluated elementwise from the adjoint after the step and the state before
 it.  The exponential scan runs the same functional over each drive's own
-window, with h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, and all
-time constants of the grid share one forward scan: a restart map between
-two drives puts the state back at the preparation.  Both layers report the
-work of this functional at their optimum, the value they maximised.
+window, with h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, one time
+constant after another.  Both layers report the work of this functional at
+their optimum, the value they maximised.
 
 scipy is imported inside the functions that call it: `scipy.linalg.lapack`
 in `_band_block`, so `control_work` and `control_work_and_gradient` load
@@ -54,7 +53,7 @@ from .dynamics import (
     TabulatedPulse,
     _affine_scan,
     _check_params,
-    _clamped_samples,
+    _checked_violation,
     _drive_scan,
     _rhs,
     _squared_area,
@@ -133,51 +132,46 @@ def _blocks_from_the_end(maps):
     return lambda lo, hi: maps[..., n - hi : n - lo]
 
 
-def _work_functional(on, om, h, wq, gamma, prep, ends, kept=None):
-    """Work of drives laid end to end on one fine RK4 grid, and its node states.
+def _work_functional(on, om, h, wq, gamma, prep, kept=None):
+    """Work of one drive on a fine RK4 grid from the preparation, and its node states.
 
     ``on``, ``om``, ``h`` and ``kept`` are as in `_drive_scan`, whose blocks
-    `_band_block` solves.  ``ends`` holds each drive's last node; the step
-    after it restarts at the preparation.  A drive's work is its flux
-    on * s + gamma * s^2 against the quadrature weights ``wq``, plus the
-    exact free-decay tail s(end)^2.
+    `_band_block` solves.  The work is the flux on * s + gamma * s^2 against
+    the quadrature weights ``wq``, plus the exact free-decay tail s(end)^2.
+    The flux is summed by `np.add.reduceat`, whose order of addition the
+    shaped waveforms' digits follow.
     """
     state0 = prepare_initial(prep)
-    x = _drive_scan(
-        on, om, h, gamma, (state0.p_e, state0.s_bar), restarts=ends[:-1], kept=kept, solve=_band_block
-    )
+    x = _drive_scan(on, om, h, gamma, (state0.p_e, state0.s_bar), kept=kept, solve=_band_block)
     s = x[1]
     with np.errstate(over="ignore", invalid="ignore"):  # huge states are the callers' to report
         flux = wq * (on * s + gamma * s * s)
-        return np.add.reduceat(flux, np.append(0, ends[:-1] + 1)) + s[ends] ** 2, x
+        return float(np.add.reduceat(flux, [0])[0] + s[-1] ** 2), x
 
 
 def _exponential_works(prep: Preparation, n_bar: float, taus, gamma: float) -> np.ndarray:
     """Work of the exponential drive, pulse plus free-decay tail, at each time constant.
 
-    All drives share one `_work_functional`.  Each runs over its
+    Each drive is one `_work_functional` over its
     `ExponentialPulse.support_end` window in n steps with
     h * max(gamma, amplitude, 1/tau) <= `_STEP_BOUND`, its flux weighted by
-    `_quadrature_weights`.  The steps grow as sqrt(n_bar * tau); past
-    `_MAX_FINE_STEPS` in all the call is rejected, naming ``n_bar``, before
-    any array is built.
+    `_quadrature_weights`, and its states are checked against the Bloch
+    ball.  The steps grow as sqrt(n_bar * tau); past `_MAX_FINE_STEPS` over
+    all drives the call is rejected, naming ``n_bar``, before any array is
+    built.  That bounds the run time; the memory is one drive's.
     """
     pulses = [ExponentialPulse(n_bar=n_bar, tau=float(tau), gamma=gamma) for tau in taus]
     steps = [p.support_end() * max(gamma, p.amplitude, 1.0 / p.tau) / _STEP_BOUND for p in pulses]
-    on, om, hs, wq = [], [], [], []
+    works = []
     for pulse, n in zip(pulses, _substeps(np.ceil(steps), "n_bar").tolist()):
         window = pulse.support_end()
         h = window / n
         t = np.linspace(0.0, window, n + 1)
-        on.append(pulse.rabi(t))
-        om.append(np.append(pulse.rabi(t[:-1] + 0.5 * h), 0.0))  # last slot: the restart step
-        hs.append(np.full(n + 1, h))
-        wq.append(h * _quadrature_weights(n))
-    ends = np.cumsum([len(a) for a in on]) - 1  # last node of each drive
-    on, om, hs, wq = (np.concatenate(a) for a in (on, om, hs, wq))
-    works, x = _work_functional(on, om, hs, wq, gamma, prep, ends)
-    _clamped_samples(*x)  # raises past BLOCH_TOL
-    return works
+        on, om = pulse.rabi(t), pulse.rabi(t[:-1] + 0.5 * h)
+        work, x = _work_functional(on, om, h, h * _quadrature_weights(n), gamma, prep)
+        _checked_violation(*x)
+        works.append(work)
+    return np.array(works)
 
 
 # the exponential scan: _N_GRID time constants log-spaced over _TAU_RANGE / gamma
@@ -259,7 +253,8 @@ class ControlProblem:
     The solver lays ``n_nodes`` nodes uniformly over [0, horizon].  Any
     positive horizon is valid: the functional books the exact free-decay
     tail after the last node, where the tabulated drive is zero.  The control
-    grid must resolve the dynamics (>= 32 nodes).
+    grid must resolve the dynamics (>= 32 nodes), and its floor of two RK4
+    steps per interval must stay within `_MAX_FINE_STEPS`.
     """
 
     prep: Preparation
@@ -272,6 +267,7 @@ class ControlProblem:
         _check_params("positive", n_bar=self.n_bar, horizon=self.horizon, gamma=self.gamma)
         if self.n_nodes < 32:
             raise ValueError("need at least 32 control nodes")
+        _check_total_steps(2.0 * (self.n_nodes - 1), "n_nodes")
 
 
 def _check_grid(controls: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -344,7 +340,8 @@ def _fine_grid(times: bytes, counts: bytes):
 _STEP_BOUND = 0.04
 # drive scale over the local peak: room for L-BFGS-B to raise a peak above that of its start
 _MARGIN = 3.0
-# fine RK4 steps of the work functional: about 1 GB across its work arrays
+# RK4 steps of one work-functional call (about 1 GB across the shaper's work
+# arrays) and of one exponential scan over all its drives
 _MAX_FINE_STEPS = 2**23
 
 
@@ -366,16 +363,21 @@ def _local_peaks(controls: np.ndarray) -> np.ndarray:
     return np.maximum(a[:-1], a[1:])
 
 
-def _substeps(counts: np.ndarray, name: str) -> np.ndarray:
-    """Per-interval RK4 step counts as intp, once their float sum is known to
-    fit the work functional's arrays; ``name`` is the parameter to shrink."""
-    with np.errstate(over="ignore"):
-        total = float(np.sum(counts))
+def _check_total_steps(total: float, name: str) -> None:
+    """Reject ``total`` RK4 steps past `_MAX_FINE_STEPS`; ``name`` is the parameter to shrink."""
     if not total <= _MAX_FINE_STEPS:
         raise ValueError(
             f"{name} must be smaller: the work functional would take {total:.3g} RK4 steps, "
-            f"past the {_MAX_FINE_STEPS} its arrays can hold"
+            f"past its limit of {_MAX_FINE_STEPS}"
         )
+
+
+def _substeps(counts: np.ndarray, name: str) -> np.ndarray:
+    """Per-interval RK4 step counts as intp, once their float sum passes
+    `_check_total_steps`; ``name`` is the parameter to shrink."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(counts))
+    _check_total_steps(total, name)
     return counts.astype(np.intp)
 
 
@@ -413,8 +415,7 @@ def _forward(controls, times, prep, gamma, n_sub, steps, keep_maps=False):
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
 
     kept = np.empty((2, 3, n)) if keep_maps else None
-    works, x = _work_functional(on, om, h, wq, gamma, prep, np.array([n]), kept)
-    work = float(works[0])
+    work, x = _work_functional(on, om, h, wq, gamma, prep, kept)
     if not math.isfinite(work):
         raise IntegrationAccuracyError(
             "forward pass produced a non-finite work; shrink the step or the controls"

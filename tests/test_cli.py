@@ -514,7 +514,7 @@ def test_optimize_past_the_fine_step_limit_exits_1_before_allocating(capsys):
 
 def test_optimize_past_the_scan_step_limit_exits_1_before_allocating(capsys):
     # the ansatz scan at n_bar = 1e6 would take 2.3e7 RK4 steps over its 25
-    # drives, arrays of about 190 MB each; its counts are checked first
+    # drives, past the cap on its total steps; its counts are checked first
     tracemalloc.start()
     try:
         code = run("optimize", "--theta", "3.14159", "--nbar", "1e6")
@@ -524,6 +524,20 @@ def test_optimize_past_the_scan_step_limit_exits_1_before_allocating(capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: n_bar must be smaller")
     assert peak <= 5_000_000
+
+
+def test_optimize_past_the_fine_step_limit_by_nodes_exits_1_before_allocating(capsys):
+    # 5e6 nodes take at least two RK4 steps on each interval, 1e7 in all:
+    # the problem is rejected before the control grid is laid out
+    tracemalloc.start()
+    try:
+        code = run("optimize", "--theta", "2", "--nbar", "1", "--nodes", "5000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: n_nodes must be smaller")
+    assert peak <= 1_000_000
 
 
 def test_husimi_grid_matches_library(capsys):

@@ -4,13 +4,13 @@
 each RK4 step as an affine map and scan them in chunks and blocks; these
 tests pin them to a step-by-step loop at the chunk and block edges, for a
 drive that stops before the end of the run and without decay.  The kernel
-under all three, `_drive_scan`, is pinned to the same loop with restart
-maps at those edges and with one step length per step, and the control
-functional also on a grid of unequal intervals and with one step count per
-interval.  The gradient reference is
-the complex-step derivative of the same loop.  The work functional solves
-its blocks as banded triangular systems (`optimizer._band_block`), forward
-and transposed; both are pinned to the numpy scan and to the adjoint loop.
+under all three, `_drive_scan`, is pinned to the same loop across those
+edges with one step length per step, and the control functional also on a
+grid of unequal intervals and with one step count per interval.  The
+gradient reference is the complex-step derivative of the same loop.  The
+work functional solves its blocks as banded triangular systems
+(`optimizer._band_block`), forward and transposed; both are pinned to the
+numpy scan and to the adjoint loop.
 """
 import tracemalloc
 
@@ -25,13 +25,12 @@ STEP_COUNTS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, _BLOCK + 1]
 TOL = 1e-13
 
 
-def _rk4_reference(p, s, on, om, gamma, h, restarts=()):
+def _rk4_reference(p, s, on, om, gamma, h):
     """Sequential RK4 of the real Bloch channel; returns the node states.
 
     ``on`` is the drive at the nodes and ``om`` at the step midpoints; ``h``
-    is one step length or one per step.  Each step index in ``restarts``
-    puts the state back at the first node instead of stepping.  Every
-    operation is analytic, so complex drives give complex-step derivatives.
+    is one step length or one per step.  Every operation is analytic, so
+    complex drives give complex-step derivatives.
     """
 
     def f(p, s, o):
@@ -41,15 +40,12 @@ def _rk4_reference(p, s, on, om, gamma, h, restarts=()):
     hs = np.broadcast_to(h, len(om)).tolist()
     ps, ss = [p], [s]
     for k, h in enumerate(hs):
-        if k in restarts:
-            p, s = ps[0], ss[0]
-        else:
-            k1p, k1s = f(p, s, on[k])
-            k2p, k2s = f(p + 0.5 * h * k1p, s + 0.5 * h * k1s, om[k])
-            k3p, k3s = f(p + 0.5 * h * k2p, s + 0.5 * h * k2s, om[k])
-            k4p, k4s = f(p + h * k3p, s + h * k3s, on[k + 1])
-            p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
-            s = s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
+        k1p, k1s = f(p, s, on[k])
+        k2p, k2s = f(p + 0.5 * h * k1p, s + 0.5 * h * k1s, om[k])
+        k3p, k3s = f(p + 0.5 * h * k2p, s + 0.5 * h * k2s, om[k])
+        k4p, k4s = f(p + h * k3p, s + h * k3s, on[k + 1])
+        p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        s = s + h / 6.0 * (k1s + 2.0 * (k2s + k3s) + k4s)
         ps.append(p)
         ss.append(s)
     return np.array(ps), np.array(ss)
@@ -145,21 +141,19 @@ def test_evolve_numeric_memory_stays_bounded():
     assert peak <= 2 * returned + 4_000_000
 
 
-def test_drive_scan_restarts_at_chunk_and_block_edges():
-    # restart maps on both sides of a chunk edge and of a block edge, under a
-    # step length that changes from step to step, as in the exponential scan
+def test_drive_scan_steps_one_length_per_step_across_chunk_and_block_edges():
+    # a step length that changes from step to step, as on the shaper's grid of
+    # per-interval step counts, over many chunks and past a block edge
     n = _BLOCK + 8
     k = np.arange(2 * n + 1)
     drive = 1.0 + 0.5 * np.sin(0.003 * k)
     on, om = drive[::2], drive[1::2]
     h = 0.002 + 0.001 * np.cos(0.01 * np.arange(n))
     x0 = (0.7, -0.2)
-    restarts = [_CHUNK - 1, _CHUNK, _BLOCK - 1, _BLOCK]
-    p, s = _drive_scan(on, om, h, 1.0, x0, restarts=restarts)
-    ref_p, ref_s = _rk4_reference(*x0, on, om, 1.0, h, restarts)
+    p, s = _drive_scan(on, om, h, 1.0, x0)
+    ref_p, ref_s = _rk4_reference(*x0, on, om, 1.0, h)
     assert np.abs(p - ref_p).max() <= TOL
     assert np.abs(s - ref_s).max() <= TOL
-    assert (p[[r + 1 for r in restarts]] == x0[0]).all()
 
 
 # ------------------------------------------------------------- banded solve
@@ -169,14 +163,13 @@ BAND_TOL = 1e-14
 
 
 def _rk4_maps(n):
-    """RK4 maps of n steps under a varying drive and step length, with restart
-    maps on both sides of each chunk and block edge; and their numpy scan."""
+    """RK4 maps of n steps under a varying drive and step length, and their
+    numpy scan."""
     k = np.arange(2 * n + 1)
     drive = 1.0 + 0.5 * np.sin(0.003 * k)
     h = 0.002 + 0.001 * np.cos(0.01 * np.arange(n))
-    restarts = [r for r in (_CHUNK - 1, _CHUNK, _BLOCK - 1, _BLOCK, 2 * _BLOCK) if r < n]
     maps = np.empty((2, 3, n))
-    x = _drive_scan(drive[::2], drive[1::2], h, 1.0, (0.7, -0.2), restarts=restarts, kept=maps)
+    x = _drive_scan(drive[::2], drive[1::2], h, 1.0, (0.7, -0.2), kept=maps)
     return maps, x
 
 

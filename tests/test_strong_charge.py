@@ -14,6 +14,7 @@ n_bar (ergotropy - W) -> (theta - sin theta)^2 / 8, and the area-pi
 exponential (tau = pi^2 / (8 gamma n_bar)) leaves 1.28165.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,3 +88,19 @@ def test_shaped_pulse_beats_the_pi_pulse_and_the_exponential():
         assert sol.work <= ef.ergotropy(EXCITED), n_bar
         assert sol.work >= _pi_pulse_work(n_bar), n_bar
         assert sol.work >= ef.optimize_exponential_tau(EXCITED, n_bar).work, n_bar
+
+
+def test_solve_memory_stays_bounded_at_strong_charge():
+    # the ansatz scan, the largest part at strong charge, runs its 25 drives
+    # one at a time, so the solve holds one drive's arrays (11.4 MB measured)
+    import scipy.linalg.lapack  # noqa: F401  the solver's lazy imports, outside the measurement
+    import scipy.optimize  # noqa: F401
+
+    problem = ef.ControlProblem(prep=EXCITED, n_bar=1280.0)
+    tracemalloc.start()
+    try:
+        ef.solve_optimal_control(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000_000
