@@ -149,6 +149,10 @@ class DriveProfile:
         """Total mean photon number carried by the waveform."""
         raise NotImplementedError
 
+    def _slopes(self, t):
+        """Slopes of the waveform at the times ``t`` (an array): right limits, then left limits."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class OffDrive(DriveProfile):
@@ -164,6 +168,9 @@ class OffDrive(DriveProfile):
 
     def charge(self, gamma: float = 1.0) -> float:
         return 0.0
+
+    def _slopes(self, t):
+        return (np.zeros_like(t),) * 2
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,9 @@ class SquarePulse(DriveProfile):
 
     def charge(self, gamma: float = 1.0) -> float:
         return self.amplitude**2 * self.duration / (4.0 * gamma)
+
+    def _slopes(self, t):
+        return (np.zeros_like(t),) * 2
 
 
 @dataclass(frozen=True)
@@ -224,6 +234,9 @@ class ExponentialPulse(DriveProfile):
     def charge(self, gamma: float = 1.0) -> float:
         return self.n_bar * self.gamma / gamma
 
+    def _slopes(self, t):
+        return (-self.rabi(t) / self.tau,) * 2
+
 
 @dataclass(frozen=True, eq=False)
 class TabulatedPulse(DriveProfile):
@@ -259,6 +272,14 @@ class TabulatedPulse(DriveProfile):
 
     def charge(self, gamma: float = 1.0) -> float:
         return _squared_area(np.diff(self.times), self.values) / (4.0 * gamma)
+
+    def _slopes(self, t):
+        # segment slopes, padded with the zero slope outside the table; a node
+        # within rounding of t counts as at t
+        m = np.concatenate(([0.0], np.diff(self.values) / np.diff(self.times), [0.0]))
+        near = 1e-12 * self.times[-1]
+        i = np.searchsorted(self.times, t + near, side="right")
+        return m[i], m[np.searchsorted(self.times, t - near, side="left")]
 
 
 def _squared_area(dt, v) -> float:

@@ -4,9 +4,8 @@ Three independent audits:
 
 * `conservation_audit` differentiates a numerically integrated trajectory
   and checks, pointwise, that the energy the qubit loses equals work flux
-  plus heat flux, and that the channel's output power balances input plus
-  the qubit's energy loss; `conservation_suite` runs it over randomized
-  trajectories,
+  plus heat flux, which is the channel's output power less its input;
+  `conservation_suite` runs it over randomized trajectories,
 * `ergotropy_bound_scan` verifies on a dense (p, theta, gamma/rabi) grid
   that the constant-drive protocol never extracts more than the ergotropy,
 * `scale_invariance_check` reruns the same physics at different absolute
@@ -46,15 +45,15 @@ class ConservationReport:
     """Worst energy-balance residuals over ``n_cases`` trajectories.
 
     ``max_rate_residual`` is max |−dE/dt − (work flux + heat flux)| with the
-    derivative taken by fourth-order centered differences on the interior;
-    ``max_flux_residual`` is max |output − input + dE/dt|;
+    derivative taken by fourth-order centered differences on the interior.
+    It is also the power-balance residual |output − input + dE/dt|, since
+    output − input is work flux plus heat flux on every trace.
     ``max_integral_residual`` is the cumulative first-law mismatch on the
     grid, `EnergeticsTrace.residual`.
     """
 
     n_cases: int
     max_rate_residual: float
-    max_flux_residual: float
     max_integral_residual: float
     min_heat_rate: float
     tolerance: float
@@ -63,7 +62,6 @@ class ConservationReport:
     def passed(self) -> bool:
         return (
             self.max_rate_residual <= self.tolerance
-            and self.max_flux_residual <= self.tolerance
             and self.max_integral_residual <= self.tolerance
             and self.min_heat_rate >= -self.tolerance
         )
@@ -94,7 +92,6 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
     return ConservationReport(
         n_cases=1,
         max_rate_residual=float(np.abs(-de - (trace.work_flux[sl] + trace.heat_flux[sl])).max()),
-        max_flux_residual=float(np.abs(trace.output_flux[sl] - trace.input_flux[sl] + de).max()),
         max_integral_residual=trace.residual,
         min_heat_rate=float(trace.heat_flux.min()),
         tolerance=_CONSERVATION_TOL,
@@ -134,7 +131,6 @@ def conservation_suite(n_cases: int = 20, seed: int = 0) -> ConservationReport:
     return ConservationReport(
         n_cases=n_cases,
         max_rate_residual=max(rep.max_rate_residual for rep in reps),
-        max_flux_residual=max(rep.max_flux_residual for rep in reps),
         max_integral_residual=max(rep.max_integral_residual for rep in reps),
         min_heat_rate=min(rep.min_heat_rate for rep in reps),
         tolerance=_CONSERVATION_TOL,

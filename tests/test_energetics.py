@@ -12,7 +12,6 @@ import hypothesis.strategies as st
 from scipy.integrate import quad
 
 import ergoflux as ef
-from ergoflux import energetics
 from ergoflux.energetics import RESIDUAL_TOL
 from oracles import evolve_square_analytic, free_decay_trajectory
 
@@ -231,13 +230,82 @@ def test_accumulated_work_matches_closed_form():
     assert tr.work[-1] == pytest.approx(ef.square_drive_work(prep, rabi, gamma, tau), abs=2e-8)
 
 
-def test_suggested_grid_step_budget_scaling(monkeypatch):
-    h1 = ef.suggested_grid_step(1.0, 1.0, 10.0)
-    monkeypatch.setattr(energetics, "_TRAPEZOID_BUDGET", energetics._TRAPEZOID_BUDGET / 100.0)
-    h2 = ef.suggested_grid_step(1.0, 1.0, 10.0)
-    assert h2 == pytest.approx(h1 / 10.0, rel=1e-12)
-    # never coarser than 0.01 of the fastest rate
-    assert ef.suggested_grid_step(100.0, 1.0, 1e-6) <= 0.01 / 100.0
+def test_suggested_grid_step_is_the_rk4_bound_at_its_extremes():
+    # the RK4 bound 0.01 / hypot(rabi, gamma), capped at the window
+    assert ef.suggested_grid_step(3.0, 4.0, 10.0) == 0.01 / 5.0
+    assert ef.suggested_grid_step(0.0, 2.0, 10.0) == 0.005  # rabi -> 0
+    assert ef.suggested_grid_step(1e-300, 2.0, 10.0) == 0.005
+    assert ef.suggested_grid_step(0.0, 2.0, 1e-3) == 1e-3
+    assert ef.suggested_grid_step(4.0, 0.0, 10.0) == 0.0025  # gamma = 0
+    assert ef.suggested_grid_step(0.0, 0.0, 7.0) == 7.0  # nothing to resolve
+    # a very strong drive: the step passes evolve_numeric's own check, also
+    # at gamma = 0, where it is the bound itself
+    rabi, t_end = 1e4, 2e-3
+    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=2.0))
+    for gamma in (1.0, 0.0):
+        h = ef.suggested_grid_step(rabi, gamma, t_end)
+        assert h == pytest.approx(1e-6, rel=1e-8)
+        drive = ef.SquarePulse(amplitude=rabi, duration=t_end)
+        traj = ef.evolve_numeric(state, drive, t_end=t_end, dt=h, gamma=gamma)
+        assert np.diff(traj.times).max() <= h * (1.0 + 1e-9)
+        assert ef.accumulate(traj).residual <= RESIDUAL_TOL
+
+
+def _fourth_order_ratio(errors):
+    """Ratios of successive errors as the step halves; 16 for a fourth-order rule."""
+    return [a / b for a, b in zip(errors, errors[1:])]
+
+
+def test_ledger_work_is_fourth_order_on_a_square_drive():
+    # exact samples, so the ledger's quadrature is the only error
+    prep = ef.Preparation(p=0.1, theta=1.8)
+    rabi, tau = 3.0, 3.0
+    exact = ef.square_drive_work(prep, rabi, 1.0, tau)
+    errors = [
+        abs(ef.accumulate(ef.analytic_square_trajectory(prep, rabi, 1.0, t_end=tau, num=n + 1)).work[-1] - exact)
+        for n in (100, 200, 400)
+    ]
+    assert errors[0] > 1e-8
+    for ratio in _fourth_order_ratio(errors):
+        assert ratio == pytest.approx(16.0, rel=0.05)
+
+
+# a zigzag with nodes at multiples of 0.05, which a grid of 0.00125 steps meets only up to rounding
+_ZIGZAG = ef.TabulatedPulse(times=np.linspace(0.0, 2.0, 41), values=np.resize([0.0, 8.0], 41))
+
+
+@pytest.mark.parametrize(
+    "drive, t_end, dt",
+    [
+        (ef.ExponentialPulse(n_bar=1.0, tau=0.5), 3.0, ef.suggested_grid_step(4.0, 1.0, 3.0)),
+        (_ZIGZAG, 2.0, 0.00125),  # grid nodes on the table's nodes: kinks fall on nodes
+    ],
+    ids=["exponential", "tabulated on nodes"],
+)
+def test_first_law_residual_is_fourth_order(drive, t_end, dt):
+    # RK4 and the endpoint-corrected ledger are both fourth order; slopes
+    # one-sided at the table's kinks keep them so when the kinks fall on nodes
+    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=2.0))
+    residuals = [
+        ef.accumulate(ef.evolve_numeric(state, drive, t_end=t_end, dt=dt / k)).residual for k in (1, 2)
+    ]
+    assert residuals[0] > 1e-12
+    assert _fourth_order_ratio(residuals)[0] == pytest.approx(16.0, rel=0.1)
+
+
+def test_first_law_holds_on_a_tabulated_drive_off_its_nodes():
+    # a shaper-like waveform on 200 nodes, kinked at every node; the RK4 grid
+    # at the suggested step shares only its ends with the table.  Measured
+    # 2.6e-7; slopes from the wrong side at a step's end, one slope per step
+    # or none read 1.8e-6 to 1.9e-6
+    times = np.linspace(0.0, 8.0, 200)
+    controls = ef.project_to_budget(4.0 * np.exp(-times / 0.2), times, n_bar=1.64)
+    pulse = ef.TabulatedPulse(times=times, values=controls)
+    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=0.75 * math.pi))
+    dt = ef.suggested_grid_step(float(controls.max()), 1.0, 8.0)
+    traj = ef.evolve_numeric(state, pulse, t_end=8.0, dt=dt)
+    assert np.isin(times, traj.times).sum() == 2
+    assert ef.accumulate(traj).residual <= RESIDUAL_TOL
 
 
 # --------------------------------------------------------------- work channels

@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 
 import ergoflux as ef
 from ergoflux import optimizer
-from ergoflux.energetics import _TRAPEZOID_BUDGET
 from ergoflux.optimizer import (
     _exponential_works,
     _fine_grid,
@@ -17,6 +16,10 @@ from ergoflux.optimizer import (
     _start_zero,
 )
 from oracles import pulse_distance
+
+# agreement asked of the strict pipeline (`evolve_numeric` plus `accumulate`)
+# and of the step-converged functional with the work the solvers report
+STRICT_TOL = 3e-7
 
 
 def _charge(controls, times, gamma=1.0):
@@ -66,7 +69,7 @@ def test_control_work_matches_strict_pipeline():
     dt = ef.suggested_grid_step(float(controls.max()), 1.0, 8.0)
     traj = ef.evolve_numeric(ef.prepare_initial(prep), pulse, t_end=8.0, dt=dt)
     strict = ef.accumulate(traj).total_work
-    assert abs(w - strict) <= _TRAPEZOID_BUDGET
+    assert abs(w - strict) <= STRICT_TOL
 
 
 def test_gradient_matches_finite_differences():
@@ -382,7 +385,7 @@ def test_ansatz_work_matches_the_strict_pipeline(n_bar, theta):
     res = ef.optimize_exponential_tau(prep, n_bar=n_bar)
     pulse = res.pulse
     dt = min(ef.suggested_grid_step(pulse.amplitude, 1.0, pulse.support_end()), res.tau_opt / 64.0)
-    assert abs(res.work - _strict_work(prep, pulse, dt)) <= _TRAPEZOID_BUDGET
+    assert abs(res.work - _strict_work(prep, pulse, dt)) <= STRICT_TOL
 
 
 @pytest.mark.parametrize("p, theta", [(0.0, 0.0), (0.5, 1.0), (0.5, math.pi / 2)])
@@ -471,7 +474,7 @@ def test_control_problem_validation():
     assert sol.converged, sol.message
     assert sol.work <= ef.ergotropy(prep)
     converged = ef.control_work(sol.controls, sol.times, prep, n_sub=512)
-    assert abs(sol.work - converged) <= _TRAPEZOID_BUDGET
+    assert abs(sol.work - converged) <= STRICT_TOL
 
 
 @pytest.mark.parametrize("n_starts", [0, -3])
@@ -515,12 +518,12 @@ def test_reported_work_is_the_converged_functional(n_bar, theta):
 
 @pytest.mark.parametrize("n_bar, theta", CRITERION_05_POINTS)
 def test_reported_work_matches_the_strict_pipeline(n_bar, theta):
-    # an independent reference: RK4 trajectory and trapezoid work at the
-    # suggested step; measured 1.2e-7 and 9e-10 off
+    # an independent reference: RK4 trajectory and the endpoint-corrected
+    # ledger at the suggested step; measured 2.0e-7 and 7.0e-8 off
     prep = ef.Preparation(p=0.0, theta=theta)
     sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar))
     dt = ef.suggested_grid_step(float(sol.controls.max()), 1.0, sol.times[-1])
-    assert abs(sol.work - _strict_work(prep, sol.pulse, dt)) <= _TRAPEZOID_BUDGET
+    assert abs(sol.work - _strict_work(prep, sol.pulse, dt)) <= STRICT_TOL
 
 
 def test_converged_controls_meet_the_step_bound_after_a_recount(monkeypatch):

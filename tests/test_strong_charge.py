@@ -66,7 +66,7 @@ def _lorentzian(theta, n_bar, nodes=2001):
 
 @pytest.mark.parametrize("theta, n_bar", [(math.pi, 80.0), (math.pi, 320.0), (2.0, 320.0)])
 def test_lorentzian_deficit_matches_first_order_prediction(theta, n_bar):
-    # measured 1.22872, 1.23278 (pi^2 / 8 = 1.23370) and 0.14855 ((2 - sin 2)^2 / 8 = 0.14870)
+    # measured 1.22870, 1.23273 (pi^2 / 8 = 1.23370) and 0.14855 ((2 - sin 2)^2 / 8 = 0.14870)
     prep = ef.Preparation(p=0.0, theta=theta)
     deficit = _deficit(prep, *_lorentzian(theta, n_bar), n_bar)
     assert abs(deficit - (theta - math.sin(theta)) ** 2 / 8.0) <= 1.0 / n_bar, deficit
@@ -75,7 +75,7 @@ def test_lorentzian_deficit_matches_first_order_prediction(theta, n_bar):
 @pytest.mark.parametrize("n_bar", [80.0, 320.0])
 def test_area_pi_exponential_deficit_matches_first_order_prediction(n_bar):
     # n_bar (1 - W) -> (pi^2 / 4) int_0^1 sin^4(pi u / 2) / u du = 1.28165;
-    # measured 1.27573 and 1.28025
+    # measured 1.27572 and 1.28020
     pulse = ef.ExponentialPulse(n_bar=n_bar, tau=math.pi**2 / (8.0 * n_bar))
     assert abs(_deficit(EXCITED, pulse, pulse.amplitude, n_bar) - 1.28165) <= 1.0 / n_bar
 

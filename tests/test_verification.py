@@ -20,7 +20,6 @@ def test_audit_passes_on_a_clean_trajectory():
     assert rep.passed
     assert rep.n_cases == 1
     assert rep.max_rate_residual < 1e-8
-    assert rep.max_flux_residual < 1e-8
     assert rep.max_integral_residual < 1e-6
     assert rep.min_heat_rate >= -1e-12
 
@@ -30,7 +29,6 @@ def test_audit_ground_state_off_drive_is_exact():
     traj = ef.evolve_numeric(state0, ef.OffDrive(), t_end=2.0, dt=0.01)
     rep = ef.conservation_audit(traj)
     assert rep.max_rate_residual == 0.0
-    assert rep.max_flux_residual == 0.0
     assert rep.max_integral_residual == 0.0
 
 
@@ -132,7 +130,6 @@ def test_report_pass_logic():
     rep = ef.ConservationReport(
         n_cases=1,
         max_rate_residual=1e-9,
-        max_flux_residual=1e-9,
         max_integral_residual=2e-6,
         min_heat_rate=0.0,
         tolerance=1e-6,
@@ -141,7 +138,6 @@ def test_report_pass_logic():
     rep = ef.ConservationReport(
         n_cases=1,
         max_rate_residual=0.0,
-        max_flux_residual=0.0,
         max_integral_residual=0.0,
         min_heat_rate=-1.0,
         tolerance=1e-6,
