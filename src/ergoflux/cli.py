@@ -27,6 +27,8 @@ from .dynamics import IntegrationAccuracyError, Preparation
 from .emitted_field import husimi, output_state
 from .optimizer import ControlProblem, solve_optimal_control
 from .scenarios import (
+    _AXIS_NAMES,
+    _REQUIRED,
     SCENARIO_ALIASES,
     SweepAxis,
     SweepGrid,
@@ -53,12 +55,8 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _rows(table: np.ndarray) -> list[str]:
-    """The rows of a 2-D float table as CSV lines, each value formatted as `_fmt` does."""
+    """The rows of a 2-D float table as CSV lines, each value formatted with ``%.12g``."""
     row = ",".join(["%.12g"] * table.shape[1])
     return [row % tuple(values) for values in table.tolist()]
 
@@ -170,43 +168,27 @@ def _cmd_scenario(args) -> int:
     _require(par, ["case", "theta"], "scenario")
     case = SCENARIO_ALIASES.get(par["case"], par["case"])
     prep = Preparation(p=float(par["p"]), theta=float(par["theta"]))
+    if case not in _REQUIRED:
+        raise _CliError(f"unknown case {par['case']!r}; pick i, ii, or iii")
+    _require(par, list(_REQUIRED[case]), f"scenario --case {par['case']}")
 
     if case == "continuous":
-        _require(par, ["ndot"], "scenario --case i")
         result = scenario_continuous(prep, float(par["ndot"]))
-        second = ("ndot", par["ndot"])
     elif case == "spontaneous":
         result = scenario_spontaneous(prep)
-        second = ("p", par["p"])
-    elif case == "pulsed":
-        _require(par, ["nbar", "tau"], "scenario --case iii")
-        result = scenario_pulsed(prep, n_bar=float(par["nbar"]), tau=float(par["tau"]))
-        second = ("nbar", par["nbar"])
     else:
-        raise _CliError(f"unknown case {par['case']!r}; pick i, ii, or iii")
+        result = scenario_pulsed(prep, n_bar=float(par["nbar"]), tau=float(par["tau"]))
 
-    lines = [
-        _UNITS_COMMENT,
-        f"theta,{second[0]},work,yield,tau_opt,flag",
-        ",".join(
-            [
-                _fmt(prep.theta),
-                _fmt(second[1]),
-                _fmt(result.work),
-                _fmt(result.eta),
-                _fmt(result.tau_opt if result.tau_opt is not None else math.nan),
-                "0",
-            ]
-        ),
-    ]
+    # the second column is the protocol's first required parameter after theta, else p
+    second = (_REQUIRED[case][1:] or ("p",))[0]
+    tau_opt = math.nan if result.tau_opt is None else result.tau_opt
+    lines = [_UNITS_COMMENT, f"theta,{second},work,yield,tau_opt,flag"]
+    lines += _rows(np.array([[prep.theta, par[second], result.work, result.eta, tau_opt, 0.0]]))
     _write_lines(par["out"], lines)
     return 0
 
 
 # --------------------------- sweep ---------------------------
-
-# axis1 in the CSV is the earliest swept name in this order
-_AXIS_PRIORITY = ("theta", "p", "ndot", "nbar", "tau")
 
 
 def _axis_or_fixed(name: str, spec, log: bool, label: str):
@@ -233,11 +215,10 @@ def _axis_or_fixed(name: str, spec, log: bool, label: str):
 def _cmd_sweep(args) -> int:
     par = _merge(args)
     _require(par, ["case", "out"], "sweep")
-    case = SCENARIO_ALIASES.get(par["case"], par["case"])
 
-    axes: dict[str, SweepAxis] = {}
+    axes: list[SweepAxis] = []  # in the order of `_AXIS_NAMES`
     fixed: dict[str, float] = {}
-    for name in _AXIS_PRIORITY:
+    for name in _AXIS_NAMES:
         lin = par.get(name)
         log = par.get(f"{name}_log")
         if lin is not None and log is not None:
@@ -245,19 +226,18 @@ def _cmd_sweep(args) -> int:
         key = f"{name}_log" if log is not None else name
         axis, value = _axis_or_fixed(name, par[key], log is not None, _named(args, key))
         if axis is not None:
-            axes[name] = axis
+            axes.append(axis)
         elif value is not None:
             fixed[name] = value
 
     if len(axes) != 2:
         raise _CliError(f"sweep needs exactly 2 axes (3-number specs), got {len(axes)}")
-    names = [n for n in _AXIS_PRIORITY if n in axes]
-    grid = SweepGrid(scenario=case, axis1=axes[names[0]], axis2=axes[names[1]], fixed=fixed)
+    grid = SweepGrid(par["case"], *axes, fixed=fixed)
     result = sweep(grid)
 
     v1, v2 = np.meshgrid(grid.axis1.values, grid.axis2.values, indexing="ij")
     cols = (v1, v2, result.work, result.eta, result.tau_opt, result.flag)
-    lines = [_UNITS_COMMENT, f"{names[0]},{names[1]},work,yield,tau_opt,flag"]
+    lines = [_UNITS_COMMENT, f"{grid.axis1.name},{grid.axis2.name},work,yield,tau_opt,flag"]
     lines += _rows(np.column_stack([c.ravel() for c in cols]))
     _write_lines(par["out"], lines)
     return 0
@@ -388,7 +368,7 @@ def _cmd_verify(args) -> int:
 _FLOAT = {"type": float}
 _COMMANDS = {
     "scenario": ("run one extraction protocol", _cmd_scenario, {
-        "case": ({"choices": ["i", "ii", "iii"]}, None),
+        "case": ({"choices": list(SCENARIO_ALIASES)}, None),
         "p": (_FLOAT, 0.0),
         "theta": (_FLOAT, None),
         "ndot": ({"type": float, "help": "photon rate over gamma (case i)"}, None),
@@ -396,8 +376,8 @@ _COMMANDS = {
         "tau": ({"type": float, "help": "wave-packet duration (case iii)"}, None),
     }),
     "sweep": ("map a protocol over a 2-D grid", _cmd_sweep, {
-        "case": ({"choices": ["i", "ii", "iii"]}, None),
-        **dict.fromkeys(_AXIS_PRIORITY, ({"type": float, "nargs": "+", "metavar": "V"}, None)),
+        "case": ({"choices": list(SCENARIO_ALIASES)}, None),
+        **dict.fromkeys(_AXIS_NAMES, ({"type": float, "nargs": "+", "metavar": "V"}, None)),
         "ndot_log": ({"type": float, "nargs": 3, "metavar": ("E0", "E1", "NUM")}, None),
         "nbar_log": ({"type": float, "nargs": 3, "metavar": ("E0", "E1", "NUM")}, None),
     }),

@@ -39,7 +39,7 @@ class IntegrationAccuracyError(RuntimeError):
 def _check_params(low: str, **values) -> None:
     """Reject, by name, a parameter that is not finite or not ``low``: "positive" or "nonnegative"."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not abs(value) < _INF:  # unlike math.isfinite, takes integers past the float range
             raise ValueError(f"{name} must be finite, got {value}")
         if value < 0.0 or (value == 0.0 and low == "positive"):
             raise ValueError(f"{name} must be {low}, got {value}")
@@ -64,8 +64,9 @@ class Preparation:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
 
-def _violation(p_e: float, s: float) -> float:
-    return max(-p_e, p_e - 1.0, s * s - p_e * (1.0 - p_e))
+def _violation(p_e, s):
+    """Largest Bloch-ball violation of states (floats or arrays); positive outside the ball."""
+    return np.max(np.maximum(np.maximum(-p_e, p_e - 1.0), s * s - p_e * (1.0 - p_e)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class QubitState:
 
     @property
     def bloch_violation(self) -> float:
-        return _violation(self.p_e, self.s_bar)
+        return float(_violation(self.p_e, self.s_bar))
 
 
 def _checked_violation(p_e, s) -> float:
@@ -93,7 +94,7 @@ def _checked_violation(p_e, s) -> float:
     A state outside by more than BLOCH_TOL, or a non-finite one, raises
     `IntegrationAccuracyError`.
     """
-    worst = float(np.max(np.maximum(np.maximum(-p_e, p_e - 1.0), s * s - p_e * (1.0 - p_e))))
+    worst = float(_violation(p_e, s))
     if not worst <= BLOCH_TOL:
         raise IntegrationAccuracyError(
             f"Bloch-ball violation {worst:.3e} exceeds tolerance {BLOCH_TOL:.0e}"
@@ -248,15 +249,7 @@ class TabulatedPulse(DriveProfile):
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise ValueError("times and values must be 1-D arrays of equal length")
-        if len(self.times) < 2:
-            raise ValueError("need at least two nodes")
-        for name in ("times", "values"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
-        if not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("times must be strictly increasing")
+        _check_nodes(self.times, self.values, "values")
         if self.times[0] < 0.0:
             raise ValueError("times must be nonnegative")
         if np.any(self.values < 0.0):
@@ -280,6 +273,20 @@ class TabulatedPulse(DriveProfile):
         near = 1e-12 * self.times[-1]
         i = np.searchsorted(self.times, t + near, side="right")
         return m[i], m[np.searchsorted(self.times, t - near, side="left")]
+
+
+def _check_nodes(times: np.ndarray, values: np.ndarray, name: str) -> np.ndarray:
+    """Interval lengths of a node table: 1-D float arrays of equal length, at least 2
+    finite nodes, strictly increasing ``times``; errors call the ``values`` ``name``."""
+    if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
+        raise ValueError(f"{name} and times must be 1-D arrays of equal length >= 2")
+    for label, a in ((name, values), ("times", times)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{label} must be finite")
+    dt = np.diff(times)
+    if not (dt > 0.0).all():
+        raise ValueError("times must be strictly increasing")
+    return dt
 
 
 def _squared_area(dt, v) -> float:
@@ -619,8 +626,7 @@ def analytic_square_trajectory(
 ) -> Trajectory:
     """Constant-drive trajectory sampled from the closed form (no integration error)."""
     _check_span(t_end, gamma)
-    if num < 1:
-        raise ValueError("num must be at least 1")
+    _check_params("positive", num=num)
     times = np.linspace(0.0, t_end, num)
     p, s = _square_states(prep, rabi, gamma, times)
     return Trajectory(

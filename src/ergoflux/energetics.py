@@ -63,10 +63,13 @@ def _ergotropy(p, theta, xp=np):
 
 def extraction_yield(work: float, prep: Preparation) -> float:
     """Extracted work over ergotropy; NaN for passive states (zero ergotropy)."""
-    w_max = ergotropy(prep)
-    if w_max == 0.0:
-        return math.nan
-    return work / w_max
+    return float(_yield(work, ergotropy(prep)))
+
+
+def _yield(work, w_max):
+    """Work over the ergotropy ``w_max`` (floats or arrays); NaN where the ergotropy is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(w_max == 0.0, np.nan, np.divide(work, w_max))
 
 
 # --------------------------- trace integration ---------------------------

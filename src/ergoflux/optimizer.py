@@ -52,6 +52,7 @@ from .dynamics import (
     Preparation,
     TabulatedPulse,
     _affine_scan,
+    _check_nodes,
     _check_params,
     _checked_violation,
     _drive_scan,
@@ -271,17 +272,10 @@ class ControlProblem:
 
 
 def _check_grid(controls: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Interval lengths of a control grid: strictly increasing times from t = 0."""
-    if controls.shape != times.shape or controls.ndim != 1 or len(controls) < 2:
-        raise ValueError("controls and times must be 1-D arrays of equal length >= 2")
-    for name, a in (("controls", controls), ("times", times)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
+    """Interval lengths of a control grid: a node table (`_check_nodes`) whose times start at t = 0."""
+    dt = _check_nodes(times, controls, "controls")
     if times[0] != 0.0:
         raise ValueError(f"times must start at t = 0, got {times[0]}")
-    dt = np.diff(times)
-    if not (dt > 0.0).all():
-        raise ValueError("times must be strictly increasing")
     return dt
 
 
@@ -632,10 +626,8 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     past `_MAX_FINE_STEPS` in all are rejected, naming the horizon, before
     any array is built.
     """
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_params("positive", n_starts=n_starts)
+    _check_params("nonnegative", seed=seed)
     times = np.linspace(0.0, problem.horizon, problem.n_nodes)
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
 

@@ -31,6 +31,7 @@ from .energetics import (
     _drive_start,
     _drive_work,
     _ergotropy,
+    _yield,
     ergotropy,
     extraction_yield,
 )
@@ -38,8 +39,8 @@ from .energetics import (
 # work may exceed ergotropy only by numerical noise
 _BOUND_TOL = 1e-6
 
-SCENARIO_NAMES = ("continuous", "spontaneous", "pulsed")
 SCENARIO_ALIASES = {"i": "continuous", "ii": "spontaneous", "iii": "pulsed"}
+SCENARIO_NAMES = tuple(SCENARIO_ALIASES.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +79,10 @@ _MAX_STEPS = 64
 _XTOL, _RTOL = 1e-14, 8.9e-16
 # a bracket whose work bound lies below a cell's floor by more than
 # _PRUNE_TOL * max(1, floor) is not refined.  The terms of W and of the bound
-# are of order 1 + gamma * t_max <= 21, so each carries a rounding error of a
-# few 1e-15; the margin keeps every pruned bracket's computed work strictly
-# below the computed best, so pruning changes no result
+# are of order 1 + gamma * t, below 100 at photon rates above 1e-40 gamma, so
+# each carries a rounding error of a few 1e-14 at most; the margin keeps every
+# pruned bracket's computed work strictly below the computed best, so pruning
+# changes no result
 _PRUNE_TOL = 1e-12
 # slack, in units of the exponent alpha * t, on the reach of the positive
 # maxima; far above the rounding of the exponent (a few 1e-15), so no maximum
@@ -136,10 +138,10 @@ def _layout(gamma, t_max, co, basis):
     fall through zero only before its first extremum or after a positive
     maximum.  For k <= 0 it has at most one extremum, so a cell has at most
     one bracket, between two of its knots 0, ``first`` and an envelope
-    horizon.  For k > 0 the extrema sit at t_j = first + j * period, where
-    the damped basis is its value at ``first`` times (-rho)^j with
-    rho = exp(-alpha * period), so the dipole there is c + A (-rho)^j with A
-    the transient at ``first``.  A maximum has A (-1)^j > 0 (a minimum lies
+    horizon, which ``t_max`` does not cap.  For k > 0 the extrema sit at
+    t_j = first + j * period, where the damped basis is its value at
+    ``first`` times (-rho)^j with rho = exp(-alpha * period), so the dipole
+    there is c + A (-rho)^j with A the transient at ``first``.  A maximum has A (-1)^j > 0 (a minimum lies
     below c), and only the maxima before the reach log(|A| / |c|) / (alpha *
     period) can be positive; each opens a bracket that ends at the next
     extremum, or at t_max.
@@ -167,7 +169,7 @@ def _layout(gamma, t_max, co, basis):
         amp = np.abs(co.a) + np.abs(co.b) / (0.5 * gamma)
         with np.errstate(divide="ignore"):
             settle = 2.0 / gamma * np.log(amp / np.abs(co.c)) + 1.0 / gamma
-        horizon = np.where(amp <= np.abs(co.c), 0.0, np.minimum(t_max, settle))
+        horizon = np.where(amp <= np.abs(co.c), 0.0, settle)
         mid = np.where(first < horizon, first, horizon)  # first is NaN without an extremum
         (ec1, es1), (ec2, es2) = basis.at(mid), basis.at(horizon)
         s1, s2 = co.a * ec1 + co.b * es1 + co.c, co.a * ec2 + co.b * es2 + co.c
@@ -348,11 +350,12 @@ def _search_group(rabi, gamma, t_max, co, basis):
 
 
 def _search_horizon(rabi, gamma: float):
-    """The end t_max of the window (0, t_max] the stopping-time search looks over.
+    """The end t_max of the window (0, t_max] an oscillating drive is searched over.
 
-    With decay the dipole has settled long before 20/gamma.  At gamma = 0
-    the work W(tau) repeats every Rabi period 2 pi / rabi, so one period
-    holds each of its values, the earliest optimal stop among them.
+    With decay its transient has died out long before 20/gamma (`_layout`
+    gives an overdamped drive its own horizon).  At gamma = 0 the work W(tau)
+    repeats every Rabi period 2 pi / rabi, so one period holds each of its
+    values, the earliest optimal stop among them.
     """
     return np.full(rabi.shape, 20.0 / gamma) if gamma > 0.0 else 2.0 * math.pi / rabi
 
@@ -363,7 +366,8 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     ``p``, ``theta`` (as in `Preparation`) and the Rabi frequency ``rabi``
     broadcast against each other, one cell per entry; ``gamma`` is shared.
     Candidates are tau = 0 and the downward zero crossings of the dipole on
-    (0, 20/gamma], or on one Rabi period at gamma = 0 (`_search_horizon`).
+    (0, 20/gamma], or on one Rabi period at gamma = 0 (`_search_horizon`);
+    an overdamped drive is searched up to its envelope horizon (`_layout`).
     Their brackets are laid out in closed form (`_layout`): from 0 to the
     first extremum, and from each positive maximum to the next extremum.
     The dipole at the extrema of an oscillating drive falls geometrically
@@ -510,8 +514,9 @@ class SweepAxis:
             raise ValueError("values must be a 1-D array with at least 2 entries")
 
 
-# scenario parameters addressable by sweeps and fixed values
-_AXIS_NAMES = {"theta", "p", "ndot", "nbar", "tau"}
+# scenario parameters addressable by sweeps and fixed values; a CLI sweep's
+# first column is the earlier of its two axes in this order
+_AXIS_NAMES = ("theta", "p", "ndot", "nbar", "tau")
 # parameters without a default, per scenario
 _REQUIRED = {
     "continuous": ("theta", "ndot"),
@@ -524,9 +529,8 @@ _REQUIRED = {
 class SweepGrid:
     """Cartesian sweep specification for one scenario.
 
-    ``fixed`` supplies every scenario parameter not covered by the two axes
-    (p defaults to 0): ``ndot`` for the continuous case, ``nbar`` and ``tau``
-    for the pulsed one.
+    ``fixed`` supplies every parameter of `_REQUIRED` not covered by the two
+    axes, and p if not 0.
     """
 
     scenario: str
@@ -576,9 +580,9 @@ def sweep(grid: SweepGrid) -> SweepResult:
     shape = (len(grid.axis1.values), len(grid.axis2.values))
     given = {"p": 0.0, **grid.fixed, grid.axis1.name: grid.axis1.values[:, None]}
     given[grid.axis2.name] = grid.axis2.values
-    p, theta, ndot, nbar, tau = (
+    theta, p, ndot, nbar, tau = (
         np.broadcast_to(np.asarray(given.get(name, np.nan), dtype=float), shape).ravel()
-        for name in ("p", "theta", "ndot", "nbar", "tau")
+        for name in _AXIS_NAMES
     )
     gamma = grid.gamma
     ok = (0.0 <= p) & (p <= 0.5) & (0.0 <= theta) & (theta <= math.pi)  # as `Preparation`
@@ -596,9 +600,9 @@ def sweep(grid: SweepGrid) -> SweepResult:
         work[c] = _pulsed_work(p[c], theta[c], nbar[c], tau[c], gamma)
 
     # a non-finite theta gives a NaN ergotropy, and its cell is flagged
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         w_max = _ergotropy(p, theta)
-        eta = np.where(w_max == 0.0, np.nan, work / w_max)
+    eta = _yield(work, w_max)
     ok &= np.isfinite(work) & (work <= w_max + _BOUND_TOL)
     work[~ok] = eta[~ok] = tau_opt[~ok] = np.nan
     return SweepResult(

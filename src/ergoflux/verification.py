@@ -27,17 +27,15 @@ from .dynamics import (
     Preparation,
     SquarePulse,
     Trajectory,
+    _check_params,
     evolve_numeric,
     prepare_initial,
 )
-from .energetics import _ergotropy, accumulate, suggested_grid_step
-from .scenarios import optimal_square_work, scenario_continuous
+from .energetics import RESIDUAL_TOL, _ergotropy, accumulate, suggested_grid_step
+from .scenarios import _BOUND_TOL, optimal_square_work, scenario_continuous
 
 
 # --------------------------- conservation audit ---------------------------
-
-# worst residual either conservation report passes
-_CONSERVATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class ConservationReport:
 
 def conservation_audit(traj: Trajectory) -> ConservationReport:
     """Derivative-level check of the energy bookkeeping on one trajectory,
-    against `_CONSERVATION_TOL`.
+    against the first-law tolerance `RESIDUAL_TOL`.
 
     The trajectory grid must be uniform (as produced by `evolve_numeric`)
     and the drive smooth inside the window, otherwise the centered
@@ -94,7 +92,7 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
         max_rate_residual=float(np.abs(-de - (trace.work_flux[sl] + trace.heat_flux[sl])).max()),
         max_integral_residual=trace.residual,
         min_heat_rate=float(trace.heat_flux.min()),
-        tolerance=_CONSERVATION_TOL,
+        tolerance=RESIDUAL_TOL,
     )
 
 
@@ -122,10 +120,8 @@ def _random_trajectory(rng: np.random.Generator) -> Trajectory:
 
 def conservation_suite(n_cases: int = 20, seed: int = 0) -> ConservationReport:
     """Run `conservation_audit` over randomized drives and preparations."""
-    if n_cases < 1:
-        raise ValueError("n_cases must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_params("positive", n_cases=n_cases)
+    _check_params("nonnegative", seed=seed)
     rng = np.random.default_rng(seed)
     reps = [conservation_audit(_random_trajectory(rng)) for _ in range(n_cases)]
     return ConservationReport(
@@ -133,15 +129,14 @@ def conservation_suite(n_cases: int = 20, seed: int = 0) -> ConservationReport:
         max_rate_residual=max(rep.max_rate_residual for rep in reps),
         max_integral_residual=max(rep.max_integral_residual for rep in reps),
         min_heat_rate=min(rep.min_heat_rate for rep in reps),
-        tolerance=_CONSERVATION_TOL,
+        tolerance=RESIDUAL_TOL,
     )
 
 
 # --------------------------- ergotropy bound scan ---------------------------
 
-# the scanned range of epsilon = gamma/rabi, and the gap below zero a cell may reach
+# the scanned range of epsilon = gamma/rabi
 _EPSILON_RANGE = (0.05, 50.0)
-_BOUND_SCAN_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +182,7 @@ def ergotropy_bound_scan(resolution: int = 50) -> BoundScanReport:
     `_EPSILON_RANGE` across both damping regimes; p and theta cover their
     full ranges linearly, all three axes at ``resolution`` points.  Work
     comes from the closed-form stopping-time search at gamma = 1, run on
-    all cells as one batch.  A gap below -`_BOUND_SCAN_TOL` is a violation.
+    all cells as one batch.  A gap below -`scenarios._BOUND_TOL` is a violation.
     """
     if resolution < 20:
         raise ValueError("resolution must be at least 20 per axis")
@@ -205,7 +200,7 @@ def ergotropy_bound_scan(resolution: int = 50) -> BoundScanReport:
         p_values=p_values,
         theta_values=theta_values,
         gap=_ergotropy(p, theta) - work,
-        tolerance=_BOUND_SCAN_TOL,
+        tolerance=_BOUND_TOL,
     )
 
 

@@ -127,6 +127,29 @@ def test_scenario_csv_roundtrip(tmp_path):
     assert float(d["flag"]) == 0.0
 
 
+def test_scenario_pulsed_row(capsys):
+    assert run("scenario", "--case", "iii", "--theta", "2", "--nbar", "1.64", "--tau", "1") == 0
+    res = ef.scenario_pulsed(ef.Preparation(p=0.0, theta=2.0), n_bar=1.64, tau=1.0)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["theta,nbar,work,yield,tau_opt,flag", f"2,1.64,{_g(res.work)},{_g(res.eta)},1,0"]
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("scenario", [{"case": "ii", "theta": 1.0}], "config file must hold a JSON object"),
+        ("scenario", {"case": "iv", "theta": 1.0}, "unknown case 'iv'; pick i, ii, or iii"),
+        ("verify", {"suite": "bogus"},
+         "unknown suite 'bogus'; pick from ['bound-scan', 'conservation', 'scale-invariance'] or 'all'"),
+    ],
+)
+def test_config_of_the_wrong_shape_or_name_exits_1(command, config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_scenario_validation_failures(capsys):
     assert run("scenario", "--case", "ii", "--theta", "4.0") == 1  # theta out of range
     assert run("scenario", "--case", "nope", "--theta", "1.0") == 1  # bad choice
@@ -313,13 +336,18 @@ def test_config_integer_past_the_float_range_names_the_key(command, config, key,
     assert err.count("\n") == 1
 
 
+def _g(x) -> str:
+    """One value as the CLI's CSV writes it."""
+    return f"{float(x):.12g}"
+
+
 def _per_value_csv(head, rows):
-    return "\n".join(head + [",".join(cli._fmt(v) for v in row) for row in rows]) + "\n"
+    return "\n".join(head + [",".join(_g(v) for v in row) for row in rows]) + "\n"
 
 
 def test_rows_format_like_fmt():
     table = np.array([[math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1e-300, 123456789.123456789]])
-    assert cli._rows(table) == [",".join(cli._fmt(v) for v in table[0])]
+    assert cli._rows(table) == [",".join(_g(v) for v in table[0])]
     assert cli._rows(table) == ["nan,inf,-inf,-0,0,1,1e-300,123456789.123"]
 
 
@@ -367,7 +395,7 @@ def test_husimi_csv_is_per_value_formatting(tmp_path):
     assert run("husimi", "--config", str(cfg)) == 0
     grid = ef.husimi(ef.output_state(2.0), np.linspace(-30.0, 30.0, 5), np.linspace(1.0, -0.0, 4))
     head = ["# husimi overlap <alpha|rho|alpha>; rows: Im(alpha); columns: Re(alpha)",
-            ",".join(["q"] + [cli._fmt(x) for x in grid.re])]
+            ",".join(["q"] + [_g(x) for x in grid.re])]
     text = out.read_text(encoding="utf-8")
     assert text == _per_value_csv(head, [[y, *grid.q[i]] for i, y in enumerate(grid.im)])
     assert "\n-0," in text and ",0," in text

@@ -360,3 +360,35 @@ def test_trajectory_validation():
             drive=ef.OffDrive(),
             gamma=1.0,
         )
+
+
+def _trajectory(times):
+    n = len(times)
+    return ef.Trajectory(times=np.array(times), p_e=np.zeros(n), s_bar=np.zeros(n), drive=ef.OffDrive(), gamma=1.0)
+
+
+def _sweep_grid(fixed):
+    axes = [ef.SweepAxis(name=n, values=np.linspace(0.1, 0.4, 3)) for n in ("theta", "p")]
+    return ef.SweepGrid(scenario="spontaneous", axis1=axes[0], axis2=axes[1], fixed=fixed)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ef.TabulatedPulse([[0.0, 1.0]], [[1.0, 1.0]]), "values and times must be 1-D arrays of equal length"),
+        (lambda: ef.TabulatedPulse([0.0, 1.0], [1.0, 1.0, 1.0]), "values and times must be 1-D arrays of equal length"),
+        (lambda: ef.TabulatedPulse([0.0], [1.0]), "values and times must be 1-D arrays of equal length >= 2"),
+        (lambda: ef.TabulatedPulse([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]), "times must be strictly increasing"),
+        (lambda: ef.TabulatedPulse([-1.0, 1.0], [1.0, 1.0]), "times must be nonnegative"),
+        (lambda: ef.TabulatedPulse([0.0, 1.0], [1.0, -1.0]), "values must be nonnegative"),
+        (lambda: _trajectory([0.0, 1.0, 1.0]), "times must be strictly increasing"),
+        (lambda: ef.analytic_square_trajectory(ef.Preparation(p=0.0, theta=1.0), 1.0, 1.0, 1.0, num=0),
+         "num must be positive, got 0"),
+        (lambda: _sweep_grid({"rabi": 1.0}), "unknown fixed parameter 'rabi'"),
+    ],
+    ids=["table-2d", "table-lengths", "table-one-node", "table-times-repeat", "table-negative-time",
+         "table-negative-value", "trajectory-times-repeat", "analytic-no-samples", "sweep-fixed-key"],
+)
+def test_library_rejects_malformed_tables_and_counts(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()

@@ -74,6 +74,22 @@ def test_continuous_matches_brute_force_scan():
         assert res.work == pytest.approx(brute, abs=1e-8)
 
 
+def test_weak_drive_stops_past_20_over_gamma():
+    # an overdamped drive's dipole can cross zero long after 20/gamma: at ratio
+    # 1e-12 the best stop is near 24/gamma, where W is close to the spontaneous s0^2
+    prep = ef.Preparation(p=0.1, theta=2.0)
+    res = ef.scenario_continuous(prep, 1e-12)
+    taus = np.linspace(0.0, 60.0, 600001)[1:]
+    brute = ef.square_drive_work(prep, 2.0 * math.sqrt(1e-12), 1.0, taus)
+    assert brute.max() - 1e-15 <= res.work <= brute.max() + 1e-9
+    assert abs(res.tau_opt - taus[brute.argmax()]) < 0.05
+    # W approaches the undriven limit as the rate vanishes, from above by about 0.65 sqrt(ratio)
+    spontaneous = ef.scenario_spontaneous(prep).work
+    for ratio in (1e-10, 1e-12, 1e-16, 1e-20, 1e-30):
+        gap = ef.scenario_continuous(prep, ratio).work - spontaneous
+        assert -1e-15 <= gap <= math.sqrt(ratio) + 1e-15
+
+
 # (ratio, p, theta, W, tau_opt) from optimal_square_work(..., polish=False) at
 # commit 80a7bac, whose search ran brentq cell by cell; ratio 1/64 has k = 0
 ORACLE = [
