@@ -132,7 +132,7 @@ def pulsed_cuts(outdir, n_theta=201, tau=1.0):
     _save(os.path.join(outdir, "pulsed_cuts.csv"), ",".join(header), cols)
 
 
-def pulse_shapes(outdir, seed=0):
+def pulse_shapes(outdir):
     """Shaped pulse vs best exponential for the two benchmark settings."""
     cases = [
         ("a", ef.Preparation(p=0.0, theta=math.pi / 2.0), 0.1),
@@ -143,7 +143,7 @@ def pulse_shapes(outdir, seed=0):
     for tag, prep, n_bar in cases:
         exp = ef.optimize_exponential_tau(prep, n_bar)
         problem = ef.ControlProblem(prep=prep, n_bar=n_bar)
-        opt = ef.solve_optimal_control(problem, seed=seed)
+        opt = ef.solve_optimal_control(problem)
         t = opt.times
         if not cols:
             cols.append(t)

@@ -47,7 +47,6 @@ from .optimizer import (
     ControlProblem,
     ExponentialTauResult,
     OptimalPulse,
-    control_work,
     control_work_and_gradient,
     optimize_exponential_tau,
     project_to_budget,
@@ -100,7 +99,6 @@ __all__ = [
     "coherent_amplitude",
     "conservation_audit",
     "conservation_suite",
-    "control_work",
     "control_work_and_gradient",
     "ergotropy",
     "ergotropy_bound_scan",

@@ -17,6 +17,7 @@ entire in k = rabi^2 - gamma^2/16 (`analytic_square_trajectory`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,6 +44,14 @@ def _check_params(low: str, **values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
         if value < 0.0 or (value == 0.0 and low == "positive"):
             raise ValueError(f"{name} must be {low}, got {value}")
+
+
+def _check_counts(low: str, **values) -> None:
+    """`_check_params` for counts, each of which must also be a whole number: an integer, not a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+    _check_params(low, **values)
 
 
 @dataclass(frozen=True)
@@ -626,7 +635,7 @@ def analytic_square_trajectory(
 ) -> Trajectory:
     """Constant-drive trajectory sampled from the closed form (no integration error)."""
     _check_span(t_end, gamma)
-    _check_params("positive", num=num)
+    _check_counts("positive", num=num)
     times = np.linspace(0.0, t_end, num)
     p, s = _square_states(prep, rabi, gamma, times)
     return Trajectory(

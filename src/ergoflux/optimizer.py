@@ -9,9 +9,10 @@ Two layers:
 * `solve_optimal_control` optimizes a free piecewise-linear waveform under
   the same photon budget by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) over a
   free vector v >= 0 whose rescaling onto the budget is the waveform, so
-  the budget holds by construction; the gradient is the exact discrete
-  adjoint of the RK4-discretized work functional, so it can be checked
-  against finite differences of the same objective.
+  the budget holds by construction.  Its one functional entry point,
+  `control_work_and_gradient`, returns the RK4-discretized work and its
+  exact discrete adjoint gradient, so the gradient can be checked against
+  finite differences of the returned work.
 
 A control grid is any strictly increasing array of node times from t = 0,
 and interval j takes its own count n_j of RK4 steps of dt_j / n_j, by
@@ -32,8 +33,8 @@ constant after another.  Both layers report the work of this functional at
 their optimum, the value they maximised.
 
 scipy is imported inside the functions that call it: `scipy.linalg.lapack`
-in `_band_block`, so `control_work` and `control_work_and_gradient` load
-scipy at their first call, and `scipy.optimize` in the refine step of
+in `_band_block`, so `control_work_and_gradient` loads scipy at its first
+call, and `scipy.optimize` in the refine step of
 `optimize_exponential_tau` and in `_shape`.  Importing the package loads
 numpy alone, and `evolve_numeric` and `accumulate` never load scipy.
 """
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +52,7 @@ from .dynamics import (
     Preparation,
     TabulatedPulse,
     _affine_scan,
+    _check_counts,
     _check_nodes,
     _check_params,
     _checked_violation,
@@ -67,7 +68,6 @@ __all__ = [
     "optimize_exponential_tau",
     "ControlProblem",
     "control_work_and_gradient",
-    "control_work",
     "project_to_budget",
     "solve_optimal_control",
     "OptimalPulse",
@@ -266,6 +266,7 @@ class ControlProblem:
 
     def __post_init__(self):
         _check_params("positive", n_bar=self.n_bar, horizon=self.horizon, gamma=self.gamma)
+        _check_counts("positive", n_nodes=self.n_nodes)
         if self.n_nodes < 32:
             raise ValueError("need at least 32 control nodes")
         _check_total_steps(2.0 * (self.n_nodes - 1), "n_nodes")
@@ -375,17 +376,24 @@ def _substeps(counts: np.ndarray, name: str) -> np.ndarray:
     return counts.astype(np.intp)
 
 
-def _forward(controls, times, prep, gamma, n_sub, steps, keep_maps=False):
-    """One forward scan of the RK4/Simpson work functional.
+def control_work_and_gradient(
+    controls,
+    times,
+    prep: Preparation,
+    gamma: float = 1.0,
+    n_sub: int | None = None,
+    *,
+    steps: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Work of a piecewise-linear waveform (RK4 + Simpson + exact tail) and
+    its exact discrete adjoint gradient with respect to the control nodes.
 
-    ``steps`` gives control interval j ``steps[j]`` RK4 steps and ``n_sub``
-    every interval the same count; with neither, each interval takes
-    `_default_n_sub` of its own peak.  Returns the work, the fine-grid drive
-    at nodes and midpoints, the step maps as a (2, 3, n) array if
-    ``keep_maps`` (else None), the node states (2, n + 1) and the
-    `_fine_grid` tables.  The maps are built block by block; only the
-    gradient keeps them, for its reverse scan, because storing them costs
-    more than rebuilding a block.
+    Control interval j takes ``steps[j]`` RK4 steps, or ``n_sub``, or by
+    default `_default_n_sub` of its own peak: the functional
+    `solve_optimal_control` maximizes.  Past `_MAX_FINE_STEPS` steps in all
+    the call is rejected, naming the parameter that set the counts.  Fix
+    the counts when comparing with finite differences of the work: the
+    default counts follow the controls.
     """
     c = np.asarray(controls, dtype=float)
     t = np.asarray(times, dtype=float)
@@ -400,63 +408,20 @@ def _forward(controls, times, prep, gamma, n_sub, steps, keep_maps=False):
         counts = _substeps(k.astype(float), "steps")
     elif n_sub is None:
         counts = _substeps(_default_n_sub(dt, gamma, _local_peaks(c)), "controls")
-    elif isinstance(n_sub, bool) or not isinstance(n_sub, numbers.Integral) or n_sub < 1:
-        raise ValueError(f"n_sub must be a positive integer, got {n_sub!r}")
     else:
+        _check_counts("positive", n_sub=n_sub)
         counts = _substeps(np.full(len(dt), float(n_sub)), "n_sub")
-    grid = n, jn, un, jm, um, h, wq = _fine_grid(t.tobytes(), counts.tobytes())
+    n, jn, un, jm, um, h, wq = _fine_grid(t.tobytes(), counts.tobytes())
     on = (1.0 - un) * c[jn] + un * c[jn + 1]
     om = (1.0 - um) * c[jm] + um * c[jm + 1]
 
-    kept = np.empty((2, 3, n)) if keep_maps else None
-    work, x = _work_functional(on, om, h, wq, gamma, prep, kept)
+    maps = np.empty((2, 3, n))  # the forward scan's step maps, kept for the reverse scan
+    work, x = _work_functional(on, om, h, wq, gamma, prep, maps)
     if not math.isfinite(work):
         raise IntegrationAccuracyError(
             "forward pass produced a non-finite work; shrink the step or the controls"
         )
-    return work, on, om, kept, x, grid
 
-
-def control_work(
-    controls,
-    times,
-    prep: Preparation,
-    gamma: float = 1.0,
-    n_sub: int | None = None,
-    *,
-    steps: np.ndarray | None = None,
-) -> float:
-    """Work functional of a piecewise-linear waveform (RK4 + Simpson + exact tail).
-
-    Control interval j takes ``steps[j]`` RK4 steps, or ``n_sub``, or by
-    default `_default_n_sub` of its own peak: the functional
-    `solve_optimal_control` maximizes from these controls.  Past
-    `_MAX_FINE_STEPS` steps in all the call is rejected, naming the
-    parameter that set the counts.
-    """
-    return _forward(controls, times, prep, gamma, n_sub, steps)[0]
-
-
-def control_work_and_gradient(
-    controls,
-    times,
-    prep: Preparation,
-    gamma: float = 1.0,
-    n_sub: int | None = None,
-    *,
-    steps: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Work functional and its exact gradient with respect to the control nodes.
-
-    The gradient is the discrete adjoint of the same RK4/Simpson scheme
-    `control_work` uses, so central finite differences of that function match
-    it to roundoff.  Pass an explicit ``n_sub`` when comparing against finite
-    differences, because the default step count of each interval depends on
-    its control amplitude.  ``n_sub`` and ``steps`` are as in `control_work`.
-    """
-    work, on, om, maps, x, (n, jn, un, jm, um, h, wq) = _forward(
-        controls, times, prep, gamma, n_sub, steps, keep_maps=True
-    )
     g = gamma
     p, s = x
     h2, h3, h6 = 0.5 * h, h / 3.0, h / 6.0
@@ -605,29 +570,26 @@ def _shape(c0, times, prep, gamma, n_bar, counts):
 _MAX_ITER = 5000
 
 
-def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int = 0) -> OptimalPulse:
+def solve_optimal_control(problem: ControlProblem, n_starts: int = 1) -> OptimalPulse:
     """Maximize the extracted work over nonnegative waveforms at fixed photon number.
 
     Start 0 is the exponential ansatz at the scan's best time constant,
-    sharpened by a parabola through the grid (`_start_zero`); the
-    remaining starts are seeded multiplicative perturbations of it.  Each
-    start is one L-BFGS-B run of at most `_MAX_ITER` iterations.  One start
-    is the default: from n_bar = 1e-4 to 80, no extra start gained more than
-    1e-12 over start 0, far below the functional's discretisation error
-    (about 1e-8).  The returned ``work`` is the functional at the best
-    start's converged controls, the value it maximised.  Control interval j
-    takes `_default_n_sub` RK4 steps of start 0's peak on it, so the
-    functional does not depend on ``n_starts`` or ``seed``, and
-    ``control_work`` at start 0 is that functional; each evaluation is a
-    `control_work_and_gradient` call with those counts as ``steps``.  A
-    start whose converged controls break h * max(gamma, local peak) <=
-    `_STEP_BOUND` on some interval takes the counts again from them and
-    continues once (`_shape`); ``iterations`` counts both runs.  Counts
-    past `_MAX_FINE_STEPS` in all are rejected, naming the horizon, before
-    any array is built.
+    sharpened by a parabola through the grid (`_start_zero`); the other
+    starts are multiplicative perturbations of it from
+    ``np.random.default_rng(0)``.  Each start is one L-BFGS-B run of at most
+    `_MAX_ITER` iterations.  One start is the default: from n_bar = 1e-4 to
+    80, no extra start gained more than 1e-12 over start 0, far below the
+    functional's discretisation error (about 1e-8).  ``work`` is the
+    functional at the best start's converged controls, the value it
+    maximised.  Every evaluation is a `control_work_and_gradient` call with
+    start 0's default step counts as ``steps``, so the functional does not
+    depend on ``n_starts``.  A start whose converged controls break h *
+    max(gamma, local peak) <= `_STEP_BOUND` on some interval takes the
+    counts again from them and continues once (`_shape`); ``iterations``
+    counts both runs.  Counts past `_MAX_FINE_STEPS` in all are rejected,
+    naming the horizon, before any array is built.
     """
-    _check_params("positive", n_starts=n_starts)
-    _check_params("nonnegative", seed=seed)
+    _check_counts("positive", n_starts=n_starts)
     times = np.linspace(0.0, problem.horizon, problem.n_nodes)
     prep, gamma, n_bar = problem.prep, problem.gamma, problem.n_bar
 
@@ -635,7 +597,7 @@ def solve_optimal_control(problem: ControlProblem, n_starts: int = 1, seed: int 
     peaks = _local_peaks(project_to_budget(init, times, n_bar, gamma))
     counts = _substeps(_default_n_sub(np.diff(times), gamma, peaks), "horizon")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [init]
     for _ in range(n_starts - 1):
         starts.append(init * (1.0 + 0.25 * rng.standard_normal(len(init))))

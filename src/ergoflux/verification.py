@@ -27,7 +27,7 @@ from .dynamics import (
     Preparation,
     SquarePulse,
     Trajectory,
-    _check_params,
+    _check_counts,
     evolve_numeric,
     prepare_initial,
 )
@@ -120,8 +120,8 @@ def _random_trajectory(rng: np.random.Generator) -> Trajectory:
 
 def conservation_suite(n_cases: int = 20, seed: int = 0) -> ConservationReport:
     """Run `conservation_audit` over randomized drives and preparations."""
-    _check_params("positive", n_cases=n_cases)
-    _check_params("nonnegative", seed=seed)
+    _check_counts("positive", n_cases=n_cases)
+    _check_counts("nonnegative", seed=seed)
     rng = np.random.default_rng(seed)
     reps = [conservation_audit(_random_trajectory(rng)) for _ in range(n_cases)]
     return ConservationReport(
@@ -184,6 +184,7 @@ def ergotropy_bound_scan(resolution: int = 50) -> BoundScanReport:
     comes from the closed-form stopping-time search at gamma = 1, run on
     all cells as one batch.  A gap below -`scenarios._BOUND_TOL` is a violation.
     """
+    _check_counts("positive", resolution=resolution)
     if resolution < 20:
         raise ValueError("resolution must be at least 20 per axis")
     p_values = np.linspace(0.0, 0.5, resolution)

@@ -53,3 +53,36 @@ def pulse_distance(drive_a, drive_b) -> float:
     if den2 == 0.0:
         return math.inf if num2 > 0.0 else 0.0
     return math.sqrt(num2 / den2)
+
+
+def _weak_charge_eigenvalue(p_e0: float, gamma: float, t_end: float, n: int) -> float:
+    """4 gamma lambda_max / dt of the second-order work form on an n-point midpoint grid.
+
+    With s0 = 0 the first-order dipole is s1 = G rabi, G[i, j] =
+    exp(-gamma (t_i - t_j) / 2) (p0(t_j) - 1/2) dt for t_j < t_i and half
+    that on the diagonal, p0(t) = p_e0 exp(-gamma t).  The work
+    <rabi, s1> + gamma <s1, s1> + s1(T)^2 is the quadratic form of
+    K = dt sym(G) + gamma dt G^T G + g_T g_T^T in the node values, and the
+    budget sum(rabi^2) dt = 4 gamma n_bar caps it at 4 gamma lambda_max(K) / dt
+    per photon (Courant-Fischer).
+    """
+    dt = t_end / n
+    t = (np.arange(n) + 0.5) * dt
+    source = (p_e0 * np.exp(-gamma * t) - 0.5) * dt
+    g = np.tril(np.exp(-0.5 * gamma * (t[:, None] - t[None, :])), -1) * source + np.diag(0.5 * source)
+    g_end = np.exp(-0.5 * gamma * (t_end - t)) * source
+    k = dt * 0.5 * (g + g.T) + gamma * dt * g.T @ g + np.outer(g_end, g_end)
+    return 4.0 * gamma * float(np.linalg.eigvalsh(k)[-1]) / dt
+
+
+def weak_charge_work_per_photon(p_e0: float, gamma: float = 1.0) -> float:
+    """Best work per photon, W / n_bar as n_bar -> 0, of a state without coherence.
+
+    The top eigenvalue of `_weak_charge_eigenvalue` over T = 10 / gamma,
+    Richardson-extrapolated from N = 400 and 800 (the midpoint grid is second
+    order).  It agrees with N = 1600 and 3200 to 1e-8 for p_e0 in
+    {0.6, 0.75, 1}.  For p_e0 <= 1/2 the supremum is 0 and is not attained.
+    """
+    t_end = 10.0 / gamma
+    coarse, fine = (_weak_charge_eigenvalue(p_e0, gamma, t_end, n) for n in (400, 800))
+    return (4.0 * fine - coarse) / 3.0

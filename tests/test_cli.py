@@ -95,8 +95,7 @@ def test_only_the_pulse_shaper_imports_scipy(tmp_path):
         # the RK4 path of the audit: evolve_numeric and accumulate
         ["verify", "--suite", "conservation", "--cases", "2", "--out", str(tmp_path / "v.json")],
         ["verify", "--suite", "bound-scan", "--resolution", "20", "--out", str(tmp_path / "v.json")],
-        ["optimize", "--theta", "1.5708", "--nbar", "0.1", "--nodes", "32", "--horizon", "5",
-         "--starts", "1", "--out", out],
+        ["optimize", "--theta", "1.5708", "--nbar", "0.1", "--nodes", "32", "--horizon", "5", "--out", out],
     ]
     proc = _fresh_python("-c", _IMPORT_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
@@ -215,11 +214,24 @@ def test_config_file_fills_and_flags_override(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"case": "ii", "theta": 1.0', "error: Expecting ',' delimiter"), (None, "error: [Errno 2] No such file")],
+    ids=["malformed", "missing"],
+)
+def test_unreadable_config_exits_1(text, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run("scenario", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"case": "ii", "theta": 1.0, "frobnicate": 1}))
     assert run("scenario", "--config", str(cfg)) == 1
-    assert run("scenario", "--case", "ii", "--theta", "1", "--config", str(tmp_path / "no.json")) == 1
     capsys.readouterr()
 
 
@@ -463,22 +475,25 @@ def test_optimize_summary_and_waveform(tmp_path, capsys):
     out = tmp_path / "pulse.csv"
     code = run(
         "optimize", "--p", "0", "--theta", "2.0", "--nbar", "0.3",
-        "--horizon", "5", "--nodes", "48", "--starts", "1", "--seed", "1",
-        "--out", str(out),
+        "--horizon", "5", "--nodes", "48", "--out", str(out),
     )
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
+    assert sorted(summary) == ["charge", "converged", "gradient_norm", "iterations", "message", "work", "yield"]
     assert summary["charge"] == pytest.approx(0.3, rel=1e-9)
     assert 0.0 < summary["work"] <= ef.ergotropy(ef.Preparation(p=0.0, theta=2.0)) + 1e-9
     assert isinstance(summary["converged"], bool)
     assert isinstance(summary["message"], str) and summary["message"]
-    assert len(summary["start_objectives"]) == 1
 
     d = np.genfromtxt(out, delimiter=",", names=True, comments="#", skip_header=1)
     assert d.dtype.names == ("time", "rabi")
     assert len(d) == 48
     assert d["time"][0] == 0.0 and d["time"][-1] == 5.0
     assert (d["rabi"] >= 0.0).all()
+    # one start from the exponential ansatz: optimize takes no start count or seed
+    for flag in ("--starts", "--seed"):
+        assert run("optimize", "--theta", "2.0", "--nbar", "0.3", flag, "1") == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_optimize_csv_is_byte_reproducible(tmp_path, capsys):
@@ -486,7 +501,7 @@ def test_optimize_csv_is_byte_reproducible(tmp_path, capsys):
     for out in outs:
         assert run(
             "optimize", "--theta", "2.0", "--nbar", "0.3", "--horizon", "5",
-            "--nodes", "48", "--starts", "2", "--out", str(out),
+            "--nodes", "48", "--out", str(out),
         ) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     capsys.readouterr()
@@ -504,13 +519,13 @@ def test_optimize_numerical_failure_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "flags, name",
     [
-        (["--starts", "0"], "n_starts"),
-        (["--starts", "-3"], "n_starts"),
+        (["--nbar", "0"], "n_bar"),
+        (["--nbar", "-1"], "n_bar"),
         (["--nbar", "nan"], "n_bar"),
         (["--nbar", "inf"], "n_bar"),
         (["--horizon", "inf"], "horizon"),
         (["--horizon", "1e308"], "horizon"),
-        (["--seed", "-1"], "seed"),
+        (["--horizon", "nan"], "horizon"),
         (["--horizon", "0"], "horizon"),
         (["--horizon", "-1"], "horizon"),
     ],

@@ -392,3 +392,24 @@ def _sweep_grid(fixed):
 def test_library_rejects_malformed_tables_and_counts(build, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         build()
+
+
+_PREP = ef.Preparation(p=0.0, theta=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda v: ef.solve_optimal_control(ef.ControlProblem(prep=_PREP, n_bar=1.0), n_starts=v), "n_starts", 1.5),
+        (lambda v: ef.conservation_suite(n_cases=v), "n_cases", 2.5),
+        (lambda v: ef.conservation_suite(seed=v), "seed", 1.5),
+        (lambda v: ef.analytic_square_trajectory(_PREP, 1.0, 1.0, 1.0, num=v), "num", 2.5),
+        (lambda v: ef.analytic_square_trajectory(_PREP, 1.0, 1.0, 1.0, num=v), "num", True),
+        (lambda v: ef.ergotropy_bound_scan(resolution=v), "resolution", 20.5),
+        (lambda v: ef.ControlProblem(prep=_PREP, n_bar=1.0, n_nodes=v), "n_nodes", 40.5),
+    ],
+)
+def test_counts_must_be_whole_numbers(call, name, value):
+    # rejected by name before numpy or range sees the count
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value!r}$"):
+        call(value)

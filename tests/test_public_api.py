@@ -21,3 +21,6 @@ def test_all_resolves_and_lists_every_import():
     assert [name for name in ef.__all__ if not hasattr(ef, name)] == []
     assert sorted(_imported_public_names() - set(ef.__all__)) == []
     assert len(set(ef.__all__)) == len(ef.__all__)
+    # the pulse shaper's one functional gives the work and its gradient in one call
+    assert "control_work" not in ef.__all__ and len(ef.__all__) == 51
+
