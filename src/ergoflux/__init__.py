@@ -14,7 +14,6 @@ from .dynamics import (
     OffDrive,
     Preparation,
     QubitState,
-    SquarePulse,
     TabulatedPulse,
     Trajectory,
     analytic_square_trajectory,
@@ -88,7 +87,6 @@ __all__ = [
     "QubitState",
     "ScaleInvarianceReport",
     "ScenarioResult",
-    "SquarePulse",
     "SweepAxis",
     "SweepGrid",
     "SweepResult",

@@ -145,16 +145,6 @@ class DriveProfile:
         """Time after which the waveform is treated as identically zero."""
         raise NotImplementedError
 
-    def photon_rate(self, t, gamma: float = 1.0):
-        """Incoming photon flux rabi^2 / (4 gamma).
-
-        At gamma = 0 it is the limit gamma -> 0: inf where the drive is on
-        and 0 where it is off.
-        """
-        r = np.asarray(self.rabi(t), dtype=float)
-        out = r * r / (4.0 * gamma) if gamma > 0.0 else np.where(r != 0.0, _INF, 0.0)
-        return float(out) if out.ndim == 0 else out
-
     def charge(self, gamma: float = 1.0) -> float:
         """Total mean photon number carried by the waveform."""
         raise NotImplementedError
@@ -162,6 +152,10 @@ class DriveProfile:
     def _slopes(self, t):
         """Slopes of the waveform at the times ``t`` (an array): right limits, then left limits."""
         raise NotImplementedError
+
+    def _breakpoints(self, t_end: float) -> np.ndarray:
+        """Times inside (0, ``t_end``) where the waveform may kink or jump: none unless tabulated."""
+        return np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -178,32 +172,6 @@ class OffDrive(DriveProfile):
 
     def charge(self, gamma: float = 1.0) -> float:
         return 0.0
-
-    def _slopes(self, t):
-        return (np.zeros_like(t),) * 2
-
-
-@dataclass(frozen=True)
-class SquarePulse(DriveProfile):
-    """Constant amplitude on the closed interval [0, duration]."""
-
-    amplitude: float
-    duration: float
-
-    def __post_init__(self):
-        _check_params("nonnegative", amplitude=self.amplitude)
-        _check_params("positive", duration=self.duration)
-
-    def rabi(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where((t >= 0.0) & (t <= self.duration), self.amplitude, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def support_end(self) -> float:
-        return self.duration
-
-    def charge(self, gamma: float = 1.0) -> float:
-        return self.amplitude**2 * self.duration / (4.0 * gamma)
 
     def _slopes(self, t):
         return (np.zeros_like(t),) * 2
@@ -282,6 +250,9 @@ class TabulatedPulse(DriveProfile):
         near = 1e-12 * self.times[-1]
         i = np.searchsorted(self.times, t + near, side="right")
         return m[i], m[np.searchsorted(self.times, t - near, side="left")]
+
+    def _breakpoints(self, t_end: float) -> np.ndarray:
+        return self.times[(self.times > 0.0) & (self.times < t_end)]
 
 
 def _check_nodes(times: np.ndarray, values: np.ndarray, name: str) -> np.ndarray:
@@ -450,31 +421,40 @@ def evolve_numeric(
 ) -> Trajectory:
     """Integrate the Bloch equations with a fixed-step RK4 scheme.
 
-    Each step must resolve the fastest scale around it: dt * max(gamma,
-    rabi at the step's start, middle and end) <= 0.01.  The RK4 steps are
-    affine maps of the state, composed by `_affine_scan`.  The stored states
-    are clamped back into the Bloch ball after integration, so the clamp
-    never feeds back into the next step; any of them outside by more than
-    BLOCH_TOL raises `IntegrationAccuracyError`.  The fixed grid and scan
-    layout make runs bit-reproducible.
+    The grid runs through the drive's breakpoints (a table's nodes inside
+    the run), so no step straddles a kink; each segment between them is
+    stepped uniformly, with no step longer than ``dt``.  A drive without
+    breakpoints gets one uniform grid.  Each step must resolve the fastest
+    scale around it: h * max(gamma, rabi at the step's start, middle and
+    end) <= 0.01.  The RK4 steps are affine maps of the state, composed by
+    `_affine_scan`.  The stored states are clamped back into the Bloch ball
+    after integration, so the clamp never feeds back into the next step; any
+    of them outside by more than BLOCH_TOL raises `IntegrationAccuracyError`.
+    The fixed grid and scan layout make runs bit-reproducible.
     """
     _check_span(t_end, gamma)
     _check_params("positive", dt=dt)
-    n = max(1, math.ceil(t_end / dt * (1.0 - 1e-12)))
-    times, h = np.linspace(0.0, t_end, n + 1), t_end / n
+    edges = np.concatenate(([0.0], drive._breakpoints(t_end), [t_end]))
+    spans = np.diff(edges)
+    counts = [max(1, math.ceil(w / dt * (1.0 - 1e-12))) for w in spans.tolist()]
+    times = np.concatenate(
+        [np.linspace(a, b, n, endpoint=False) for a, b, n in zip(edges, edges[1:], counts)] + [edges[-1:]]
+    )
+    h = np.repeat(spans / counts, counts)
     om_g = np.asarray(drive.rabi(times), dtype=float)
     om_m = np.asarray(drive.rabi(times[:-1] + 0.5 * h), dtype=float)
     _check_steps(times, h, om_g, om_m, gamma)
 
     p, s = _drive_scan(om_g, om_m, h, gamma, (state0.p_e, state0.s_bar))
-    for lo in range(0, n + 1, _BLOCK):
+    for lo in range(0, len(times), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         p[block], s[block] = _clamped_samples(p[block], s[block])
     return Trajectory(times=times, p_e=p, s_bar=s, drive=drive, gamma=gamma)
 
 
-def _check_steps(times, h: float, om_g, om_m, gamma: float) -> None:
-    """Raise `ValueError` at the first step with h * max(gamma, its drive samples) above `_RK4_BOUND`."""
+def _check_steps(times, h, om_g, om_m, gamma: float) -> None:
+    """Raise `ValueError` at the first step with h * max(gamma, its drive samples) above `_RK4_BOUND`;
+    ``h`` holds one length per step."""
     local = np.maximum(om_g[:-1], om_g[1:])
     np.maximum(local, om_m, out=local)
     np.maximum(local, gamma, out=local)
@@ -482,8 +462,8 @@ def _check_steps(times, h: float, om_g, om_m, gamma: float) -> None:
     worst = int(np.argmax(local))
     if local[worst] > _RK4_BOUND * (1.0 + 1e-9):
         raise ValueError(
-            f"dt={h:.3e} too coarse for the fastest scale at t={times[worst]:.3e}; "
-            f"need dt <= {_RK4_BOUND * h / local[worst]:.3e}"
+            f"dt={h[worst]:.3e} too coarse for the fastest scale at t={times[worst]:.3e}; "
+            f"need dt <= {_RK4_BOUND * h[worst] / local[worst]:.3e}"
         )
 
 
@@ -638,6 +618,5 @@ def analytic_square_trajectory(
     _check_counts("positive", num=num)
     times = np.linspace(0.0, t_end, num)
     p, s = _square_states(prep, rabi, gamma, times)
-    return Trajectory(
-        times=times, p_e=p, s_bar=s, drive=SquarePulse(amplitude=rabi, duration=t_end), gamma=gamma
-    )
+    drive = TabulatedPulse(times=[0.0, t_end], values=[rabi, rabi])
+    return Trajectory(times=times, p_e=p, s_bar=s, drive=drive, gamma=gamma)

@@ -100,8 +100,6 @@ class EnergeticsTrace:
     energy: np.ndarray
     work_flux: np.ndarray
     heat_flux: np.ndarray
-    input_flux: np.ndarray
-    output_flux: np.ndarray
     work: np.ndarray
     heat: np.ndarray
     work_tail: float
@@ -125,9 +123,8 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     Each flux is integrated step by step with the endpoint-corrected
     trapezoid, fourth order like RK4, so the grid of `suggested_grid_step`
     serves both.  The flux slopes at the nodes come from the Bloch equations
-    and the drive's own slope, taken one-sided at a tabulated drive's kinks:
-    a kink on a node costs nothing, one inside a step O(h^2), as for the
-    plain trapezoid.
+    and the drive's own slope, taken one-sided at a tabulated drive's kinks,
+    which `evolve_numeric` puts on grid nodes, where they cost nothing.
 
     When the last sample is at or past the drive's `support_end` and
     gamma > 0, the exact free-decay tail after it is booked: work s_end^2
@@ -154,9 +151,6 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     w_flux = ga * m2 + stim
     q_flux = ga * (p - m2)
     q_slope = ga * (dp - 2.0 * s * ds)
-    in_flux = np.asarray(traj.drive.photon_rate(t, gamma=traj.gamma), dtype=float)
-    # total outgoing flux = input + net emission
-    out_flux = in_flux + ga * p + stim
 
     # running sums in order, so every machine gets the same digits
     stimulated = np.cumsum(np.append(0.0, stim_steps))
@@ -183,8 +177,6 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
         energy=p,
         work_flux=w_flux,
         heat_flux=q_flux,
-        input_flux=in_flux,
-        output_flux=out_flux,
         work=work,
         heat=heat,
         work_tail=w_tail,
@@ -201,8 +193,8 @@ def suggested_grid_step(rabi_peak: float, gamma: float, window: float) -> float:
     The step passes `evolve_numeric`'s check for any drive peaking at
     ``rabi_peak``, and the same grid serves `accumulate`, whose ledger is
     fourth order like RK4 itself.  Without a drive or a decay it is
-    ``window``.  Strong kinks of a tabulated drive that fall inside steps
-    cost O(h^2) each; a grid through the table's nodes avoids that.
+    ``window``.  `evolve_numeric` shortens the steps as needed to put a
+    tabulated drive's nodes on the grid.
     """
     rate = math.hypot(rabi_peak, gamma)
     return min(_RK4_BOUND / rate, window) if rate > 0.0 else window

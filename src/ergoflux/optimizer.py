@@ -268,7 +268,7 @@ class ControlProblem:
         _check_params("positive", n_bar=self.n_bar, horizon=self.horizon, gamma=self.gamma)
         _check_counts("positive", n_nodes=self.n_nodes)
         if self.n_nodes < 32:
-            raise ValueError("need at least 32 control nodes")
+            raise ValueError(f"n_nodes must be at least 32, got {self.n_nodes}")
         _check_total_steps(2.0 * (self.n_nodes - 1), "n_nodes")
 
 

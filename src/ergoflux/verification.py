@@ -4,8 +4,7 @@ Three independent audits:
 
 * `conservation_audit` differentiates a numerically integrated trajectory
   and checks, pointwise, that the energy the qubit loses equals work flux
-  plus heat flux, which is the channel's output power less its input;
-  `conservation_suite` runs it over randomized trajectories,
+  plus heat flux; `conservation_suite` runs it over randomized trajectories,
 * `ergotropy_bound_scan` verifies on a dense (p, theta, gamma/rabi) grid
   that the constant-drive protocol never extracts more than the ergotropy,
 * `scale_invariance_check` reruns the same physics at different absolute
@@ -25,7 +24,7 @@ from .dynamics import (
     IntegrationAccuracyError,
     OffDrive,
     Preparation,
-    SquarePulse,
+    TabulatedPulse,
     Trajectory,
     _check_counts,
     evolve_numeric,
@@ -44,8 +43,6 @@ class ConservationReport:
 
     ``max_rate_residual`` is max |−dE/dt − (work flux + heat flux)| with the
     derivative taken by fourth-order centered differences on the interior.
-    It is also the power-balance residual |output − input + dE/dt|, since
-    output − input is work flux plus heat flux on every trace.
     ``max_integral_residual`` is the cumulative first-law mismatch on the
     grid, `EnergeticsTrace.residual`.
     """
@@ -69,9 +66,10 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
     """Derivative-level check of the energy bookkeeping on one trajectory,
     against the first-law tolerance `RESIDUAL_TOL`.
 
-    The trajectory grid must be uniform (as produced by `evolve_numeric`)
-    and the drive smooth inside the window, otherwise the centered
-    differences see the kinks rather than the physics.  The decay rate must
+    The trajectory grid must be uniform, as `evolve_numeric` makes it for a
+    drive without breakpoints inside the window (not a table with inner
+    nodes), and the drive smooth there, otherwise the centered differences
+    see the kinks rather than the physics.  The decay rate must
     be positive: without a channel there is no power balance to audit.
     """
     if not traj.gamma > 0.0:
@@ -108,7 +106,7 @@ def _random_trajectory(rng: np.random.Generator) -> Trajectory:
         # epsilon = gamma/rabi log-uniform over [0.05, 50]
         eps = float(np.exp(rng.uniform(math.log(0.05), math.log(50.0))))
         rabi_peak = gamma / eps
-        drive = SquarePulse(amplitude=rabi_peak, duration=t_end)
+        drive = TabulatedPulse(times=[0.0, t_end], values=[rabi_peak, rabi_peak])
     else:
         tau = float(np.exp(rng.uniform(math.log(0.2), math.log(2.0))))
         drive = ExponentialPulse(n_bar=float(rng.uniform(0.2, 4.0)), tau=tau, gamma=gamma)
@@ -186,7 +184,7 @@ def ergotropy_bound_scan(resolution: int = 50) -> BoundScanReport:
     """
     _check_counts("positive", resolution=resolution)
     if resolution < 20:
-        raise ValueError("resolution must be at least 20 per axis")
+        raise ValueError(f"resolution must be at least 20 per axis, got {resolution}")
     p_values = np.linspace(0.0, 0.5, resolution)
     theta_values = np.linspace(0.0, math.pi, resolution)
     epsilon_values = np.geomspace(*_EPSILON_RANGE, resolution)

@@ -262,7 +262,7 @@ def test_criterion_09_analytic_numeric_equivalence():
 
 def _square_pulse_deviation(prep, rabi, t_end=10.0):
     dt = min(0.01 / max(1.0, rabi), t_end / 64.0)
-    drive = ef.SquarePulse(amplitude=rabi, duration=t_end)
+    drive = ef.TabulatedPulse(times=[0.0, t_end], values=[rabi, rabi])
     traj = ef.evolve_numeric(ef.prepare_initial(prep), drive, t_end=t_end, dt=dt)
     ana = ef.analytic_square_trajectory(prep, rabi, 1.0, t_end, num=len(traj.times))
     return max(

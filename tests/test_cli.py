@@ -583,6 +583,11 @@ def test_optimize_past_the_fine_step_limit_by_nodes_exits_1_before_allocating(ca
     assert peak <= 1_000_000
 
 
+def test_optimize_with_too_few_nodes_exits_1_naming_the_count(capsys):
+    assert run("optimize", "--theta", "2", "--nbar", "1", "--nodes", "8") == 1
+    assert capsys.readouterr().err == "error: n_nodes must be at least 32, got 8\n"
+
+
 def test_husimi_grid_matches_library(capsys):
     assert run("husimi", "--theta", "1.5708", "--re", "-1", "1", "3", "--im", "0", "1", "2") == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -102,11 +102,13 @@ def test_prepared_states_sit_inside_the_ball(prep):
 # ------------------------------------------------------------------- drives
 
 
-def test_square_pulse_closed_support():
-    d = ef.SquarePulse(amplitude=2.0, duration=3.0)
+def test_two_node_table_is_a_square_pulse_on_its_closed_support():
+    d = ef.TabulatedPulse(times=[0.0, 3.0], values=[2.0, 2.0])
     assert d.rabi(0.0) == 2.0
     assert d.rabi(3.0) == 2.0
     assert d.rabi(3.0000001) == 0.0
+    right, left = d._slopes(np.array([0.0, 1.5, 3.0]))
+    assert right.tolist() == left.tolist() == [0.0] * 3
     assert d.support_end() == 3.0
     assert d.charge(gamma=1.0) == pytest.approx(4.0 * 3.0 / 4.0)
 
@@ -135,8 +137,8 @@ def test_tabulated_pulse_charge_matches_quadrature():
 @pytest.mark.parametrize(
     "drive, args, name",
     [
-        ("SquarePulse", (math.nan, 1.0), "amplitude"),
-        ("SquarePulse", (1.0, math.inf), "duration"),
+        ("TabulatedPulse", ([0.0, 1.0], [1.0, math.inf]), "values"),
+        ("TabulatedPulse", ([math.nan, 1.0], [1.0, 1.0]), "times"),
         ("ExponentialPulse", (math.nan, 1.0), "n_bar"),
         ("ExponentialPulse", (1.0, math.nan), "tau"),
         ("ExponentialPulse", (1.0, 1.0, math.inf), "gamma"),
@@ -160,16 +162,6 @@ def test_off_drive_is_null():
     d = ef.OffDrive()
     assert d.rabi(1.23) == 0.0
     assert d.charge() == 0.0
-    assert d.photon_rate(0.5) == 0.0
-
-
-def test_photon_rate_relation():
-    d = ef.SquarePulse(amplitude=3.0, duration=1.0)
-    assert d.photon_rate(0.5, gamma=2.0) == pytest.approx(9.0 / 8.0)
-    # gamma -> 0: infinite where the drive is on, zero where it is off
-    assert d.photon_rate(0.5, gamma=0.0) == math.inf
-    assert d.photon_rate(2.0, gamma=0.0) == 0.0
-    assert ef.OffDrive().photon_rate(np.linspace(0.0, 1.0, 3), gamma=0.0).tolist() == [0.0] * 3
 
 
 # ------------------------------------------------------- numeric integration
@@ -216,7 +208,7 @@ def test_evolve_numeric_rejects_non_finite_step(dt):
 
 def test_dt_guard_rejects_coarse_steps():
     state = ef.prepare_initial(ef.Preparation(p=0.0, theta=1.0))
-    drive = ef.SquarePulse(amplitude=30.0, duration=1.0)
+    drive = ef.TabulatedPulse(times=[0.0, 1.0], values=[30.0, 30.0])
     with pytest.raises(ValueError):
         ef.evolve_numeric(state, drive, t_end=1.0, dt=0.01)  # needs 0.01/30
 
@@ -240,7 +232,7 @@ def test_analytic_matches_numeric_everywhere(prep, eps):
     dt = min(0.01 / max(gamma, rabi), t_end / 64.0)
     traj = ef.evolve_numeric(
         ef.prepare_initial(prep),
-        ef.SquarePulse(amplitude=rabi, duration=t_end),
+        ef.TabulatedPulse(times=[0.0, t_end], values=[rabi, rabi]),
         t_end=t_end,
         dt=dt,
         gamma=gamma,
@@ -256,7 +248,7 @@ def test_numeric_preserves_ball_and_reality(prep, eps):
     rabi = 1.0 / eps
     traj = ef.evolve_numeric(
         ef.prepare_initial(prep),
-        ef.SquarePulse(amplitude=rabi, duration=5.0),
+        ef.TabulatedPulse(times=[0.0, 5.0], values=[rabi, rabi]),
         t_end=5.0,
         dt=0.01 / max(1.0, rabi),
     )
@@ -300,7 +292,7 @@ def test_exactly_critical_parameters_use_secular_branch():
     # and the degenerate solution still matches the integrator
     traj = ef.evolve_numeric(
         ef.prepare_initial(prep),
-        ef.SquarePulse(amplitude=0.25, duration=8.0),
+        ef.TabulatedPulse(times=[0.0, 8.0], values=[0.25, 0.25]),
         t_end=8.0,
         dt=0.005,
     )

@@ -144,13 +144,13 @@ def test_accumulate_power_balance_columns():
     rabi = 2.0
     traj = ef.evolve_numeric(
         ef.prepare_initial(prep),
-        ef.SquarePulse(amplitude=rabi, duration=4.0),
+        ef.TabulatedPulse(times=[0.0, 4.0], values=[rabi, rabi]),
         t_end=4.0,
         dt=0.002,
     )
     tr = ef.accumulate(traj)
-    assert np.allclose(tr.output_flux - tr.input_flux, tr.work_flux + tr.heat_flux, atol=1e-12)
-    assert np.all(tr.input_flux == rabi**2 / 4.0)
+    # work and heat flux sum to the net emission gamma p_e + rabi s
+    assert np.allclose(tr.work_flux + tr.heat_flux, traj.p_e + rabi * traj.s_bar, atol=1e-12)
     assert tr.heat_flux.min() >= -1e-12
 
 
@@ -158,7 +158,7 @@ def test_first_law_residual_guard_trips_on_corrupted_population():
     prep = ef.Preparation(p=0.0, theta=2.0)
     traj = ef.evolve_numeric(
         ef.prepare_initial(prep),
-        ef.SquarePulse(amplitude=1.0, duration=3.0),
+        ef.TabulatedPulse(times=[0.0, 3.0], values=[1.0, 1.0]),
         t_end=3.0,
         dt=ef.suggested_grid_step(1.0, 1.0, 3.0),  # fine enough for the clean trace to pass
     )
@@ -211,12 +211,10 @@ def test_no_tail_without_decay():
 
 
 def test_accumulate_without_decay_books_the_drive_alone():
-    # gamma = 0: the input flux is its gamma -> 0 limit, and no heat leaves
+    # gamma = 0: no heat leaves
     state = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
     traj = ef.evolve_numeric(state, _KINKED, t_end=1.5, dt=0.001, gamma=0.0)
     tr = ef.accumulate(traj)
-    on = _KINKED.rabi(traj.times) > 0.0
-    assert np.isinf(tr.input_flux[on]).all() and (tr.input_flux[~on] == 0.0).all()
     assert (tr.heat == 0.0).all() and tr.work_tail == 0.0 and tr.heat_tail == 0.0
     assert tr.total_work == pytest.approx(tr.stimulated_work + tr.spontaneous_work, abs=1e-15)
     assert abs(tr.total_work) > 1e-3
@@ -245,7 +243,7 @@ def test_suggested_grid_step_is_the_rk4_bound_at_its_extremes():
     for gamma in (1.0, 0.0):
         h = ef.suggested_grid_step(rabi, gamma, t_end)
         assert h == pytest.approx(1e-6, rel=1e-8)
-        drive = ef.SquarePulse(amplitude=rabi, duration=t_end)
+        drive = ef.TabulatedPulse(times=[0.0, t_end], values=[rabi, rabi])
         traj = ef.evolve_numeric(state, drive, t_end=t_end, dt=h, gamma=gamma)
         assert np.diff(traj.times).max() <= h * (1.0 + 1e-9)
         assert ef.accumulate(traj).residual <= RESIDUAL_TOL
@@ -294,18 +292,36 @@ def test_first_law_residual_is_fourth_order(drive, t_end, dt):
 
 
 def test_first_law_holds_on_a_tabulated_drive_off_its_nodes():
-    # a shaper-like waveform on 200 nodes, kinked at every node; the RK4 grid
-    # at the suggested step shares only its ends with the table.  Measured
-    # 2.6e-7; slopes from the wrong side at a step's end, one slope per step
-    # or none read 1.8e-6 to 1.9e-6
+    # a shaper-like waveform on 200 nodes, kinked at every node, at a
+    # suggested step that does not divide the table's intervals: the grid
+    # runs through every node anyway, so no kink falls inside a step, where
+    # it would cost O(h^2).  Measured 2.9e-11
     times = np.linspace(0.0, 8.0, 200)
     controls = ef.project_to_budget(4.0 * np.exp(-times / 0.2), times, n_bar=1.64)
     pulse = ef.TabulatedPulse(times=times, values=controls)
     state = ef.prepare_initial(ef.Preparation(p=0.0, theta=0.75 * math.pi))
     dt = ef.suggested_grid_step(float(controls.max()), 1.0, 8.0)
     traj = ef.evolve_numeric(state, pulse, t_end=8.0, dt=dt)
-    assert np.isin(times, traj.times).sum() == 2
-    assert ef.accumulate(traj).residual <= RESIDUAL_TOL
+    assert np.isin(times, traj.times).all()
+    assert np.diff(traj.times).max() <= dt
+    assert ef.accumulate(traj).residual <= 1e-9
+
+
+def test_first_law_holds_on_random_kinked_tables():
+    # 100 continuous tables, kinks anywhere in [0, 3], run to 4 at the
+    # suggested step; a kink inside a step would cost O(h^2), past
+    # RESIDUAL_TOL on 5 of them.  Measured 6.2e-11
+    rng = np.random.default_rng(0)
+    state = ef.prepare_initial(ef.Preparation(p=0.1, theta=2.0))
+    worst = 0.0
+    for _ in range(100):
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 3.0, 3)), [3.0]))
+        values = rng.uniform(0.0, 25.0, 5)
+        values[-1] = 0.0
+        dt = ef.suggested_grid_step(float(values.max()), 1.0, 4.0)
+        traj = ef.evolve_numeric(state, ef.TabulatedPulse(times=times, values=values), t_end=4.0, dt=dt)
+        worst = max(worst, ef.accumulate(traj, check_residual=False).residual)
+    assert worst <= RESIDUAL_TOL
 
 
 # --------------------------------------------------------------- work channels
@@ -315,7 +331,7 @@ def test_split_sums_to_total_work():
     prep = ef.Preparation(p=0.0, theta=math.pi / 2)
     traj = ef.evolve_numeric(
         ef.prepare_initial(prep),
-        ef.SquarePulse(amplitude=1.0, duration=1.0),
+        ef.TabulatedPulse(times=[0.0, 1.0], values=[1.0, 1.0]),
         t_end=1.0,
         dt=0.001,
     )

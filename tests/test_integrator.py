@@ -98,37 +98,57 @@ def _complex_step_gradient(controls, times, prep, n_sub, gamma):
 
 
 EVOLVE_CASES = {
-    # the varying drive is cut at 0.8 t_end; the decay goes on to the end
+    # a ramp still on at t_end, where the run is cut; the decay acts in one case
     "cut": dict(state=ef.QubitState(p_e=0.8, s_bar=0.3), gamma=1.0),
     "no decay": dict(state=ef.QubitState(p_e=0.3, s_bar=-0.4), gamma=0.0),
 }
 
 
-@pytest.mark.parametrize("n", STEP_COUNTS)
-@pytest.mark.parametrize("case", sorted(EVOLVE_CASES))
-def test_evolve_numeric_matches_sequential_rk4(n, case):
-    spec = EVOLVE_CASES[case]
-    gamma, state = spec["gamma"], spec["state"]
-    h = 0.004
-    t_end = n * h
-    drive = ef.TabulatedPulse(times=[0.0, 0.4 * t_end, 0.8 * t_end], values=[0.5, 2.0, 1.0])
-    traj = ef.evolve_numeric(state, drive, t_end=t_end, dt=h, gamma=gamma)
-    assert len(traj.times) == n + 1
-
+def _check_evolve_against_reference(state, drive, t_end, dt, gamma):
+    """`evolve_numeric` against sequential RK4 on its own grid; returns the grid."""
+    traj = ef.evolve_numeric(state, drive, t_end=t_end, dt=dt, gamma=gamma)
     t = traj.times
-    h = t[1] - t[0]
+    h = np.diff(t)
     on, om = drive.rabi(t), drive.rabi(t[:-1] + 0.5 * h)
     p, s = _rk4_reference(state.p_e, state.s_bar, on, om, gamma, h)
     assert np.abs(traj.p_e - p).max() <= TOL
     assert np.abs(traj.s_bar - s).max() <= TOL
     assert traj.s_bar.dtype == np.float64
+    return t
+
+
+@pytest.mark.parametrize("n", STEP_COUNTS)
+@pytest.mark.parametrize("case", sorted(EVOLVE_CASES))
+def test_evolve_numeric_matches_sequential_rk4(n, case):
+    # no table node inside the run: one uniform grid of n steps
+    spec = EVOLVE_CASES[case]
+    h = 0.004
+    t_end = n * h
+    drive = ef.TabulatedPulse(times=[0.0, 1.25 * t_end], values=[0.5, 2.0])
+    t = _check_evolve_against_reference(spec["state"], drive, t_end, h, spec["gamma"])
+    assert len(t) == n + 1
+    assert np.array_equal(t, np.linspace(0.0, t_end, n + 1))
+
+
+@pytest.mark.parametrize("n", STEP_COUNTS)
+def test_evolve_numeric_steps_through_a_tables_nodes(n):
+    # kinks at 0.4 t_end and a cut at 0.8 t_end, between the nodes of a
+    # uniform grid of n steps: each becomes a grid node, and the segments
+    # between them are stepped uniformly, no step longer than dt
+    h = 0.004
+    t_end = n * h
+    nodes = [0.0, 0.4 * t_end, 0.8 * t_end]
+    drive = ef.TabulatedPulse(times=nodes, values=[0.5, 2.0, 1.0])
+    t = _check_evolve_against_reference(ef.QubitState(p_e=0.8, s_bar=0.3), drive, t_end, h, 1.0)
+    assert np.isin(nodes, t).all() and t[-1] == t_end
+    assert np.diff(t).max() <= h * (1.0 + 1e-12)
 
 
 def test_evolve_numeric_memory_stays_bounded():
     # 2e5 steps, the size of the conservation suite's largest trajectory; the
     # scan works block by block, so only the outputs grow with the step count
     state = ef.prepare_initial(ef.Preparation(p=0.0, theta=2.0))
-    drive = ef.SquarePulse(amplitude=20.0, duration=4.0)
+    drive = ef.TabulatedPulse(times=[0.0, 4.0], values=[20.0, 20.0])
     tracemalloc.start()
     try:
         traj = ef.evolve_numeric(state, drive, t_end=4.0, dt=2e-5)

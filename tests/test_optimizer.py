@@ -454,7 +454,7 @@ def test_control_problem_validation():
     prep = ef.Preparation(p=0.0, theta=1.0)
     with pytest.raises(ValueError):
         ef.ControlProblem(prep=prep, n_bar=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_nodes must be at least 32, got 8$"):
         ef.ControlProblem(prep=prep, n_bar=1.0, n_nodes=8)
     with pytest.raises(ValueError):
         ef.ControlProblem(prep=prep, n_bar=1.0, gamma=0.0)

@@ -10,7 +10,7 @@ from ergoflux import verification
 
 def _driven_trajectory(rabi=1.3, t_end=3.0):
     prep = ef.Preparation(p=0.1, theta=2.0)
-    drive = ef.SquarePulse(amplitude=rabi, duration=t_end)
+    drive = ef.TabulatedPulse(times=[0.0, t_end], values=[rabi, rabi])
     dt = ef.suggested_grid_step(rabi, 1.0, t_end)
     return ef.evolve_numeric(ef.prepare_initial(prep), drive, t_end=t_end, dt=dt)
 
@@ -67,9 +67,10 @@ def test_audit_rejects_bad_grids():
 
 
 def test_audit_rejects_a_trace_without_decay():
-    # gamma = 0: no channel, so no power balance; the input flux is its infinite limit
+    # gamma = 0: no channel, so no power balance
     state0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=1.0))
-    traj = ef.evolve_numeric(state0, ef.SquarePulse(1.0, 3.0), t_end=3.0, dt=1e-3, gamma=0.0)
+    drive = ef.TabulatedPulse(times=[0.0, 3.0], values=[1.0, 1.0])
+    traj = ef.evolve_numeric(state0, drive, t_end=3.0, dt=1e-3, gamma=0.0)
     with pytest.raises(ValueError, match="gamma"):
         ef.conservation_audit(traj)
 
@@ -103,7 +104,7 @@ def test_bound_scan_small_grid():
 
 
 def test_bound_scan_rejects_coarse_grids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^resolution must be at least 20 per axis, got 10$"):
         ef.ergotropy_bound_scan(resolution=10)
 
 
