@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * the drive is resonant with a fixed phase, so the rotating-frame dipole
   amplitude s is real: a state is the pair (p_e, s) of floats.
 
-Under a constant drive the dipole has one closed form for every damping,
-s(t) = exp(-3 gamma t / 4) * (a C(t) + b S(t)) + c, whose basis C, S is
-entire in k = rabi^2 - gamma^2/16 (`analytic_square_trajectory`).
+Under a constant drive the state has one closed form for every damping and
+drive strength, s(t) = exp(-3 gamma t / 4) * (a C(t) + b S(t)) + c and p_e
+alike, with C, S entire in k = rabi^2 - gamma^2/16 (`analytic_square_trajectory`).
 """
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ class QubitState:
 
     def __post_init__(self):
         object.__setattr__(self, "s_bar", float(self.s_bar))  # TypeError for a non-real dipole
-        if _violation(self.p_e, self.s_bar) > BLOCH_TOL:
+        if not _violation(self.p_e, self.s_bar) <= BLOCH_TOL:  # NaN is outside too
             raise ValueError(
                 f"state outside the Bloch ball: p_e={self.p_e}, s_bar={self.s_bar}"
             )
@@ -146,7 +146,7 @@ class DriveProfile:
         raise NotImplementedError
 
     def charge(self, gamma: float = 1.0) -> float:
-        """Total mean photon number carried by the waveform."""
+        """Total mean photon number carried by the waveform at the decay rate ``gamma`` > 0."""
         raise NotImplementedError
 
     def _slopes(self, t):
@@ -171,6 +171,7 @@ class OffDrive(DriveProfile):
         return 0.0
 
     def charge(self, gamma: float = 1.0) -> float:
+        _check_params("positive", gamma=gamma)
         return 0.0
 
     def _slopes(self, t):
@@ -210,6 +211,7 @@ class ExponentialPulse(DriveProfile):
         return self.tau * math.log(1e8)
 
     def charge(self, gamma: float = 1.0) -> float:
+        _check_params("positive", gamma=gamma)
         return self.n_bar * self.gamma / gamma
 
     def _slopes(self, t):
@@ -241,6 +243,7 @@ class TabulatedPulse(DriveProfile):
         return float(self.times[-1])
 
     def charge(self, gamma: float = 1.0) -> float:
+        _check_params("positive", gamma=gamma)
         return _squared_area(np.diff(self.times), self.values) / (4.0 * gamma)
 
     def _slopes(self, t):
@@ -536,12 +539,13 @@ def _transient_basis(k, alpha) -> _Basis:
 
 @dataclass(frozen=True)
 class AnalyticCoefficients:
-    """Coefficients of the dipole under a constant drive, in one form for every damping.
+    """Coefficients of the state under a constant drive, in one form for every damping.
 
     s(t) = exp(-3 gamma t / 4) * (a * C(t) + b * S(t)) + c, with C and S the
     basis of `_transient_basis` for ``k = rabi^2 - gamma^2/16``: ``c`` is the
     settled dipole, ``a`` the initial transient and ``b`` its initial slope.
-    The slope is s'(t) = exp(-3 gamma t / 4) * (pc * C(t) + ps * S(t)).
+    The slope is s'(t) = exp(-3 gamma t / 4) * (pc * C(t) + ps * S(t)), and
+    p_e(t) = exp(-3 gamma t / 4) * (pop_a * C(t) + pop_b * S(t)) + pop_c.
     Fields are floats, or arrays with one entry per cell.
     """
 
@@ -551,37 +555,41 @@ class AnalyticCoefficients:
     k: float
     pc: float
     ps: float
+    pop_a: float
+    pop_b: float
+    pop_c: float
 
     def take(self, cells) -> AnalyticCoefficients:
         """The coefficients of the cells ``cells`` of array coefficients."""
-        return AnalyticCoefficients(
-            *(v[cells] for v in (self.a, self.b, self.c, self.k, self.pc, self.ps))
-        )
+        return AnalyticCoefficients(*(v[cells] for v in vars(self).values()))
 
 
 def _coefficients(p, theta, rabi, gamma, xp=np) -> AnalyticCoefficients:
-    """`square_pulse_coefficients` without the checks; arrays take ``xp=numpy``."""
+    """`square_pulse_coefficients` without the checks, none divided by rabi; arrays take ``xp=numpy``."""
     w = 0.5 - p
     sin_t = xp.sin(theta)
     cos_t = xp.cos(theta)
     alpha = 0.75 * gamma
-    c = -gamma * rabi / (2.0 * rabi * rabi + gamma * gamma)
+    two_det = 2.0 * rabi * rabi + gamma * gamma  # twice det A of the Bloch equations
+    c = -gamma * rabi / two_det
     a = w * sin_t - c
-    # s'(0) from the equation of motion, plus the decay of the envelope
+    # slope coefficients: the start slope (equation of motion) plus alpha times the transient
     b = w * (0.25 * gamma * sin_t - rabi * cos_t) - alpha * c
     k = rabi * rabi - gamma * gamma / 16.0
-    return AnalyticCoefficients(a=a, b=b, c=c, k=k, pc=b - alpha * a, ps=-(alpha * b + k * a))
+    p0, pop_c = 0.5 - w * cos_t, rabi * rabi / two_det
+    pop_a = p0 - pop_c
+    pop_b = -gamma * p0 - rabi * w * sin_t + alpha * pop_a
+    return AnalyticCoefficients(a, b, c, k, b - alpha * a, -(alpha * b + k * a), pop_a, pop_b, pop_c)
 
 
-def _drive_state(ec, es, rabi, gamma, co: AnalyticCoefficients):
+def _drive_state(ec, es, co: AnalyticCoefficients):
     """The state (p_e, s) of a constant drive from its damped basis values ``ec``, ``es``.
 
     ``ec``, ``es`` are `_Basis.at` of the drive's time (1 and 0 at its
-    start); the population follows from the dipole's equation of motion,
-    p_e = 1/2 + (s' + gamma s / 2) / rabi.  Floats, or arrays per cell.
+    start); the state is two linear forms in them, exact at any Rabi
+    frequency.  Floats, or arrays per cell.
     """
-    s = co.a * ec + co.b * es + co.c
-    return 0.5 + (co.pc * ec + co.ps * es + 0.5 * gamma * s) / rabi, s
+    return co.pop_a * ec + co.pop_b * es + co.pop_c, co.a * ec + co.b * es + co.c
 
 
 def _basis_groups(co: AnalyticCoefficients, alpha: float):
@@ -603,7 +611,7 @@ def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> A
 def _square_states(prep: Preparation, rabi: float, gamma: float, t):
     """Closed-form states (p_e, s) at the times ``t`` of a constant drive from t = 0."""
     co = square_pulse_coefficients(prep, rabi, gamma)
-    return _drive_state(*_transient_basis(co.k, 0.75 * gamma).at(t), rabi, gamma, co)
+    return _drive_state(*_transient_basis(co.k, 0.75 * gamma).at(t), co)
 
 
 def analytic_square_trajectory(

@@ -27,6 +27,7 @@ from .dynamics import (
     QubitState,
     Trajectory,
     _RK4_BOUND,
+    _check_params,
     _drive_state,
     _rhs,
     _transient_basis,
@@ -194,8 +195,11 @@ def suggested_grid_step(rabi_peak: float, gamma: float, window: float) -> float:
     ``rabi_peak``, and the same grid serves `accumulate`, whose ledger is
     fourth order like RK4 itself.  Without a drive or a decay it is
     ``window``.  `evolve_numeric` shortens the steps as needed to put a
-    tabulated drive's nodes on the grid.
+    tabulated drive's nodes on the grid.  ``rabi_peak`` and ``gamma`` must be
+    nonnegative and ``window`` positive, all finite.
     """
+    _check_params("nonnegative", rabi_peak=rabi_peak, gamma=gamma)
+    _check_params("positive", window=window)
     rate = math.hypot(rabi_peak, gamma)
     return min(_RK4_BOUND / rate, window) if rate > 0.0 else window
 
@@ -203,23 +207,18 @@ def suggested_grid_step(rabi_peak: float, gamma: float, window: float) -> float:
 # --------------------------- constant-drive closed-form work ---------------------------
 
 
-def _drive_start(rabi, gamma: float, co: AnalyticCoefficients):
-    """The state (p_e, s) at the start of a constant drive."""
-    return _drive_state(1.0, 0.0, rabi, gamma, co)
-
-
-def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, start=None, at=None):
+def _drive_work(tau, rabi, gamma: float, co: AnalyticCoefficients, basis, at=None):
     """Closed-form work W(tau) of a constant drive and the dipole s(tau) it ends on.
 
     ``co`` and ``basis`` come from `dynamics._coefficients` and
     `dynamics._transient_basis`; ``tau``, ``rabi`` and the coefficients are
-    floats, or arrays with one entry per cell.  ``start`` is `_drive_start`,
-    which a caller that evaluates one drive many times passes in, and ``at``
-    is ``basis.at(tau)``, which a caller that holds it already passes in.
-    See `square_drive_work`.
+    floats, or arrays with one entry per cell.  The states at both ends are
+    the linear forms of `dynamics._drive_state`, so W is exact down to a
+    vanishing Rabi frequency.  ``at`` is ``basis.at(tau)``, which a caller
+    that holds it already passes in.  See `square_drive_work`.
     """
-    p0, s0 = _drive_start(rabi, gamma, co) if start is None else start
-    p, s = _drive_state(*(basis.at(tau) if at is None else at), rabi, gamma, co)
+    p0, s0 = co.pop_a + co.pop_c, co.a + co.c  # the damped basis is (1, 0) at t = 0
+    p, s = _drive_state(*(basis.at(tau) if at is None else at), co)
     det = rabi * rabi + 0.5 * gamma * gamma  # det A
     r2 = 2.0 * rabi * rabi
     d1 = p - p0

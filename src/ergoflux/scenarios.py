@@ -28,7 +28,6 @@ from .dynamics import (
     prepare_initial,
 )
 from .energetics import (
-    _drive_start,
     _drive_work,
     _ergotropy,
     _yield,
@@ -231,7 +230,7 @@ def _work_bound(w_lo, lo, hi, s_lo, rabi, gamma):
     return w_lo + (hi - lo) * s_lo * (rabi + gamma * s_lo)
 
 
-def _tail_cut(size, brackets, rabi, gamma: float, co, basis, start):
+def _tail_cut(size, brackets, rabi, gamma: float, co, basis):
     """How many leading candidates of `_layout` can hold each cell's best work.
 
     At candidate 1 + n the damped basis is v = rho^(2n) times its value at
@@ -259,7 +258,7 @@ def _tail_cut(size, brackets, rabi, gamma: float, co, basis, start):
 
     def work(v):
         """W(0, v): with tau = 0, `_drive_work` leaves out the term K_t t."""
-        return _drive_work(0.0, r, gamma, part, None, (start[0][cut], start[1][cut]), at=(v * ec, v * es))[0]
+        return _drive_work(0.0, r, gamma, part, None, at=(v * ec, v * es))[0]
 
     w0, w_up, w_down = work(0.0), work(1.0), work(-1.0)
     rate, transient = part.c * (r + gamma * part.c), part.a * ec + part.b * es
@@ -294,8 +293,7 @@ def _search_group(rabi, gamma, t_max, co, basis):
     """
     m = rabi.size
     size, ok, brackets = _layout(gamma, t_max, co, basis)
-    start = _drive_start(rabi, gamma, co)
-    size = _tail_cut(size, brackets, rabi, gamma, co, basis, start)
+    size = _tail_cut(size, brackets, rabi, gamma, co, basis)
 
     ends = np.cumsum(size)
     starts = ends - size
@@ -316,7 +314,7 @@ def _search_group(rabi, gamma, t_max, co, basis):
         t_lo, t_hi, ec, es, ec_hi, es_hi = brackets(cell, g - starts[cell])
         part, r = co.take(cell), rabi[cell]
         s_lo, s_hi = part.a * ec + part.b * es + part.c, part.a * ec_hi + part.b * es_hi + part.c
-        w_lo = _drive_work(t_lo, r, gamma, part, None, (start[0][cell], start[1][cell]), at=(ec, es))[0]
+        w_lo = _drive_work(t_lo, r, gamma, part, None, at=(ec, es))[0]
 
         # W' = s (rabi + gamma s) and rabi + gamma s > 0, so only downward
         # crossings of the dipole are interior maxima of the work.  The floor
@@ -331,7 +329,7 @@ def _search_group(rabi, gamma, t_max, co, basis):
         cell = cell[keep]
 
         roots = _newton(dipole, t_lo[keep], t_hi[keep], s_lo[keep], s_hi[keep], cell)
-        w = _drive_work(roots, r[keep], gamma, part.take(keep), basis.take(cell), (start[0][cell], start[1][cell]))[0]
+        w = _drive_work(roots, r[keep], gamma, part.take(keep), basis.take(cell))[0]
         # a bracket still open (NaN root) or NaN work fails its cell
         ok[cell[~np.isfinite(w)]] = False
 

@@ -6,6 +6,7 @@ solvers against; none is part of the package's API.
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 import ergoflux as ef
 from ergoflux.dynamics import _check_span, _clamped_samples, _square_states
@@ -21,6 +22,18 @@ def evolve_square_analytic(prep: ef.Preparation, rabi: float, gamma: float, t: f
         raise ValueError("t must be nonnegative")
     p, s = _clamped_samples(*_square_states(prep, rabi, gamma, float(t)))
     return ef.QubitState(p_e=float(p), s_bar=float(s))
+
+
+def square_states_by_expm(prep: ef.Preparation, rabi: float, gamma: float, times) -> np.ndarray:
+    """States (p_e, s) at the ``times`` of a constant drive from t = 0, as a (2, n) array.
+
+    Each is the matrix exponential of the affine Bloch generator applied to
+    (p_e(0), s(0), 1), independent of the package's closed form.
+    """
+    state = ef.prepare_initial(prep)
+    generator = np.array([[-gamma, -rabi, 0.0], [rabi, -0.5 * gamma, -0.5 * rabi], [0.0, 0.0, 0.0]])
+    x0 = np.array([state.p_e, state.s_bar, 1.0])
+    return np.array([expm(generator * t) @ x0 for t in times])[:, :2].T
 
 
 def free_decay_trajectory(state0: ef.QubitState, gamma: float, t_end: float, num: int) -> ef.Trajectory:

@@ -85,6 +85,11 @@ def test_qubit_state_rejects_points_outside_ball():
         ef.QubitState(p_e=0.5, s_bar=0.6)
     with pytest.raises(ValueError):
         ef.QubitState(p_e=1.2, s_bar=0.0)
+    # a NaN state is bad input, not a numerical failure later on
+    with pytest.raises(ValueError):
+        ef.QubitState(p_e=math.nan, s_bar=0.0)
+    with pytest.raises(ValueError):
+        ef.QubitState(p_e=0.5, s_bar=math.nan)
 
 
 def test_qubit_state_dipole_is_real():
@@ -156,6 +161,15 @@ def test_exponential_pulse_rejects_an_amplitude_past_the_float_range():
     # finite n_bar and tau whose amplitude 2 sqrt(2 gamma n_bar / tau) overflows
     with pytest.raises(ValueError, match="^n_bar 1e[+]300 in tau 1e-300 needs an amplitude"):
         ef.ExponentialPulse(1e300, 1e-300)
+
+
+@pytest.mark.parametrize(
+    "drive", [ef.OffDrive(), ef.ExponentialPulse(1.0, 1.0), ef.TabulatedPulse([0.0, 1.0], [1.0, 1.0])]
+)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_charge_rejects_a_decay_rate_that_is_not_positive_and_finite(drive, gamma):
+    with pytest.raises(ValueError, match="^gamma must be"):
+        drive.charge(gamma)
 
 
 def test_off_drive_is_null():

@@ -228,6 +228,26 @@ def test_accumulated_work_matches_closed_form():
     assert tr.work[-1] == pytest.approx(ef.square_drive_work(prep, rabi, gamma, tau), abs=2e-8)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((math.nan, 1.0, 1.0), "rabi_peak"),
+        ((math.inf, 1.0, 1.0), "rabi_peak"),
+        ((-1.0, 1.0, 1.0), "rabi_peak"),
+        ((1.0, math.nan, 1.0), "gamma"),
+        ((1.0, math.inf, 1.0), "gamma"),
+        ((1.0, -1.0, 1.0), "gamma"),
+        ((1.0, 1.0, math.nan), "window"),
+        ((1.0, 1.0, math.inf), "window"),
+        ((1.0, 1.0, -2.0), "window"),
+        ((1.0, 1.0, 0.0), "window"),
+    ],
+)
+def test_suggested_grid_step_rejects_bad_input_by_name(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ef.suggested_grid_step(*args)
+
+
 def test_suggested_grid_step_is_the_rk4_bound_at_its_extremes():
     # the RK4 bound 0.01 / hypot(rabi, gamma), capped at the window
     assert ef.suggested_grid_step(3.0, 4.0, 10.0) == 0.01 / 5.0

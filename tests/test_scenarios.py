@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import ergoflux as ef
-from ergoflux import scenarios
+from ergoflux import energetics, scenarios
 from ergoflux.scenarios import SCENARIO_ALIASES
 from oracles import evolve_square_analytic, free_decay_trajectory
 
@@ -477,9 +477,9 @@ def test_work_bound_holds_on_every_bracket(prep, ratio, gamma):
 
 
 def test_a_nan_bound_prunes_nothing(monkeypatch):
-    # a NaN start state gives NaN work at every W(lo) and every root; the
-    # brackets must still be refined, so the cells fail instead of reading 0
-    monkeypatch.setattr(scenarios, "_drive_start", lambda rabi, gamma, co: (np.nan * rabi, np.nan * rabi))
+    # a NaN state gives NaN work at every W(lo) and every root; the brackets
+    # must still be refined, so the cells fail instead of reading 0
+    monkeypatch.setattr(energetics, "_drive_state", lambda ec, es, co: (np.nan * co.c, np.nan * co.c))
     tau, work = ef.optimal_square_work(0.0, np.array([1.0, 2.5]), np.array([3.0, 30.0]), 1.0)
     assert np.isnan(tau).all() and np.isnan(work).all()
 
@@ -487,14 +487,13 @@ def test_a_nan_bound_prunes_nothing(monkeypatch):
 def _tail_cut_sizes(p, theta, rabi, gamma):
     """Per cell, the candidates `scenarios._layout` gives and how many of them the search keeps."""
     from ergoflux.dynamics import _basis_groups, _coefficients
-    from ergoflux.energetics import _drive_start
 
     full, kept = np.zeros(p.size, dtype=np.intp), np.zeros(p.size, dtype=np.intp)
     for cells, part, basis in _basis_groups(_coefficients(p, theta, rabi, gamma), 0.75 * gamma):
         r = rabi[cells]
         size, _, brackets = scenarios._layout(gamma, scenarios._search_horizon(r, gamma), part, basis)
         full[cells] = size
-        kept[cells] = scenarios._tail_cut(size, brackets, r, gamma, part, basis, _drive_start(r, gamma, part))
+        kept[cells] = scenarios._tail_cut(size, brackets, r, gamma, part, basis)
     return full, kept
 
 

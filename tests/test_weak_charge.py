@@ -8,13 +8,17 @@ exponential with tau = 2 / (3 gamma) and the gain
 W - s0^2 = 4 s0 p_e(0) sqrt(n_bar / 3).  Without coherence (s0 = 0) the
 sqrt(n_bar) term vanishes and the gain is of order n_bar: the top
 eigenvalue of the second-order work form, `oracles.weak_charge_work_per_photon`.
+As the drive vanishes the constant-drive closed form tends to free decay, so
+a vanishing Rabi frequency gives the spontaneous work s0^2 (1 - exp(-gamma tau)).
 """
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 import ergoflux as ef
-from oracles import pulse_distance, weak_charge_work_per_photon
+from oracles import pulse_distance, square_states_by_expm, weak_charge_work_per_photon
 
 WEAK = (1e-6, 1e-5, 1e-4, 1e-3)
 
@@ -88,3 +92,29 @@ def test_shaped_work_without_coherence_reaches_the_eigenvalue_oracle(p):
     n_bar = 1e-5
     sol = ef.solve_optimal_control(ef.ControlProblem(prep=prep, n_bar=n_bar))
     assert sol.work / n_bar == pytest.approx(weak_charge_work_per_photon(1.0 - p), rel=2e-5)
+
+
+@pytest.mark.parametrize("rabi", [1.0, 1e-2, 1e-5, 1e-8, 1e-11, 1e-14, 1e-100, 1e-300])
+def test_square_trajectory_matches_the_matrix_exponential_down_to_a_vanishing_drive(rabi):
+    prep = ef.Preparation(p=0.1, theta=2.0)
+    traj = ef.analytic_square_trajectory(prep, rabi, 1.0, 3.0, 13)
+    p_e, s = square_states_by_expm(prep, rabi, 1.0, traj.times)
+    assert np.abs(traj.p_e - p_e).max() <= 1e-13
+    assert np.abs(traj.s_bar - s).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rabi", [1e-170, 1e-200, 1e-300])
+def test_a_vanishing_constant_drive_stops_at_the_spontaneous_work(rabi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau, work = ef.optimal_square_work(0.0, 2.0, rabi, 1.0)
+    assert math.isfinite(tau)
+    assert abs(work - (0.5 * math.sin(2.0)) ** 2) <= 1e-15
+
+
+def test_a_vanishing_constant_drive_emits_the_free_decay_work():
+    prep = ef.Preparation(p=0.1, theta=2.0)
+    s0, _ = _s0_pe0(prep.p, prep.theta)
+    taus = np.array([0.1, 1.0, 10.0])
+    work = ef.square_drive_work(prep, 1e-300, 1.0, taus)
+    assert np.abs(work - s0 * s0 * -np.expm1(-taus)).max() <= 1e-15
