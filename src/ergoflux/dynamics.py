@@ -203,7 +203,7 @@ class ExponentialPulse(DriveProfile):
 
     def rabi(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.where(t >= 0.0, self.amplitude * np.exp(-np.minimum(t, 700 * self.tau) / self.tau), 0.0)
+        out = np.where(t >= 0.0, self.amplitude * np.exp(-np.clip(t, 0.0, 700 * self.tau) / self.tau), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def support_end(self) -> float:
@@ -283,7 +283,7 @@ def _squared_area(dt, v) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: grid times, populations, dipoles, and the applied controls."""
+    """Sampled evolution at the decay rate ``gamma`` > 0: grid times, populations, dipoles and the drive."""
 
     times: np.ndarray
     p_e: np.ndarray
@@ -292,6 +292,7 @@ class Trajectory:
     gamma: float
 
     def __post_init__(self):
+        _check_params("positive", gamma=self.gamma)
         if self.times[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
@@ -302,12 +303,6 @@ class Trajectory:
 
     def state(self, i: int) -> QubitState:
         return QubitState(p_e=float(self.p_e[i]), s_bar=float(self.s_bar[i]))
-
-
-def _check_span(t_end: float, gamma: float) -> None:
-    """Reject a trace length or decay rate that no trajectory builder can sample."""
-    _check_params("positive", t_end=t_end)
-    _check_params("nonnegative", gamma=gamma)
 
 
 # Steps composed per chunk and per block of the scan.  Both are fixed, so the
@@ -435,8 +430,7 @@ def evolve_numeric(
     of them outside by more than BLOCH_TOL raises `IntegrationAccuracyError`.
     The fixed grid and scan layout make runs bit-reproducible.
     """
-    _check_span(t_end, gamma)
-    _check_params("positive", dt=dt)
+    _check_params("positive", t_end=t_end, gamma=gamma, dt=dt)
     edges = np.concatenate(([0.0], drive._breakpoints(t_end), [t_end]))
     spans = np.diff(edges)
     counts = [max(1, math.ceil(w / dt * (1.0 - 1e-12))) for w in spans.tolist()]
@@ -603,8 +597,7 @@ def _basis_groups(co: AnalyticCoefficients, alpha: float):
 
 def square_pulse_coefficients(prep: Preparation, rabi: float, gamma: float) -> AnalyticCoefficients:
     """Solve for the constant-drive dipole coefficients from the initial state."""
-    _check_params("nonnegative", gamma=gamma)
-    _check_params("positive", rabi=rabi)
+    _check_params("positive", gamma=gamma, rabi=rabi)
     return _coefficients(prep.p, prep.theta, rabi, gamma, math)
 
 
@@ -622,7 +615,7 @@ def analytic_square_trajectory(
     num: int,
 ) -> Trajectory:
     """Constant-drive trajectory sampled from the closed form (no integration error)."""
-    _check_span(t_end, gamma)
+    _check_params("positive", t_end=t_end, gamma=gamma)
     _check_counts("positive", num=num)
     times = np.linspace(0.0, t_end, num)
     p, s = _square_states(prep, rabi, gamma, times)

@@ -40,6 +40,7 @@ RESIDUAL_TOL = 1e-6
 
 def work_rate(state: QubitState, rabi: float, gamma: float) -> float:
     """Coherent (work-like) output power."""
+    _check_params("positive", gamma=gamma)
     s = state.s_bar
     return gamma * s * s + rabi * s
 
@@ -50,6 +51,7 @@ def heat_rate(state: QubitState, gamma: float) -> float:
     A state within BLOCH_TOL outside the ball is rounding noise (see
     `QubitState`), so its negative excess counts as zero heat.
     """
+    _check_params("positive", gamma=gamma)
     return gamma * max(state.p_e - state.s_bar * state.s_bar, 0.0)
 
 
@@ -127,9 +129,9 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     and the drive's own slope, taken one-sided at a tabulated drive's kinks,
     which `evolve_numeric` puts on grid nodes, where they cost nothing.
 
-    When the last sample is at or past the drive's `support_end` and
-    gamma > 0, the exact free-decay tail after it is booked: work s_end^2
-    and heat p_end - s_end^2.  A trace that ends while the drive is still on
+    When the last sample is at or past the drive's `support_end`, the exact
+    free-decay tail after it is booked: work s_end^2 and heat
+    p_end - s_end^2.  A trace that ends while the drive is still on
     books none; it stands for a run whose coupling is cut at its end, which
     freezes the state.  The grid-level first-law residual
     |energy drop - (work + heat)| is always recorded, and checked against
@@ -159,7 +161,7 @@ def accumulate(traj: Trajectory, check_residual: bool = True) -> EnergeticsTrace
     work = stimulated + spontaneous
     heat = np.cumsum(np.append(0.0, _corrected_steps(q_flux, q_slope, q_slope, h)))
 
-    if t[-1] >= traj.drive.support_end() and ga > 0.0:
+    if t[-1] >= traj.drive.support_end():
         w_tail = float(m2[-1])
         q_tail = float(p[-1] - m2[-1])
     else:
@@ -193,15 +195,13 @@ def suggested_grid_step(rabi_peak: float, gamma: float, window: float) -> float:
 
     The step passes `evolve_numeric`'s check for any drive peaking at
     ``rabi_peak``, and the same grid serves `accumulate`, whose ledger is
-    fourth order like RK4 itself.  Without a drive or a decay it is
-    ``window``.  `evolve_numeric` shortens the steps as needed to put a
-    tabulated drive's nodes on the grid.  ``rabi_peak`` and ``gamma`` must be
-    nonnegative and ``window`` positive, all finite.
+    fourth order like RK4 itself.  `evolve_numeric` shortens the steps as
+    needed to put a tabulated drive's nodes on the grid.  ``rabi_peak`` must
+    be nonnegative and ``gamma`` and ``window`` positive, all finite.
     """
-    _check_params("nonnegative", rabi_peak=rabi_peak, gamma=gamma)
-    _check_params("positive", window=window)
-    rate = math.hypot(rabi_peak, gamma)
-    return min(_RK4_BOUND / rate, window) if rate > 0.0 else window
+    _check_params("nonnegative", rabi_peak=rabi_peak)
+    _check_params("positive", gamma=gamma, window=window)
+    return min(_RK4_BOUND / math.hypot(rabi_peak, gamma), window)
 
 
 # --------------------------- constant-drive closed-form work ---------------------------
@@ -243,7 +243,7 @@ def square_drive_work(prep: Preparation, rabi: float, gamma: float, tau):
     m = int y solves A m = y(tau) - y(0) - h tau, and the second moments
     P = int y y^T solve the Lyapunov equation A P + P A^T = R with
     R = [y y^T]_0^tau - h m^T - m h^T.  Its s-s entry is solved in closed form
-    in `_drive_work`; it is finite for every damping, gamma = 0 included.
+    in `_drive_work`; it is finite for every damping.
     """
     tau = np.asarray(tau, dtype=float)
     if not np.all(tau >= 0.0):

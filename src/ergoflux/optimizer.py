@@ -398,7 +398,7 @@ def control_work_and_gradient(
     c = np.asarray(controls, dtype=float)
     t = np.asarray(times, dtype=float)
     dt = _check_grid(c, t)
-    _check_params("nonnegative", gamma=gamma)
+    _check_params("positive", gamma=gamma)
     if steps is not None:
         if n_sub is not None:
             raise ValueError("pass n_sub or steps, not both")
@@ -486,7 +486,8 @@ def project_to_budget(controls, times, n_bar: float, gamma: float = 1.0) -> np.n
     c = np.clip(np.asarray(controls, dtype=float), 0.0, None)
     t = np.asarray(times, dtype=float)
     dt = _check_grid(c, t)
-    _check_params("nonnegative", n_bar=n_bar, gamma=gamma)
+    _check_params("nonnegative", n_bar=n_bar)
+    _check_params("positive", gamma=gamma)
     target = 4.0 * gamma * n_bar
     q = _squared_area(dt, c)
     if q <= 0.0:

@@ -130,20 +130,20 @@ def _newton(dipole, lo, hi, flo, fhi, cell):
     return root
 
 
-def _layout(gamma, t_max, co, basis):
+def _layout(gamma, co, basis):
     """Where the search of cells that share the sign of k looks for brackets.
 
     The dipole is monotone between its extrema, settles to c < 0, and can
     fall through zero only before its first extremum or after a positive
     maximum.  For k <= 0 it has at most one extremum, so a cell has at most
     one bracket, between two of its knots 0, ``first`` and an envelope
-    horizon, which ``t_max`` does not cap.  For k > 0 the extrema sit at
+    horizon, which may lie past 20/gamma.  For k > 0 the extrema sit at
     t_j = first + j * period, where the damped basis is its value at
     ``first`` times (-rho)^j with rho = exp(-alpha * period), so the dipole
     there is c + A (-rho)^j with A the transient at ``first``.  A maximum has A (-1)^j > 0 (a minimum lies
     below c), and only the maxima before the reach log(|A| / |c|) / (alpha *
     period) can be positive; each opens a bracket that ends at the next
-    extremum, or at t_max.
+    extremum, or at t_max = 20/gamma, long after the transient has died out.
 
     Returns (size, ok, brackets) per cell: ``size`` candidate brackets, none
     for a cell with ``ok`` false.  ``brackets(cell, i)`` gives the ends
@@ -161,13 +161,14 @@ def _layout(gamma, t_max, co, basis):
     s0 = co.a + co.c  # the damped basis is (1, 0) at t = 0
 
     if not np.isfinite(basis.period[0]):
-        # k <= 0, so gamma > 0 and sqrt(-k) < gamma / 4: exp(-gamma t / 4)
-        # bounds |C| by 1 and |S| by 2 / gamma, and the transient stays below
+        # k <= 0, so sqrt(-k) < gamma / 4: exp(-gamma t / 4) bounds |C| by 1
+        # and |S| by 2 / gamma, and the transient stays below
         # amp * exp(-gamma t / 2).  Crossings die once that envelope drops
         # below |c|; the 1 / gamma pad puts the end knot inside that region.
+        # The logs are taken apart, so a subnormal |c| does not overflow.
         amp = np.abs(co.a) + np.abs(co.b) / (0.5 * gamma)
         with np.errstate(divide="ignore"):
-            settle = 2.0 / gamma * np.log(amp / np.abs(co.c)) + 1.0 / gamma
+            settle = 2.0 / gamma * (np.log(amp) - np.log(np.abs(co.c))) + 1.0 / gamma
         horizon = np.where(amp <= np.abs(co.c), 0.0, settle)
         mid = np.where(first < horizon, first, horizon)  # first is NaN without an extremum
         (ec1, es1), (ec2, es2) = basis.at(mid), basis.at(horizon)
@@ -181,6 +182,7 @@ def _layout(gamma, t_max, co, basis):
         size = (down | (s1 > 0.0) & (s2 < 0.0)).astype(np.intp)
         return size, np.ones(size.size, dtype=bool), lambda cell, i: tuple(v[cell] for v in ends)
 
+    t_max = 20.0 / gamma
     t1 = np.minimum(first, t_max)
     ec1, es1 = basis.at(t1)
     transient = co.a * ec1 + co.b * es1
@@ -213,8 +215,8 @@ def _layout(gamma, t_max, co, basis):
         c = cell[b]
         lo[b], hi[b], ec[b], es[b], ec_hi[b], es_hi[b] = 0.0, t1[c], 1.0, 0.0, ec1[c], es1[c]
         # no root past t_max: a bracket reaching it ends there
-        b = np.flatnonzero(hi > t_max[cell])
-        hi[b] = t_max[cell[b]]
+        b = np.flatnonzero(hi > t_max)
+        hi[b] = t_max
         ec_hi[b], es_hi[b] = basis.take(cell[b]).at(hi[b])
         return lo, hi, ec, es, ec_hi, es_hi
 
@@ -246,12 +248,11 @@ def _tail_cut(size, brackets, rabi, gamma: float, co, basis):
     bisection finds the first n where E(n) lies below F by more than
     4 _PRUNE_TOL max(1, F); the candidates from there on would be pruned,
     and cannot raise the floor, since W(lo) <= bound.  Every candidate is
-    kept for k <= 0 (no train of maxima), for gamma = 0 (maxima that do not
-    decay), in cells with at most `_CUT_MIN` candidates, and where the
-    envelope or the floor is not finite.
+    kept for k <= 0 (no train of maxima), in cells with at most `_CUT_MIN`
+    candidates, and where the envelope or the floor is not finite.
     """
     cut = np.flatnonzero(size > _CUT_MIN)
-    if not (cut.size and gamma > 0.0 and np.isfinite(basis.period[0])):
+    if not (cut.size and np.isfinite(basis.period[0])):
         return size
     part, r, period = co.take(cut), rabi[cut], basis.period[cut]
     t1, _, ec, es, _, _ = brackets(cut, np.ones(cut.size, dtype=np.intp))
@@ -285,14 +286,14 @@ def _tail_cut(size, brackets, rabi, gamma: float, co, basis):
     return size
 
 
-def _search_group(rabi, gamma, t_max, co, basis):
+def _search_group(rabi, gamma, co, basis):
     """The search of `optimal_square_work` on cells that share the sign of k.
 
     Of the candidates of `_layout`, only the leading ones `_tail_cut`
     keeps are laid out.  Returns (tau, work, ok) per cell.
     """
     m = rabi.size
-    size, ok, brackets = _layout(gamma, t_max, co, basis)
+    size, ok, brackets = _layout(gamma, co, basis)
     size = _tail_cut(size, brackets, rabi, gamma, co, basis)
 
     ends = np.cumsum(size)
@@ -347,25 +348,14 @@ def _search_group(rabi, gamma, t_max, co, basis):
     return tau, work, ok
 
 
-def _search_horizon(rabi, gamma: float):
-    """The end t_max of the window (0, t_max] an oscillating drive is searched over.
-
-    With decay its transient has died out long before 20/gamma (`_layout`
-    gives an overdamped drive its own horizon).  At gamma = 0 the work W(tau)
-    repeats every Rabi period 2 pi / rabi, so one period holds each of its
-    values, the earliest optimal stop among them.
-    """
-    return np.full(rabi.shape, 20.0 / gamma) if gamma > 0.0 else 2.0 * math.pi / rabi
-
-
 def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     """Best stopping time and work of a constant drive with coupling cut at stop.
 
     ``p``, ``theta`` (as in `Preparation`) and the Rabi frequency ``rabi``
-    broadcast against each other, one cell per entry; ``gamma`` is shared.
-    Candidates are tau = 0 and the downward zero crossings of the dipole on
-    (0, 20/gamma], or on one Rabi period at gamma = 0 (`_search_horizon`);
-    an overdamped drive is searched up to its envelope horizon (`_layout`).
+    broadcast against each other, one cell per entry; ``gamma`` > 0 is
+    shared.  Candidates are tau = 0 and the downward zero crossings of the
+    dipole on (0, 20/gamma]; an overdamped drive is searched up to its
+    envelope horizon (`_layout`).
     Their brackets are laid out in closed form (`_layout`): from 0 to the
     first extremum, and from each positive maximum to the next extremum.
     The dipole at the extrema of an oscillating drive falls geometrically
@@ -376,17 +366,17 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
     decreases at late times.  A bracket [lo, hi] is
     refined only if its bound W(lo) + (hi - lo) s(lo) (rabi + gamma s(lo))
     on the work at its root reaches the cell's floor, the best of 0, the
-    work of earlier windows and every W(lo), less `_PRUNE_TOL`.  With decay,
-    the bounds of an oscillating drive's whole tail of maxima lie under a
-    closed-form envelope falling with time (`_tail_cut`), so a cell with
-    more than `_CUT_MIN` candidates lays out only those before the envelope
-    drops below its floor.  The result is the one refining every bracket
+    work of earlier windows and every W(lo), less `_PRUNE_TOL`.  The bounds
+    of an oscillating drive's whole tail of maxima lie under a closed-form
+    envelope falling with time (`_tail_cut`), so a cell with more than
+    `_CUT_MIN` candidates lays out only those before the envelope drops
+    below its floor.  The result is the one refining every bracket
     gives.  Returns arrays (tau, work) of
     the broadcast shape.  A cell holds NaN when p or theta is out of range,
     rabi is not positive with a finite square, a bracket did not converge,
     or the cell has more than 2^52 extrema to search.
     """
-    _check_params("nonnegative", gamma=gamma)
+    _check_params("positive", gamma=gamma)
     p, theta, rabi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (p, theta, rabi)))
     shape = p.shape
     p, theta, rabi = p.ravel(), theta.ravel(), rabi.ravel()
@@ -399,7 +389,7 @@ def optimal_square_work(p, theta, rabi, gamma: float = 1.0):
         co = _coefficients(p[block], theta[block], rabi[block], gamma)
         for cells, part, basis in _basis_groups(co, 0.75 * gamma):
             g = block[cells]
-            t, w, ok = _search_group(rabi[g], gamma, _search_horizon(rabi[g], gamma), part, basis)
+            t, w, ok = _search_group(rabi[g], gamma, part, basis)
             tau[g], work[g] = np.where(ok, t, np.nan), np.where(ok, w, np.nan)
     return tau.reshape(shape), work.reshape(shape)
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import expm
 
 import ergoflux as ef
-from ergoflux.dynamics import _check_span, _clamped_samples, _square_states
+from ergoflux.dynamics import _check_params, _clamped_samples, _square_states
 
 
 def evolve_square_analytic(prep: ef.Preparation, rabi: float, gamma: float, t: float) -> ef.QubitState:
@@ -38,7 +38,7 @@ def square_states_by_expm(prep: ef.Preparation, rabi: float, gamma: float, times
 
 def free_decay_trajectory(state0: ef.QubitState, gamma: float, t_end: float, num: int) -> ef.Trajectory:
     """Undriven decay sampled exactly on a uniform grid."""
-    _check_span(t_end, gamma)
+    _check_params("positive", t_end=t_end, gamma=gamma)
     if num < 2:
         raise ValueError("num must be at least 2")
     times = np.linspace(0.0, t_end, num)

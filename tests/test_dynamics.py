@@ -55,14 +55,6 @@ def test_free_decay_hand_computed_point():
     assert out.p_e == pytest.approx(0.5 * math.exp(-1.0), abs=1e-15)
 
 
-def test_pi_pulse_without_damping():
-    # gamma=0, theta=pi (excited): after t = pi/rabi the qubit reaches ground
-    prep = ef.Preparation(p=0.0, theta=math.pi)
-    state = evolve_square_analytic(prep, rabi=2.0, gamma=0.0, t=math.pi / 2.0)
-    assert abs(state.s_bar) < 1e-12
-    assert state.p_e < 1e-12
-
-
 # ------------------------------------------------------------- constructions
 
 
@@ -126,6 +118,14 @@ def test_exponential_pulse_charge_is_the_budget():
     t = np.linspace(0.0, d.support_end(), 200001)
     q = np.trapezoid(d.rabi(t) ** 2, t) / 4.0
     assert q == pytest.approx(1.64, rel=1e-6)
+
+
+def test_exponential_pulse_is_off_before_it_starts():
+    # exp(-t / tau) of an early time must not overflow: the pulse is 0 there
+    # like every other drive
+    d = ef.ExponentialPulse(n_bar=1.0, tau=0.1)
+    assert d.rabi(-100.0) == 0.0
+    assert d.rabi(np.array([-1e300, -100.0, -0.0])).tolist() == [0.0, 0.0, d.amplitude]
 
 
 def test_tabulated_pulse_charge_matches_quadrature():
@@ -212,6 +212,44 @@ def _square(t_end=1.0, gamma=1.0):
 def test_trajectory_builders_reject_bad_spans_and_rates(build, name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
         build(**{name: value})
+
+
+_PREP = ef.Preparation(p=0.1, theta=2.0)
+_NODES = np.linspace(0.0, 3.0, 40)
+
+# every callable that takes the decay rate, called at the rate g
+_TAKES_GAMMA = {
+    "Trajectory": lambda g: ef.Trajectory(
+        times=np.array([0.0, 1.0]), p_e=np.full(2, 0.5), s_bar=np.full(2, 0.3), drive=ef.OffDrive(), gamma=g
+    ),
+    "evolve_numeric": lambda g: _evolve(gamma=g),
+    "analytic_square_trajectory": lambda g: _square(gamma=g),
+    "square_pulse_coefficients": lambda g: ef.square_pulse_coefficients(_PREP, 1.0, g),
+    "square_drive_work": lambda g: ef.square_drive_work(_PREP, 1.0, g, 0.5),
+    "work_rate": lambda g: ef.work_rate(_STATE, 1.0, g),
+    "heat_rate": lambda g: ef.heat_rate(_STATE, g),
+    "suggested_grid_step": lambda g: ef.suggested_grid_step(1.0, g, 1.0),
+    "optimal_square_work": lambda g: ef.optimal_square_work(0.0, 2.0, 1.0, g),
+    # without decay the shaper's functional would book a free-decay tail
+    # s(T)^2 = 0.133 that nothing emits, where the ledger books none
+    "control_work_and_gradient": lambda g: ef.control_work_and_gradient(
+        1.0 + 0.5 * np.sin(_NODES), _NODES, _PREP, gamma=g, n_sub=64
+    ),
+    "project_to_budget": lambda g: ef.project_to_budget(np.ones(40), _NODES, 1.0, g),
+}
+
+
+@pytest.mark.parametrize(
+    "call, gamma",
+    [(call, 0.0) for call in _TAKES_GAMMA]
+    # these three are held to the other bad rates here; the rest, by their own tests
+    + [(call, g) for call in ("Trajectory", "work_rate", "heat_rate") for g in (-1.0, math.nan, math.inf)],
+)
+def test_every_callable_rejects_a_decay_rate_that_is_not_positive_by_name(call, gamma):
+    # the waveguide the qubit decays into is the battery: at gamma = 0 there
+    # is no channel and no photon budget, so no callable takes it
+    with pytest.raises(ValueError, match="^gamma must be"):
+        _TAKES_GAMMA[call](gamma)
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan])

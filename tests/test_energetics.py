@@ -78,14 +78,6 @@ def test_square_drive_work_on_an_array_is_elementwise():
         ef.square_drive_work(prep, 1.0, 1.0, np.array([0.5, -1e-12, 2.0]))
 
 
-def test_square_drive_work_without_damping():
-    # gamma = 0: pure rotation, W(tau) = (1/2-p)(cos(theta - O*tau) - cos(theta))
-    prep = ef.Preparation(p=0.1, theta=2.0)
-    rabi, tau = 3.0, 0.7
-    got = ef.square_drive_work(prep, rabi, 0.0, tau)
-    assert got == pytest.approx(0.4 * (math.cos(2.0 - rabi * tau) - math.cos(2.0)), abs=1e-12)
-
-
 # ------------------------------------------------------------- simple scalars
 
 
@@ -202,24 +194,6 @@ def test_tail_is_booked_after_the_drive_only(t_end, booked):
     assert tr.stimulated_work + tr.spontaneous_work == pytest.approx(tr.total_work, abs=1e-9)
 
 
-def test_no_tail_without_decay():
-    # gamma = 0: the coherence left at the end never leaves, so no spontaneous work is booked
-    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
-    traj = ef.evolve_numeric(state, _KINKED, t_end=1.5, dt=0.001, gamma=0.0)
-    assert abs(traj.s_bar[-1]) > 0.1
-    assert ef.accumulate(traj).spontaneous_work == 0.0
-
-
-def test_accumulate_without_decay_books_the_drive_alone():
-    # gamma = 0: no heat leaves
-    state = ef.prepare_initial(ef.Preparation(p=0.0, theta=math.pi / 2))
-    traj = ef.evolve_numeric(state, _KINKED, t_end=1.5, dt=0.001, gamma=0.0)
-    tr = ef.accumulate(traj)
-    assert (tr.heat == 0.0).all() and tr.work_tail == 0.0 and tr.heat_tail == 0.0
-    assert tr.total_work == pytest.approx(tr.stimulated_work + tr.spontaneous_work, abs=1e-15)
-    assert abs(tr.total_work) > 1e-3
-
-
 def test_accumulated_work_matches_closed_form():
     prep = ef.Preparation(p=0.1, theta=1.8)
     rabi, gamma, tau = 1.3, 1.0, 4.0
@@ -254,13 +228,11 @@ def test_suggested_grid_step_is_the_rk4_bound_at_its_extremes():
     assert ef.suggested_grid_step(0.0, 2.0, 10.0) == 0.005  # rabi -> 0
     assert ef.suggested_grid_step(1e-300, 2.0, 10.0) == 0.005
     assert ef.suggested_grid_step(0.0, 2.0, 1e-3) == 1e-3
-    assert ef.suggested_grid_step(4.0, 0.0, 10.0) == 0.0025  # gamma = 0
-    assert ef.suggested_grid_step(0.0, 0.0, 7.0) == 7.0  # nothing to resolve
-    # a very strong drive: the step passes evolve_numeric's own check, also
-    # at gamma = 0, where it is the bound itself
+    assert ef.suggested_grid_step(4.0, 1e-300, 10.0) == 0.0025  # gamma -> 0
+    # a very strong drive: the step passes evolve_numeric's own check
     rabi, t_end = 1e4, 2e-3
     state = ef.prepare_initial(ef.Preparation(p=0.0, theta=2.0))
-    for gamma in (1.0, 0.0):
+    for gamma in (1.0, 0.5):
         h = ef.suggested_grid_step(rabi, gamma, t_end)
         assert h == pytest.approx(1e-6, rel=1e-8)
         drive = ef.TabulatedPulse(times=[0.0, t_end], values=[rabi, rabi])

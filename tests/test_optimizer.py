@@ -146,7 +146,6 @@ def test_grid_validation():
     ],
 )
 def test_bad_rate_or_budget_is_rejected_by_name(call, kwargs, name):
-    # gamma = 0 stays valid: the work functional runs without decay
     times = np.linspace(0.0, 5.0, 8)
     if call == "project_to_budget":
         args = dict(controls=np.ones(8), times=times, n_bar=1.0) | kwargs

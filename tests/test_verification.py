@@ -67,12 +67,13 @@ def test_audit_rejects_bad_grids():
 
 
 def test_audit_rejects_a_trace_without_decay():
-    # gamma = 0: no channel, so no power balance
-    state0 = ef.prepare_initial(ef.Preparation(p=0.0, theta=1.0))
-    drive = ef.TabulatedPulse(times=[0.0, 3.0], values=[1.0, 1.0])
-    traj = ef.evolve_numeric(state0, drive, t_end=3.0, dt=1e-3, gamma=0.0)
-    with pytest.raises(ValueError, match="gamma"):
-        ef.conservation_audit(traj)
+    # gamma = 0: no channel, so no power balance; no such trace can be built
+    # for the audit to see
+    traj = _driven_trajectory()
+    with pytest.raises(ValueError, match="^gamma must be positive"):
+        ef.Trajectory(times=traj.times, p_e=traj.p_e, s_bar=traj.s_bar, drive=traj.drive, gamma=0.0)
+    with pytest.raises(ValueError, match="^gamma must be positive"):
+        ef.evolve_numeric(traj.state(0), traj.drive, t_end=3.0, dt=1e-3, gamma=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
